@@ -20,16 +20,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import compat, edgelist
-from .embedding import SearchBudget, find_embedding
+from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, TopoCompatError
 from .graph import Graph, graph_power
-from .topologies import gray_code_cycle, parse_topology_spec, TopologySpec
+from .topologies import MAX_HYPERCUBE_DIM, gray_code_cycle, parse_topology_spec, TopologySpec
 
 __all__ = ["run", "main", "parse_range"]
-
-DEFAULT_TIME_LIMIT = 60.0
-DEFAULT_MAX_NODES = 10**8
-DEFAULT_MAX_HOST_ORDER = 64
 
 
 def parse_range(text: str) -> range:
@@ -60,11 +56,12 @@ def _positive_int(text: str) -> int:
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES,
+    sub.add_argument("--max-nodes", type=_positive_int, default=DEFAULT_BUDGET.max_nodes,
                      help="node-expansion cap for searches")
     sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
-                     help="wall-time cap (default 60, or TOPO_COMPAT_TIME_LIMIT)")
-    sub.add_argument("--max-host-order", type=_positive_int, default=DEFAULT_MAX_HOST_ORDER,
+                     help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g}, "
+                          "or TOPO_COMPAT_TIME_LIMIT)")
+    sub.add_argument("--max-host-order", type=_positive_int, default=DEFAULT_BUDGET.max_host_order,
                      help="largest host order the generic embedding search accepts")
 
 
@@ -73,7 +70,7 @@ def _budget_from(args: argparse.Namespace) -> SearchBudget:
     if limit is None:
         raw = os.environ.get("TOPO_COMPAT_TIME_LIMIT", "")
         try:
-            limit = float(raw) if raw else DEFAULT_TIME_LIMIT
+            limit = float(raw) if raw else DEFAULT_BUDGET.time_limit
         except ValueError:
             raise TopoCompatError(f"TOPO_COMPAT_TIME_LIMIT is not a number: {raw!r}") from None
     return SearchBudget(max_host_order=args.max_host_order,
@@ -97,23 +94,21 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hypercube_potential(s: int, task: str, reach: int) -> int:
-    if task == "star":
-        return compat.hypercube_star_potential(s, reach)
-    return (1 << s) if s >= 2 else 0
-
-
 def _cmd_potential(args: argparse.Namespace) -> int:
     spec = args.system
     cycle = None
     if spec.kind == "hypercube":
         # closed forms; never builds the graph, so large dimensions stay cheap
-        if not (1 <= spec.parameter <= 20):
-            raise TopoCompatError(f"hypercube dimension must be in 1..20, got {spec.parameter}")
-        n = 1 << spec.parameter
-        p = _hypercube_potential(spec.parameter, args.task, args.reach)
-        if args.witness and args.task == "ring" and p:
-            cycle = gray_code_cycle(spec.parameter)
+        s = spec.parameter
+        if not (1 <= s <= MAX_HYPERCUBE_DIM):
+            raise TopoCompatError(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
+        n = 1 << s
+        if args.task == "star":
+            p = compat.hypercube_star_potential(s, args.reach)
+        else:
+            p = compat.hypercube_ring_potential(s)
+            if args.witness and p:
+                cycle = gray_code_cycle(s)
     else:
         system = spec.build()
         n = system.order
@@ -123,15 +118,16 @@ def _cmd_potential(args: argparse.Namespace) -> int:
             p, cycle = compat.ring_potential_certificate(system, args.reach, _budget_from(args))
     report = compat.make_report(spec, args.task, args.reach, n, p)
     print(f"p={report.potential_p} c={report.index_rounded}")
-    if args.witness:
-        if args.task == "ring":
-            if cycle is not None:
-                print("cycle: " + " ".join(str(v) for v in cycle))
+    if args.witness and cycle is not None:
+        print("cycle: " + " ".join(str(v) for v in cycle))
+    elif args.witness and args.task == "star":
+        if spec.kind == "hypercube":
+            center, leaves = compat.hypercube_star_witness(s, args.reach)
         else:
-            system = spec.build() if spec.kind == "hypercube" else system
             power = graph_power(system, args.reach)
             center = max(range(power.order), key=power.degree)
-            print(f"center={center} leaves=" + " ".join(str(v) for v in power.neighbors(center)))
+            leaves = power.neighbors(center)
+        print(f"center={center} leaves=" + " ".join(str(v) for v in leaves))
     return 0
 
 

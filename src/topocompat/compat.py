@@ -28,6 +28,8 @@ from .topologies import TopologySpec, canonical_hypercube_dim, gray_code_cycle
 __all__ = [
     "CompatibilityReport",
     "hypercube_star_potential",
+    "hypercube_star_witness",
+    "hypercube_ring_potential",
     "star_potential",
     "ring_potential",
     "ring_potential_certificate",
@@ -50,6 +52,19 @@ def hypercube_star_potential(s: int, reach: int) -> int:
     value saturates at 2^s once reach >= s.
     """
     return sum(math.comb(s, i) for i in range(reach + 1))
+
+
+def hypercube_star_witness(s: int, reach: int) -> Tuple[int, Tuple[int, ...]]:
+    """Center 0 and its leaves (weight 1..reach, ascending) in the reach-th power of H_s.
+
+    H_s is vertex-transitive, so 0 is the first vertex of maximum degree there.
+    """
+    return 0, tuple(v for v in range(1, 1 << s) if v.bit_count() <= reach)
+
+
+def hypercube_ring_potential(s: int) -> int:
+    """Ring potential of H_s at any reach: 2^s (the Gray cycle), 0 for the edge H_1."""
+    return (1 << s) if s >= 2 else 0
 
 
 def star_potential(system: Graph, reach: int) -> int:
@@ -145,8 +160,7 @@ def compatibility_table(
 ) -> List[CompatibilityReport]:
     """Star/ring-versus-hypercube compatibility cells, reach-major, s ascending.
 
-    Star cells use the closed-form potential; ring cells use the Gray-cycle
-    certificate (2^s for s >= 2, and 0 for the cycle-free H_1).
+    Every cell comes from a closed form, so no graph is built.
     """
     ss = sorted(set(s_values))
     reaches = sorted(set(reach_values))
@@ -159,13 +173,10 @@ def compatibility_table(
     reports = []
     for reach in reaches:
         for s in ss:
-            n = 1 << s
-            if task_kind == "star":
-                p = hypercube_star_potential(s, reach)
-            else:
-                p = n if s >= 2 else 0
+            p = (hypercube_star_potential(s, reach) if task_kind == "star"
+                 else hypercube_ring_potential(s))
             spec = TopologySpec(kind="hypercube", parameter=s)
-            reports.append(make_report(spec, task_kind, reach, n, p))
+            reports.append(make_report(spec, task_kind, reach, 1 << s, p))
     return reports
 
 

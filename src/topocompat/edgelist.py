@@ -3,7 +3,8 @@
 Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
 0-based vertex ids.  Lines starting with ``#`` are comments and may appear
 anywhere; blank lines are ignored.  Duplicate and reversed edges collapse on
-read.  The writer emits each edge once as ``u v`` with u < v, sorted
+read, and orders above 2^20 (the largest the package generates) are refused.
+The writer emits each edge once as ``u v`` with u < v, sorted
 lexicographically, so equal graphs serialize identically.
 """
 
@@ -15,6 +16,7 @@ from typing import TextIO, Union
 
 from .errors import EdgeListFormatError
 from .graph import Graph, from_edge_list
+from .topologies import MAX_HYPERCUBE_DIM
 
 __all__ = [
     "read_edge_list",
@@ -52,6 +54,8 @@ def read_edge_list(stream: TextIO) -> Graph:
         raise EdgeListFormatError(f"line {lineno}: non-integer header {header!r}") from None
     if m < 0:
         raise EdgeListFormatError(f"line {lineno}: negative edge count {m}")
+    if n > 1 << MAX_HYPERCUBE_DIM:  # refused before any per-vertex storage exists
+        raise EdgeListFormatError(f"line {lineno}: order {n} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
     edges = []
     for lineno, line in lines:
         parts = line.split()
@@ -71,8 +75,9 @@ def read_edge_list(stream: TextIO) -> Graph:
 def write_edge_list(g: Graph, stream: TextIO) -> None:
     """Write a graph in canonical form: header, then sorted ``u v`` lines."""
     stream.write(f"{g.order} {g.num_edges}\n")
-    for u, v in g.sorted_edges():
-        stream.write(f"{u} {v}\n")
+    for u in range(g.order):
+        # streams sorted_edges() from the sorted neighbor tuples without building the list
+        stream.writelines(f"{u} {v}\n" for v in g.neighbors(u) if v > u)
 
 
 def loads(text: str) -> Graph:

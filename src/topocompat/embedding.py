@@ -48,7 +48,7 @@ class SearchBudget:
 
     max_host_order bounds the host size accepted by the generic subgraph
     search; max_nodes bounds backtracking node expansions; time_limit is
-    wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
+    finite wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
     """
 
     max_host_order: int = 64
@@ -56,8 +56,8 @@ class SearchBudget:
     time_limit: float = 60.0
 
     def __post_init__(self):
-        if self.max_host_order < 1 or self.max_nodes < 1 or self.time_limit <= 0:
-            raise InvalidParameter("search budget fields must be strictly positive")
+        if self.max_host_order < 1 or self.max_nodes < 1 or not 0 < self.time_limit < float("inf"):
+            raise InvalidParameter("search budget fields must be strictly positive and finite")
 
     def deadline(self) -> float:
         return time.monotonic() + self.time_limit

@@ -4,16 +4,19 @@ Vertices are the integers 0..n-1.  Graphs are simple (no self-loops, no
 parallel edges) and never mutated after construction, so instances can be
 shared freely across threads.
 
+Adjacency is stored once, as a sorted neighbor tuple per vertex; edges,
+lookups, equality and hashing derive from it, and per-vertex bitmasks
+(arbitrary-width ints) are built lazily for the search kernels.
+
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
-Embedding searches run against the transformed graph, so adjacency is kept
-both as sorted neighbor tuples and as per-vertex sets; per-vertex bitmasks
-(arbitrary-width ints) are built lazily for the search kernels.
+Each vertex's BFS ball becomes its neighbor tuple directly, with no edge list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -34,12 +37,12 @@ __all__ = [
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("_n", "_edges", "_neighbors", "_nbr_sets", "_masks")
+    __slots__ = ("_n", "_neighbors", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 1:
             raise InvalidParameter(f"graph order must be positive, got {n}")
-        edge_set = set()
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n):
                 raise InvalidVertex(f"vertex {u} out of range 0..{n - 1}")
@@ -47,16 +50,18 @@ class Graph:
                 raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
             if u == v:
                 raise InvalidEdge(f"self-loop at vertex {u}")
-            edge_set.add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n)]
-        for u, v in edge_set:
             adj[u].append(v)
             adj[v].append(u)
         self._n = n
-        self._edges = frozenset(edge_set)
-        self._neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self._nbr_sets = tuple(frozenset(nbrs) for nbrs in adj)
+        self._neighbors = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
         self._masks: Optional[Tuple[int, ...]] = None
+
+    @classmethod
+    def _from_neighbors(cls, neighbors: Tuple[Tuple[int, ...], ...]) -> "Graph":
+        """Wrap already valid adjacency: sorted, symmetric, loop-free tuples."""
+        g = cls.__new__(cls)
+        g._n, g._neighbors, g._masks = len(neighbors), neighbors, None
+        return g
 
     @property
     def order(self) -> int:
@@ -65,11 +70,11 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         """Edge set as frozenset of (u, v) pairs with u < v."""
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._neighbors)) // 2
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         self._check_vertex(v)
@@ -85,7 +90,9 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._nbr_sets[u]
+        nbrs = self._neighbors[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def adjacency_masks(self) -> Tuple[int, ...]:
         """Per-vertex neighbor bitmasks (bit v of mask u set iff u ~ v).
@@ -95,15 +102,12 @@ class Graph:
         search kernels apply.
         """
         if self._masks is None:
-            masks = [0] * self._n
-            for u, v in self._edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._masks = tuple(masks)
+            self._masks = tuple(sum(1 << v for v in nbrs) for nbrs in self._neighbors)
         return self._masks
 
     def sorted_edges(self) -> list:
-        return sorted(self._edges)
+        """Edges as (u, v) pairs with u < v, in lexicographic order."""
+        return [(u, v) for u, nbrs in enumerate(self._neighbors) for v in nbrs if v > u]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._n):
@@ -112,13 +116,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._neighbors == other._neighbors
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash(self._neighbors)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, m={len(self._edges)})"
+        return f"Graph(n={self._n}, m={self.num_edges})"
 
 
 class DistanceMatrix:
@@ -216,11 +220,11 @@ def graph_power(g: Graph, reach: int) -> Graph:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
     if reach == 1:
         return g
-    edges = []
-    for s in range(g.order):
-        dist = _bfs_levels(g, s, cutoff=reach)
-        edges.extend((s, v) for v, d in dist.items() if s < v and 1 <= d <= reach)
-    return Graph(g.order, edges)
+    # a ball minus its center is exactly the vertices at distance 1..reach
+    return Graph._from_neighbors(tuple(
+        tuple(sorted(v for v in _bfs_levels(g, s, cutoff=reach) if v != s))
+        for s in range(g.order)
+    ))
 
 
 def is_bipartite(g: Graph) -> bool:

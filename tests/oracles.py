@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check search results.
 
 Everything here is deliberately naive: exhaustive enumeration over injective
-maps and vertex sequences.  These oracles share no code with the package's
-search kernels, so agreement between the two is meaningful evidence.
+maps and vertex sequences, and a plain BFS over the edge set.  These oracles
+share no code with the package's search kernels or its graph transform, so
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -46,6 +47,28 @@ def brute_force_cycle_orders(g: Graph, up_to: int) -> Set[int]:
                 found.add(k)
                 break
     return found
+
+
+def power_reference(g: Graph, reach: int) -> Set[Tuple[int, int]]:
+    """Edges (u < v) of the reach-th power, by level-by-level BFS over g.edges."""
+    adj: List[List[int]] = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out = set()
+    for s in range(g.order):
+        seen = {s}
+        frontier = [s]
+        for _ in range(reach):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        out.update((s, v) for v in seen if s < v)
+    return out
 
 
 def is_valid_cycle(g: Graph, seq: Sequence[int]) -> bool:

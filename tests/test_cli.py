@@ -161,6 +161,18 @@ class TestEmbedCommand:
         code = run(["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_env_var_exits_two(self, limit, capsys, monkeypatch):
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", limit)
+        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1"])
+        assert code == 2
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_time_limit_flag_exits_two(self, limit, capsys):
+        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2",
+                    "--reach", "1", "--time-limit", limit])
+        assert code == 2
+
 
 class TestGenAndPower:
     SPECS = ["hypercube:3", "ring:5", "star:4", "complete:4"]

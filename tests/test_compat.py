@@ -11,6 +11,7 @@ from topocompat import (
     compatibility_index,
     compatibility_table,
     complete,
+    gray_code_cycle,
     graph_power,
     hypercube,
     hypercube_star_potential,
@@ -19,7 +20,14 @@ from topocompat import (
     star,
     star_potential,
 )
-from topocompat.compat import make_report, render_csv, render_markdown, round_half_up
+from topocompat.compat import (
+    hypercube_ring_potential,
+    hypercube_star_witness,
+    make_report,
+    render_csv,
+    render_markdown,
+    round_half_up,
+)
 from topocompat.topologies import TopologySpec
 
 # (s, reach) -> potential, from the reference table
@@ -53,6 +61,21 @@ class TestHypercubeStarPotential:
     @pytest.mark.parametrize("s", range(1, 7))
     def test_reach_at_dimension_gives_whole_hypercube(self, s):
         assert hypercube_star_potential(s, s) == 2**s
+
+
+class TestHypercubeClosedForms:
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_star_witness_matches_power_graph(self, s):
+        # the generic path: first maximum-degree vertex of the built power graph
+        for reach in range(1, s + 2):
+            power = graph_power(hypercube(s), reach)
+            center = max(range(power.order), key=power.degree)
+            assert hypercube_star_witness(s, reach) == (center, power.neighbors(center))
+
+    def test_ring_potential(self):
+        assert hypercube_ring_potential(1) == 0
+        for s in range(2, 9):
+            assert hypercube_ring_potential(s) == len(gray_code_cycle(s)) == 2**s
 
 
 class TestStarPotential:

@@ -49,6 +49,20 @@ def test_malformed_inputs_rejected(text):
         loads(text)
 
 
+def test_order_above_cap_rejected_before_allocation():
+    with pytest.raises(EdgeListFormatError, match="line 2: order 1048577 exceeds"):
+        loads("# huge\n1048577 0\n")
+
+
+def test_order_cap_boundary(monkeypatch):
+    from topocompat import edgelist
+
+    monkeypatch.setattr(edgelist, "MAX_HYPERCUBE_DIM", 2)
+    assert loads("4 1\n0 3\n").order == 4
+    with pytest.raises(EdgeListFormatError, match="line 1: order 5 exceeds the cap 2\\^2"):
+        loads("5 0\n")
+
+
 def test_path_helpers(tmp_path):
     from topocompat.edgelist import read_edge_list_path, write_edge_list_path
 

@@ -8,6 +8,7 @@ from topocompat import (
     BudgetExceeded,
     Embedding,
     HostTooLarge,
+    InvalidParameter,
     SearchBudget,
     complete,
     embeddable_ring_orders,
@@ -67,6 +68,12 @@ class TestFindEmbedding:
         budget = SearchBudget(time_limit=1e-9)
         with pytest.raises(BudgetExceeded):
             find_embedding(ring(11), hypercube(5), budget)
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_time_limit_must_be_finite_and_positive(self, limit):
+        # a nan or infinite deadline never fires, so the budget would be ignored
+        with pytest.raises(InvalidParameter):
+            SearchBudget(time_limit=limit)
 
 
 class TestVerifyEmbedding:

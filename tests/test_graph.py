@@ -1,10 +1,12 @@
 """Graph construction, distances, and the reachability transform."""
 
 import math
+import random
 
 import pytest
 
 from topocompat import (
+    Graph,
     InvalidEdge,
     InvalidReachability,
     InvalidVertex,
@@ -19,7 +21,20 @@ from topocompat import (
     ring,
     star,
 )
-from oracles import generated_topologies
+from oracles import generated_topologies, power_reference, random_graph
+
+
+def _power_samples():
+    """Seeded random graphs, many disconnected or with isolated vertices."""
+    rng = random.Random(20261017)
+    graphs = [random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.2, 0.35, 0.6)))
+              for _ in range(40)]
+    graphs += [from_edge_list(1, []), from_edge_list(5, []),
+               from_edge_list(8, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)])]
+    return graphs
+
+
+POWER_SAMPLES = _power_samples()
 
 
 class TestFromEdgeList:
@@ -138,6 +153,37 @@ class TestGraphPower:
     def test_power_of_disconnected_stays_per_component(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
         assert graph_power(g, 3).edges == {(0, 1), (2, 3)}
+
+
+class TestGraphPowerAgainstReference:
+    def test_samples_cover_disconnected_and_isolated(self):
+        assert sum(diameter(g) == math.inf for g in POWER_SAMPLES) >= 10
+        assert sum(any(g.degree(v) == 0 for v in range(g.order)) for g in POWER_SAMPLES) >= 10
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_matches_reference_at_every_reach(self, g):
+        n = g.order
+        for reach in range(1, n + 1):
+            power = graph_power(g, reach)
+            expected = power_reference(g, reach)
+            assert power.edges == expected
+            assert power.num_edges == len(expected)
+            for u in range(n):
+                for v in range(n):
+                    assert power.has_edge(u, v) == ((min(u, v), max(u, v)) in expected)
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_same_content_either_constructor(self, g):
+        # graph_power wraps its tuples directly; Graph(n, edges) validates and sorts
+        for reach in range(1, g.order + 1):
+            power = graph_power(g, reach)
+            built = Graph(g.order, sorted(power_reference(g, reach), reverse=True))
+            assert power == built
+            assert hash(power) == hash(built)
+            assert power.edges == built.edges
+            assert power.sorted_edges() == built.sorted_edges()
+            assert all(power.neighbors(v) == built.neighbors(v) for v in range(g.order))
+            assert power.adjacency_masks() == built.adjacency_masks()
 
 
 class TestBipartite:

@@ -3,9 +3,21 @@
 Identical means the full tuple: status, witness (not just validity), and the
 node-expansion count, since the two backends implement the same algorithm
 with the same candidate order.
+
+When the extension is not importable but a C compiler is on PATH, it is
+built from the checked-in C into a temporary directory and loaded from
+there; the source tree is never written to.
 """
 
+import importlib.machinery
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +25,38 @@ from topocompat import graph_power, hypercube, ring
 from topocompat._kernels import have_compiled, pykernels
 from oracles import random_graph
 
-if have_compiled():
-    from topocompat._kernels import _ckernels
-else:
-    _ckernels = None
+REPO = Path(__file__).resolve().parents[1]
+EXT_NAME = "topocompat._kernels._ckernels"
 
-pytestmark = pytest.mark.skipif(not have_compiled(), reason="compiled kernels not built")
+
+def _build_extension(out: Path):
+    """Compile the extension under out and import it from there."""
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out / "temp")],
+        cwd=REPO, check=True, capture_output=True,
+    )
+    ext_dir = out / "topocompat" / "_kernels"
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in ext_dir.glob("_ckernels" + suffix)]
+    if not built:
+        pytest.fail(f"a C compiler is present but the build left no extension in {ext_dir}")
+    spec = importlib.util.spec_from_file_location(EXT_NAME, built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def ckernels(tmp_path_factory):
+    if have_compiled():
+        from topocompat._kernels import _ckernels
+
+        return _ckernels
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"compiled kernels not built and no C compiler ({cc!r}) found to build them")
+    return _build_extension(tmp_path_factory.mktemp("ckernels"))
 
 
 def _order(g):
@@ -33,7 +71,7 @@ def _instances():
     return rng, graphs
 
 
-def test_subgraph_search_parity():
+def test_subgraph_search_parity(ckernels):
     rng, graphs = _instances()
     checked = 0
     for host in graphs:
@@ -42,36 +80,36 @@ def test_subgraph_search_parity():
             task = random_graph(rng, rng.randint(2, 6), rng.choice((0.3, 0.5, 0.8)))
             args = (task.order, task.adjacency_masks(), host.order, hmask,
                     _order(task), 10**7, 0.0)
-            assert _ckernels.subgraph_search(*args) == pykernels.subgraph_search(*args)
+            assert ckernels.subgraph_search(*args) == pykernels.subgraph_search(*args)
             checked += 1
     assert checked == 60
 
 
-def test_longest_cycle_parity():
+def test_longest_cycle_parity(ckernels):
     rng, graphs = _instances()
     for g in graphs:
         # cap keeps the pure side quick on the 64-vertex instances while
         # still exercising the budget-exceeded path identically
         cap = 10**6 if g.order <= 16 else 20000
         args = (g.order, g.adjacency_masks(), cap, 0.0)
-        assert _ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
+        assert ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
 
 
-def test_cycle_with_length_parity():
+def test_cycle_with_length_parity(ckernels):
     rng, graphs = _instances()
     for g in graphs:
         cap = 10**6 if g.order <= 16 else 20000
         for k in (3, 4, 5, g.order // 2, g.order):
             args = (g.order, g.adjacency_masks(), k, cap, 0.0)
-            assert _ckernels.cycle_with_length(*args) == pykernels.cycle_with_length(*args)
+            assert ckernels.cycle_with_length(*args) == pykernels.cycle_with_length(*args)
 
 
-def test_budget_cutoff_parity():
+def test_budget_cutoff_parity(ckernels):
     h4 = hypercube(4)
     r7 = ring(7)
     for cap in (1, 5, 100, 3000):
         args = (7, r7.adjacency_masks(), 16, h4.adjacency_masks(), _order(r7), cap, 0.0)
-        a = _ckernels.subgraph_search(*args)
+        a = ckernels.subgraph_search(*args)
         b = pykernels.subgraph_search(*args)
         assert a == b
         assert a[0] == pykernels.BUDGET_EXCEEDED
@@ -79,10 +117,10 @@ def test_budget_cutoff_parity():
 
     for cap in (1, 10, 500):
         args = (16, h4.adjacency_masks(), cap, 0.0)
-        assert _ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
+        assert ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
 
 
-def test_status_constants_match():
-    assert _ckernels.FOUND == pykernels.FOUND
-    assert _ckernels.EXHAUSTED == pykernels.EXHAUSTED
-    assert _ckernels.BUDGET_EXCEEDED == pykernels.BUDGET_EXCEEDED
+def test_status_constants_match(ckernels):
+    assert ckernels.FOUND == pykernels.FOUND
+    assert ckernels.EXHAUSTED == pykernels.EXHAUSTED
+    assert ckernels.BUDGET_EXCEEDED == pykernels.BUDGET_EXCEEDED
