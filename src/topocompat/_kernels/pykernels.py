@@ -6,7 +6,8 @@ bitmask per vertex; arbitrary-width Python ints make the same code correct
 for any graph order.  The compiled twin in ``_ckernels`` implements the
 identical algorithms over machine words (order <= 64) with the identical
 candidate order and node accounting, so the two backends return identical
-results, witnesses included.
+results, witnesses included.  Backtracking keeps its own stack, so search
+depth is not bounded by the interpreter's recursion limit.
 
 Status codes: FOUND (witness returned), EXHAUSTED (search space fully
 explored), BUDGET_EXCEEDED (node or time cap hit; result unknown).
@@ -48,46 +49,54 @@ def subgraph_search(
     if task_n > host_n:
         return EXHAUSTED, None, 0
 
-    task_deg = [task_adj[u].bit_count() for u in range(task_n)]
+    need = [task_adj[u].bit_count() for u in order]
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
     prev_pos = []
     for i in range(task_n):
         u = order[i]
         prev_pos.append([j for j in range(i) if (task_adj[u] >> order[j]) & 1])
     all_hosts = (1 << host_n) - 1
-    mapping = [-1] * task_n
     nodes = 0
 
-    def place(i: int, used: int) -> int:
-        nonlocal nodes
-        u = order[i]
-        cand = all_hosts & ~used
-        for j in prev_pos[i]:
-            cand &= host_adj[mapping[order[j]]]
-        need = task_deg[u]
+    # explicit stack: positions 0..i-1 are mapped to image[0..i-1], which
+    # ``used`` collects, and cands[i] holds the untried candidates for i
+    image = [0] * task_n
+    cands = [0] * task_n
+    cands[0] = all_hosts
+    used = 0
+    i = 0
+    while True:
+        cand = cands[i]
+        need_i = need[i]
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if host_deg[v] < need:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                return BUDGET_EXCEEDED
-            if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
-                return BUDGET_EXCEEDED
-            mapping[u] = v
-            if i + 1 == task_n:
-                return FOUND
-            status = place(i + 1, used | (1 << v))
-            if status != EXHAUSTED:
-                return status
-            mapping[u] = -1
-        return EXHAUSTED
-
-    status = place(0, 0)
-    if status == FOUND:
-        return FOUND, mapping, nodes
-    return status, None, nodes
+            if host_deg[v] >= need_i:
+                break
+        else:
+            if i == 0:
+                return EXHAUSTED, None, nodes
+            i -= 1
+            used &= ~(1 << image[i])
+            continue
+        cands[i] = cand
+        nodes += 1
+        if nodes > max_nodes:
+            return BUDGET_EXCEEDED, None, nodes
+        if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
+            return BUDGET_EXCEEDED, None, nodes
+        image[i] = v
+        if i + 1 == task_n:
+            mapping = [-1] * task_n
+            for j, u in enumerate(order):
+                mapping[u] = image[j]
+            return FOUND, mapping, nodes
+        used |= 1 << v
+        i += 1
+        cand = all_hosts & ~used
+        for j in prev_pos[i]:
+            cand &= host_adj[image[j]]
+        cands[i] = cand
 
 
 def _reachable(head: int, adj: Sequence[int], free: int, target_bit: int) -> int:
@@ -124,40 +133,10 @@ def longest_cycle(
     best_len = 0
     best: Optional[List[int]] = None
     nodes = 0
-    path: List[int] = []
-
-    _CONT, _STOP, _BUDGET = 0, 1, 2
-
-    def visit(head: int, visited: int, a: int, a_bit: int, allowed: int) -> int:
-        nonlocal nodes, best_len, best
-        nodes += 1
-        if nodes > max_nodes:
-            return _BUDGET
-        if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
-            return _BUDGET
-        plen = len(path)
-        if plen >= 3 and (adj[head] >> a) & 1 and plen > best_len:
-            best_len = plen
-            best = path.copy()
-            if best_len == n:
-                return _STOP
-        free = allowed & ~visited
-        reach = _reachable(head, adj, free, a_bit)
-        if not (reach & a_bit):
-            return _CONT
-        if plen + (reach & free).bit_count() <= best_len:
-            return _CONT
-        ext = adj[head] & free
-        while ext:
-            w = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            path.append(w)
-            status = visit(w, visited | (1 << w), a, a_bit, allowed)
-            path.pop()
-            if status != _CONT:
-                return status
-        return _CONT
-
+    # explicit stack: path[0..d] is the path, with head path[d], and exts[i]
+    # holds the untried extensions of path[i] for i < d
+    path = [0] * n
+    exts = [0] * n
     for a in range(n):
         if n - a <= best_len:
             break
@@ -165,13 +144,42 @@ def longest_cycle(
         allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)
         if (adj[a] & allowed).bit_count() < 2:
             continue
-        path.append(a)
-        status = visit(a, a_bit, a, a_bit, allowed)
-        path.pop()
-        if status == _BUDGET:
-            return BUDGET_EXCEEDED, 0, None, nodes
-        if status == _STOP:
-            break
+        path[0] = a
+        d = 0
+        visited = a_bit
+        while True:
+            nodes += 1
+            if nodes > max_nodes:
+                return BUDGET_EXCEEDED, 0, None, nodes
+            if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
+                return BUDGET_EXCEEDED, 0, None, nodes
+            head = path[d]
+            plen = d + 1
+            if plen >= 3 and (adj[head] >> a) & 1 and plen > best_len:
+                best_len = plen
+                best = path[:plen]
+                if best_len == n:
+                    return EXHAUSTED, best_len, best, nodes
+            free = allowed & ~visited
+            reach = _reachable(head, adj, free, a_bit)
+            ext = 0
+            if reach & a_bit and plen + (reach & free).bit_count() > best_len:
+                ext = adj[head] & free
+            if not ext:
+                # backtrack past the head and every vertex with nothing left to try
+                visited ^= 1 << head
+                d -= 1
+                while d >= 0 and not exts[d]:
+                    visited ^= 1 << path[d]
+                    d -= 1
+                if d < 0:
+                    break
+                ext = exts[d]
+            w = (ext & -ext).bit_length() - 1
+            exts[d] = ext & (ext - 1)
+            d += 1
+            path[d] = w
+            visited |= 1 << w
     return EXHAUSTED, best_len, best, nodes
 
 
@@ -186,47 +194,48 @@ def cycle_with_length(
     if k < 3 or k > n:
         return EXHAUSTED, None, 0
     nodes = 0
-    path: List[int] = []
-
-    _CONT, _STOP, _BUDGET = 0, 1, 2
-
-    def visit(head: int, visited: int, a: int, a_bit: int, allowed: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            return _BUDGET
-        if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
-            return _BUDGET
-        plen = len(path)
-        if plen == k:
-            return _STOP if (adj[head] >> a) & 1 else _CONT
-        free = allowed & ~visited
-        reach = _reachable(head, adj, free, a_bit)
-        if not (reach & a_bit):
-            return _CONT
-        if plen + (reach & free).bit_count() < k:
-            return _CONT
-        ext = adj[head] & free
-        while ext:
-            w = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            path.append(w)
-            status = visit(w, visited | (1 << w), a, a_bit, allowed)
-            if status != _CONT:
-                return status
-            path.pop()
-        return _CONT
-
+    # explicit stack: path[0..d] is the path, with head path[d], and exts[i]
+    # holds the untried extensions of path[i] for i < d
+    path = [0] * k
+    exts = [0] * k
     for a in range(n - k + 1):
         a_bit = 1 << a
         allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)
         if (adj[a] & allowed).bit_count() < 2:
             continue
-        path.clear()
-        path.append(a)
-        status = visit(a, a_bit, a, a_bit, allowed)
-        if status == _BUDGET:
-            return BUDGET_EXCEEDED, None, nodes
-        if status == _STOP:
-            return FOUND, path.copy(), nodes
+        path[0] = a
+        d = 0
+        visited = a_bit
+        while True:
+            nodes += 1
+            if nodes > max_nodes:
+                return BUDGET_EXCEEDED, None, nodes
+            if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
+                return BUDGET_EXCEEDED, None, nodes
+            head = path[d]
+            plen = d + 1
+            ext = 0
+            if plen == k:
+                if (adj[head] >> a) & 1:
+                    return FOUND, path, nodes
+            else:
+                free = allowed & ~visited
+                reach = _reachable(head, adj, free, a_bit)
+                if reach & a_bit and plen + (reach & free).bit_count() >= k:
+                    ext = adj[head] & free
+            if not ext:
+                # backtrack past the head and every vertex with nothing left to try
+                visited ^= 1 << head
+                d -= 1
+                while d >= 0 and not exts[d]:
+                    visited ^= 1 << path[d]
+                    d -= 1
+                if d < 0:
+                    break
+                ext = exts[d]
+            w = (ext & -ext).bit_length() - 1
+            exts[d] = ext & (ext - 1)
+            d += 1
+            path[d] = w
+            visited |= 1 << w
     return EXHAUSTED, None, nodes

@@ -9,6 +9,18 @@ can never be mistaken for "impossible".
 The backtracking searches themselves live in ``topocompat._kernels`` with a
 compiled fast path; this module owns the contracts, budget handling, and the
 analytic shortcuts that need no search (stars reduce to a degree maximum).
+
+Before any subgraph search, :func:`find_embedding` runs the O(n + m)
+necessary conditions in :data:`ABSENCE_CHECKS`; the first one that fails is a
+proof of absence and the search is skipped:
+
+- degree dominance: the task has more vertices than the host, or the i-th
+  largest task degree exceeds the i-th largest host degree for some i (this
+  also covers a task with more edges than the host);
+- component fit: some task component fits in no host component, either
+  because every host component is smaller, or because the only large enough
+  ones are bipartite and the task component is not, or its 2-coloring
+  classes are larger than theirs.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from typing import Optional, Set, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter
-from .graph import Graph
+from .graph import Graph, component_color_classes
 
 __all__ = [
     "Embedding",
@@ -70,16 +82,72 @@ def _search_order(task: Graph) -> list:
     return sorted(range(task.order), key=lambda u: (-task.degree(u), u))
 
 
+def _degrees_exclude(task: Graph, host: Graph) -> bool:
+    """The task has more vertices than the host, or its i-th largest degree
+    exceeds the host's i-th largest degree.
+
+    Proof: an embedding is injective on vertices.  The i task vertices of
+    largest degree all have degree at least t_i, the i-th largest.  Their
+    images are i distinct host vertices, each with at least as many
+    neighbors as its preimage, so the host has i vertices of degree >= t_i,
+    and its i-th largest degree h_i >= t_i.  Summing t_i <= h_i gives
+    2 * m_task <= 2 * m_host, so no separate edge count is needed.
+    """
+    task_deg = sorted(map(task.degree, range(task.order)), reverse=True)
+    host_deg = sorted(map(host.degree, range(host.order)), reverse=True)
+    return len(task_deg) > len(host_deg) or any(t > h for t, h in zip(task_deg, host_deg))
+
+
+def _components_exclude(task: Graph, host: Graph) -> bool:
+    """Some task component fits in no host component.
+
+    A host component holds a task component only if it has at least as many
+    vertices and, when the host component is bipartite, the task component
+    is bipartite with classes a >= b against host classes A >= B where
+    a <= A and b <= B.
+
+    Proof: an embedding maps a connected task component into one connected
+    host component, injectively, so the sizes compare.  A bipartite host
+    component has no odd cycle, so nothing embedded in it has one.  The
+    host's 2-coloring pulled back along the embedding 2-colors the task
+    component, and a connected graph's 2-coloring is unique up to swapping
+    the classes, so the task classes land injectively in distinct host
+    classes: {a, b} <= {A, B} in some order, which for sorted pairs is
+    a <= A and b <= B.
+    """
+    host_comps = set(component_color_classes(host))
+    return any(
+        not any(_component_holds(h, t) for h in host_comps)
+        for t in set(component_color_classes(task))
+    )
+
+
+def _component_holds(host_comp, task_comp) -> bool:
+    """Whether a (size, classes) host component can hold a task component."""
+    (h_size, h_classes), (size, classes) = host_comp, task_comp
+    if h_classes is None:
+        return size <= h_size
+    return classes is not None and classes[0] <= h_classes[0] and classes[1] <= h_classes[1]
+
+
+# O(n + m) necessary conditions (degree dominance sorts, O(n log n)), cheapest
+# first; any that returns True proves the task does not embed in the host
+ABSENCE_CHECKS = (_degrees_exclude, _components_exclude)
+
+
 def find_embedding(task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Optional[Embedding]:
     """One embedding of task into host, or None when provably none exists.
 
     Raises HostTooLarge when the host exceeds budget.max_host_order and
-    BudgetExceeded when the search could not finish within budget.
+    BudgetExceeded when the search could not finish within budget.  The
+    search runs only when none of the ABSENCE_CHECKS proves absence first.
     """
     if host.order > budget.max_host_order:
         raise HostTooLarge(
             f"host order {host.order} exceeds budget cap {budget.max_host_order}"
         )
+    if any(check(task, host) for check in ABSENCE_CHECKS):
+        return None
     kern = _kernels.kernels_for(host.order)
     status, mapping, _ = kern.subgraph_search(
         task.order,

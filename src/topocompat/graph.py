@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
@@ -30,6 +30,7 @@ __all__ = [
     "diameter",
     "graph_power",
     "is_bipartite",
+    "component_color_classes",
     "ball_size",
 ]
 
@@ -227,23 +228,40 @@ def graph_power(g: Graph, reach: int) -> Graph:
     ))
 
 
-def is_bipartite(g: Graph) -> bool:
-    """True iff the graph has no odd cycle (BFS 2-coloring, per component)."""
+def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
+    """Per connected component: its order, and its 2-coloring class sizes.
+
+    Each entry is ``(size, (a, b))`` with ``a >= b`` and ``a + b == size``
+    when the component is bipartite, or ``(size, None)`` when it has an odd
+    cycle.  A connected component's 2-coloring is unique up to swapping the
+    two classes, so the sorted pair is well defined.
+    """
     color = [-1] * g.order
+    out = []
     for root in range(g.order):
         if color[root] != -1:
             continue
         color[root] = 0
+        counts = [1, 0]
+        odd = False
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for w in g._neighbors[u]:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
+                    counts[color[w]] += 1
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return False
-    return True
+                    odd = True
+        a, b = max(counts), min(counts)
+        out.append((a + b, None if odd else (a, b)))
+    return out
+
+
+def is_bipartite(g: Graph) -> bool:
+    """True iff the graph has no odd cycle (BFS 2-coloring, per component)."""
+    return all(classes is not None for _, classes in component_color_classes(g))
 
 
 def ball_size(g: Graph, center: int, reach: int) -> int:

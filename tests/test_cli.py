@@ -132,9 +132,16 @@ class TestEmbedCommand:
 
     def test_budget_exhaustion_exits_one(self, capsys):
         code = run(["embed", "--task", "ring:7", "--system", "hypercube:4",
-                    "--reach", "1", "--max-nodes", "3"])
+                    "--reach", "2", "--max-nodes", "3"])
         assert code == 1
         assert "budget" in capsys.readouterr().err.lower()
+
+    def test_absence_proof_needs_no_budget(self, capsys):
+        # an odd ring into a hypercube is proved absent without a search
+        code = run(["embed", "--task", "ring:7", "--system", "hypercube:4",
+                    "--reach", "1", "--max-nodes", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == "no embedding\n"
 
     def test_host_cap_exits_one_and_can_be_raised(self, capsys):
         code = run(["embed", "--task", "ring:3", "--system", "ring:65", "--reach", "2"])
@@ -147,8 +154,14 @@ class TestEmbedCommand:
 
     def test_time_limit_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["embed", "--task", "ring:11", "--system", "hypercube:5", "--reach", "1"])
+        code = run(["embed", "--task", "complete:7", "--system", "hypercube:5", "--reach", "2"])
         assert code == 1
+
+    def test_time_limit_env_var_spares_absence_proof(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
+        code = run(["embed", "--task", "ring:11", "--system", "hypercube:5", "--reach", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == "no embedding\n"
 
     def test_time_limit_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")

@@ -23,7 +23,45 @@ from topocompat import (
     star,
     verify_embedding,
 )
+from topocompat._kernels import FOUND, pykernels
+from topocompat.embedding import ABSENCE_CHECKS
 from oracles import brute_force_embeds, is_valid_cycle, random_graph
+
+
+def _disjoint_union(a, b):
+    shift = a.order
+    return from_edge_list(shift + b.order, list(a.edges) + [(u + shift, v + shift) for u, v in b.edges])
+
+
+def _random_bipartite(rng, left, right, p):
+    return from_edge_list(left + right, [
+        (u, left + v) for u in range(left) for v in range(right) if rng.random() < p
+    ])
+
+
+def _random_task(rng):
+    kind = rng.choice(("random", "disconnected", "odd ring", "bipartite"))
+    if kind == "disconnected":
+        return _disjoint_union(random_graph(rng, rng.randint(1, 3), 0.7),
+                               random_graph(rng, rng.randint(1, 3), 0.7))
+    if kind == "odd ring":
+        return ring(rng.choice((3, 5)))
+    if kind == "bipartite":
+        return _random_bipartite(rng, rng.randint(1, 3), rng.randint(1, 3), 0.7)
+    return random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.8)))
+
+
+def _random_host(rng):
+    kind = rng.choice(("random", "disconnected", "bipartite", "isolated"))
+    if kind == "disconnected":
+        return _disjoint_union(random_graph(rng, rng.randint(1, 4), 0.6),
+                               random_graph(rng, rng.randint(1, 4), 0.6))
+    if kind == "bipartite":
+        return _random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 3), 0.6)
+    if kind == "isolated":
+        return _disjoint_union(random_graph(rng, rng.randint(2, 5), 0.6),
+                               from_edge_list(rng.randint(1, 2), []))
+    return random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
 
 
 class TestFindEmbedding:
@@ -57,23 +95,62 @@ class TestFindEmbedding:
         emb = find_embedding(ring(3), graph_power(ring(65), 2), budget)
         assert emb is not None
 
+    def test_deep_search_has_no_recursion_limit(self):
+        # the search path is 1200 vertices deep, beyond Python's default
+        # recursion limit of 1000
+        task = host = ring(1200)
+        emb = find_embedding(task, host, SearchBudget(max_host_order=1200))
+        assert emb is not None and verify_embedding(task, host, emb)
+
     def test_node_budget_exhaustion(self):
+        # the squared H4 has odd cycles, so only a search can place the ring
         budget = SearchBudget(max_nodes=3)
         with pytest.raises(BudgetExceeded):
-            find_embedding(ring(7), hypercube(4), budget)
+            find_embedding(ring(7), graph_power(hypercube(4), 2), budget)
 
     def test_time_budget_exhaustion(self):
-        # odd ring into a bipartite host: the search must exhaust, which takes
-        # far more than the deadline-check interval of 4096 nodes
+        # K7 is absent from the squared H5, which no pre-check decides: the
+        # search must exhaust 65,792 nodes, far more than the deadline-check
+        # interval of 4096 nodes
         budget = SearchBudget(time_limit=1e-9)
         with pytest.raises(BudgetExceeded):
-            find_embedding(ring(11), hypercube(5), budget)
+            find_embedding(complete(7), graph_power(hypercube(5), 2), budget)
+
+    def test_absence_proof_spends_no_time_budget(self):
+        # the bipartite-host pre-check is a proof, so the deadline never matters
+        assert find_embedding(ring(11), hypercube(5), SearchBudget(time_limit=1e-9)) is None
 
     @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0, -1.0])
     def test_time_limit_must_be_finite_and_positive(self, limit):
         # a nan or infinite deadline never fires, so the budget would be ignored
         with pytest.raises(InvalidParameter):
             SearchBudget(time_limit=limit)
+
+
+class TestAbsenceChecks:
+    # absent embeddings, each first proved by the named check
+    @pytest.mark.parametrize("name,task,host", [
+        ("_degrees_exclude", ring(5), complete(4)),  # more vertices
+        ("_degrees_exclude", complete(4), star(5)),  # more edges
+        ("_degrees_exclude", star(5), ring(8)),
+        # a 4-path has more vertices than either triangle
+        ("_components_exclude", from_edge_list(4, [(0, 1), (1, 2), (2, 3)]),
+         from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+        # odd cycles, bipartite hosts
+        ("_components_exclude", ring(5), hypercube(3)),
+        ("_components_exclude", ring(7), hypercube(4)),
+        ("_components_exclude", ring(11), hypercube(5)),
+        # 15-vertex complete binary tree: classes (10, 5) against H4's (8, 8)
+        ("_components_exclude", from_edge_list(15, [(v, (v - 1) // 2) for v in range(1, 15)]),
+         hypercube(4)),
+        # 6-path: classes (3, 3) against K_{4,2}'s (4, 2)
+        ("_components_exclude", from_edge_list(6, [(i, i + 1) for i in range(5)]),
+         from_edge_list(6, [(u, v) for u in range(4) for v in (4, 5)])),
+    ])
+    def test_first_check_to_fire(self, name, task, host):
+        fired = [check.__name__ for check in ABSENCE_CHECKS if check(task, host)]
+        assert fired[:1] == [name]
+        assert find_embedding(task, host, SearchBudget(max_nodes=1)) is None
 
 
 class TestVerifyEmbedding:
@@ -127,6 +204,15 @@ class TestLongestCycle:
             assert length % 2 == 0, label
             checked += 1
         assert checked >= 10  # hypercubes, even rings, stars, K_1, K_2
+
+    def test_deep_search_has_no_recursion_limit(self):
+        # the search path is 1500 vertices deep
+        g = ring(1500)
+        length, witness = longest_cycle(g)
+        assert length == 1500
+        assert is_valid_cycle(g, witness)
+        status, cycle, _ = pykernels.cycle_with_length(1500, g.adjacency_masks(), 1500, 10**6, 0.0)
+        assert status == FOUND and is_valid_cycle(g, cycle)
 
     def test_trivial_orders(self):
         assert longest_cycle(complete(1)) == (0, None)
@@ -191,6 +277,21 @@ class TestAgainstBruteForce:
                 negatives += 1
             assert (emb is not None) == brute_force_embeds(task, host)
         assert positives and negatives
+
+    def test_absence_checks_agree_with_brute_force(self):
+        # every check that fires must be a proof: brute force finds no embedding
+        rng = random.Random(0xAB5E)
+        decisive = {check.__name__: 0 for check in ABSENCE_CHECKS}
+        for _ in range(320):
+            task, host = _random_task(rng), _random_host(rng)
+            verdicts = [check(task, host) for check in ABSENCE_CHECKS]
+            embeds = brute_force_embeds(task, host)
+            assert (find_embedding(task, host) is not None) == embeds
+            if any(verdicts):
+                assert not embeds, (verdicts, task.sorted_edges(), host.sorted_edges())
+                decisive[ABSENCE_CHECKS[verdicts.index(True)].__name__] += 1
+        # each check is the first to fire on some pair, so none is vacuous
+        assert all(decisive.values()), decisive
 
     def test_monotone_hosts(self):
         rng = random.Random(7)

@@ -21,6 +21,7 @@ from topocompat import (
     ring,
     star,
 )
+from topocompat.graph import component_color_classes
 from oracles import generated_topologies, power_reference, random_graph
 
 
@@ -205,6 +206,13 @@ class TestBipartite:
     def test_disconnected_with_odd_component(self):
         g = from_edge_list(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
         assert not is_bipartite(g)
+
+    def test_component_color_classes(self):
+        # a star with 3 leaves, a triangle, a 6-path and an isolated vertex
+        edges = [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6)]
+        edges += [(7 + i, 8 + i) for i in range(5)]
+        g = from_edge_list(14, edges)
+        assert component_color_classes(g) == [(4, (3, 1)), (3, None), (6, (3, 3)), (1, (1, 0))]
 
 
 class TestBallSize:

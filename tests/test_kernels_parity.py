@@ -4,59 +4,17 @@ Identical means the full tuple: status, witness (not just validity), and the
 node-expansion count, since the two backends implement the same algorithm
 with the same candidate order.
 
-When the extension is not importable but a C compiler is on PATH, it is
-built from the checked-in C into a temporary directory and loaded from
-there; the source tree is never written to.
+The ``ckernels`` fixture lives in the root ``conftest.py``: when the
+extension is not importable but a C compiler is on PATH, it is built from
+the checked-in C into a temporary directory and loaded from there; the
+source tree is never written to.  The test header names the plan.
 """
 
-import importlib.machinery
-import importlib.util
 import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
-import pytest
 
 from topocompat import graph_power, hypercube, ring
-from topocompat._kernels import have_compiled, pykernels
+from topocompat._kernels import pykernels
 from oracles import random_graph
-
-REPO = Path(__file__).resolve().parents[1]
-EXT_NAME = "topocompat._kernels._ckernels"
-
-
-def _build_extension(out: Path):
-    """Compile the extension under out and import it from there."""
-    subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out / "temp")],
-        cwd=REPO, check=True, capture_output=True,
-    )
-    ext_dir = out / "topocompat" / "_kernels"
-    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
-             for p in ext_dir.glob("_ckernels" + suffix)]
-    if not built:
-        pytest.fail(f"a C compiler is present but the build left no extension in {ext_dir}")
-    spec = importlib.util.spec_from_file_location(EXT_NAME, built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def ckernels(tmp_path_factory):
-    if have_compiled():
-        from topocompat._kernels import _ckernels
-
-        return _ckernels
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"compiled kernels not built and no C compiler ({cc!r}) found to build them")
-    return _build_extension(tmp_path_factory.mktemp("ckernels"))
 
 
 def _order(g):
