@@ -2,7 +2,9 @@
 """Benchmark the pure-Python search kernels against the compiled extension.
 
 Runs identical workloads through both backends, verifies they return the
-same result, and reports wall time plus speedup.  Usage:
+same result, and reports wall time plus speedup.  Rows whose graphs exceed
+the compiled backend's order limit run on the pure backend only and print
+``-`` in the compiled columns.  Usage:
 
     python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -19,7 +21,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from topocompat import from_edge_list, graph_power, hypercube, ring
-from topocompat._kernels import have_compiled, pykernels
+from topocompat._kernels import COMPILED_MAX_ORDER, have_compiled, pykernels
 
 NO_DEADLINE = 0.0
 NODE_CAP = 10**9
@@ -29,15 +31,16 @@ def search_order(g):
     return sorted(range(g.order), key=lambda u: (-g.degree(u), u))
 
 
+# each *_case returns (largest graph order, runner); a runner takes a kernel module
 def subgraph_case(task, host):
     args = (task.order, task.adjacency_masks(), host.order, host.adjacency_masks(),
             search_order(task), NODE_CAP, NO_DEADLINE)
-    return lambda kern: kern.subgraph_search(*args)
+    return max(task.order, host.order), lambda kern: kern.subgraph_search(*args)
 
 
 def longest_cycle_case(g):
     args = (g.order, g.adjacency_masks(), NODE_CAP, NO_DEADLINE)
-    return lambda kern: kern.longest_cycle(*args)
+    return g.order, lambda kern: kern.longest_cycle(*args)
 
 
 def ring_order_sweep_case(g, up_to):
@@ -51,7 +54,7 @@ def ring_order_sweep_case(g, up_to):
                 found.add(p)
         return found
 
-    return runner
+    return g.order, runner
 
 
 def hypercube_minus_vertex(s):
@@ -66,14 +69,18 @@ def sparse_random(n, p, seed):
 
 
 def build_workloads():
+    """(name, largest graph order, runner) triples."""
     h4, h5 = hypercube(4), hypercube(5)
     return [
-        ("C9 into H5 (absent)", subgraph_case(ring(9), h5)),
-        ("C11 into H5 (absent)", subgraph_case(ring(11), h5)),
-        ("C16 into H4^2 (found)", subgraph_case(ring(16), graph_power(h4, 2))),
-        ("longest cycle, H4 minus a vertex", longest_cycle_case(hypercube_minus_vertex(4))),
-        ("longest cycle, random n=20 p=0.18", longest_cycle_case(sparse_random(20, 0.18, 9))),
-        ("ring orders 3..16 in H4", ring_order_sweep_case(h4, 16)),
+        ("C9 into H5 (absent)", *subgraph_case(ring(9), h5)),
+        ("C11 into H5 (absent)", *subgraph_case(ring(11), h5)),
+        ("C16 into H4^2 (found)", *subgraph_case(ring(16), graph_power(h4, 2))),
+        ("longest cycle, H4 minus a vertex", *longest_cycle_case(hypercube_minus_vertex(4))),
+        ("longest cycle, random n=20 p=0.18", *longest_cycle_case(sparse_random(20, 0.18, 9))),
+        ("ring orders 3..16 in H4", *ring_order_sweep_case(h4, 16)),
+        # long paths, one node per path vertex, beyond the compiled order limit
+        ("longest cycle, ring:1500", *longest_cycle_case(ring(1500))),
+        ("ring:1200 into ring:1200 (found)", *subgraph_case(ring(1200), ring(1200))),
     ]
 
 
@@ -99,13 +106,14 @@ def main():
     else:
         from topocompat._kernels import _ckernels
 
-    width = max(len(name) for name, _ in build_workloads())
+    workloads = build_workloads()
+    width = max(len(name) for name, _, _ in workloads)
     header = f"{'workload':{width}}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}"
     print(header)
     print("-" * len(header))
-    for name, runner in build_workloads():
+    for name, order, runner in workloads:
         pure_t, pure_r = best_time(runner, pykernels, args.repeat)
-        if have_compiled():
+        if have_compiled() and order <= COMPILED_MAX_ORDER:
             comp_t, comp_r = best_time(runner, _ckernels, args.repeat)
             if pure_r != comp_r:
                 raise SystemExit(f"backend mismatch on {name!r}: {pure_r} vs {comp_r}")

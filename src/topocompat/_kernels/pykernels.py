@@ -16,6 +16,33 @@ Node accounting: subgraph search counts one node per attempted candidate
 assignment; cycle searches count one node per vertex pushed on the path.
 Deadlines are absolute ``time.monotonic()`` values checked every 4096 nodes
 (0 disables the check).
+
+Reachability in the cycle searches.  At a node with path head h, let F be
+the free vertices (larger than the anchor and off the path).  The search
+prunes on R, the free vertices reachable from h through free vertices, which
+is the union of the components of G[F] that meet N(h).  The anchor a can
+close a cycle through F iff it is adjacent to h or to R, so the anchor test
+is ``adj[a] & (R | h) != 0``.  R is not recomputed from h at every node but
+derived from the parent's:
+
+    pushing w (a free neighbour of h, so w is in R) gives the child the set
+    K_w - {w}, where K_w is w's component of G[F].
+
+Proof: the child's free set is F - {w}.  A vertex x of K_w - {w} has a path
+to w inside K_w; on a shortest one, every vertex before w is in F - {w} and
+the last of them is a neighbour of w, so x is in a component of G[F - {w}]
+that meets N(w).  Conversely, such a component is joined to w by an edge, so
+it lies in K_w.
+
+K_w is one of the components R is made of, so it is found inside R alone.
+Each depth keeps its R and a flag saying whether R is a single component.
+When it is, K_w = R and the child's set is R - {w} with no search; it is
+again one component when w has at most one neighbour in it (w is then no
+cut vertex of K_w), and otherwise a search from one neighbour of w decides
+that, stopping once it has met them all.  Only when R is not known to be one
+component is K_w - {w} searched for, inside R.  On a long path the set stays
+one component and each node costs O(1) mask operations, where a fresh search
+from the head would cost O(n).
 """
 
 from __future__ import annotations
@@ -51,10 +78,21 @@ def subgraph_search(
 
     need = [task_adj[u].bit_count() for u in order]
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
+    # prev_pos[i]: positions j < i of the neighbours of order[i], ascending
+    pos = [0] * task_n
+    for i, u in enumerate(order):
+        pos[u] = i
     prev_pos = []
-    for i in range(task_n):
-        u = order[i]
-        prev_pos.append([j for j in range(i) if (task_adj[u] >> order[j]) & 1])
+    for i, u in enumerate(order):
+        back = []
+        nbrs = task_adj[u]
+        while nbrs:
+            j = pos[(nbrs & -nbrs).bit_length() - 1]
+            nbrs &= nbrs - 1
+            if j < i:
+                back.append(j)
+        back.sort()
+        prev_pos.append(back)
     all_hosts = (1 << host_n) - 1
     nodes = 0
 
@@ -99,21 +137,43 @@ def subgraph_search(
         cands[i] = cand
 
 
-def _reachable(head: int, adj: Sequence[int], free: int, target_bit: int) -> int:
-    """Vertices reachable from head through ``free``; target is a terminal."""
-    domain = free | target_bit
-    reach = 0
-    frontier = adj[head] & domain
-    while frontier:
-        reach |= frontier
+def _grow(adj: Sequence[int], dom: int, comp: int, want: int) -> int:
+    """Grow ``comp`` inside ``dom`` layer by layer until it holds ``want``
+    or is closed: then it is the union of the components of G[dom] that
+    meet the starting set."""
+    frontier = comp
+    while frontier and want & ~comp:
         grow = 0
-        expand = frontier & free
-        while expand:
-            v = (expand & -expand).bit_length() - 1
-            expand &= expand - 1
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
             grow |= adj[v]
-        frontier = grow & domain & ~reach
-    return reach
+        frontier = grow & dom & ~comp
+        comp |= frontier
+    return comp
+
+
+def _reach_after(adj: Sequence[int], reach: int, one: bool, w: int) -> Tuple[int, bool]:
+    """The reachable free set, and whether it is one component, once w is pushed.
+
+    ``reach`` is the set before the push, with w in it, and ``one`` says it
+    is a single component of G[free].  The new set is w's component of
+    G[reach] minus w (see the module docstring).  When ``reach`` is one
+    component that is ``reach`` minus w, and only its connectivity needs a
+    search: it holds as soon as the component of one neighbour of w takes
+    in all the others, so the search stops there.  Otherwise w's component
+    is grown from its neighbours inside the old set.
+    """
+    rest = reach & ~(1 << w)
+    seeds = adj[w] & rest
+    first = seeds & -seeds
+    if one:
+        return rest, not seeds & ~_grow(adj, rest, first, seeds)
+    comp = _grow(adj, rest, first, rest)
+    left = seeds & ~comp
+    if left:
+        return comp | _grow(adj, rest, left, rest), False
+    return comp, True
 
 
 def longest_cycle(
@@ -128,25 +188,29 @@ def longest_cycle(
     paths start at the anchor and run through larger ids only.  Extension is
     pruned when the anchor becomes unreachable from the path head through
     free vertices, or when path length plus reachable-free count cannot beat
-    the best cycle found so far.
+    the best cycle found so far.  The reachable free set is kept per depth
+    and derived from the parent's (see the module docstring).
     """
     best_len = 0
     best: Optional[List[int]] = None
     nodes = 0
-    # explicit stack: path[0..d] is the path, with head path[d], and exts[i]
-    # holds the untried extensions of path[i] for i < d
+    # explicit stack: path[0..d] is the path, with head path[d]; for i < d,
+    # exts[i] holds the untried extensions of path[i], reach[i] the free
+    # vertices reachable from path[i], and one[i] whether they are connected
     path = [0] * n
     exts = [0] * n
+    reach = [0] * n
+    one = [False] * n
     for a in range(n):
         if n - a <= best_len:
             break
         a_bit = 1 << a
+        adj_a = adj[a]
         allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)
-        if (adj[a] & allowed).bit_count() < 2:
+        if (adj_a & allowed).bit_count() < 2:
             continue
         path[0] = a
         d = 0
-        visited = a_bit
         while True:
             nodes += 1
             if nodes > max_nodes:
@@ -160,17 +224,19 @@ def longest_cycle(
                 best = path[:plen]
                 if best_len == n:
                     return EXHAUSTED, best_len, best, nodes
-            free = allowed & ~visited
-            reach = _reachable(head, adj, free, a_bit)
+            if d:
+                r, c = _reach_after(adj, reach[d - 1], one[d - 1], head)
+            else:
+                r, c = _reach_after(adj, allowed | a_bit, False, a)
             ext = 0
-            if reach & a_bit and plen + (reach & free).bit_count() > best_len:
-                ext = adj[head] & free
+            if adj_a & (r | (1 << head)) and plen + r.bit_count() > best_len:
+                ext = adj[head] & r
+                reach[d] = r
+                one[d] = c
             if not ext:
                 # backtrack past the head and every vertex with nothing left to try
-                visited ^= 1 << head
                 d -= 1
                 while d >= 0 and not exts[d]:
-                    visited ^= 1 << path[d]
                     d -= 1
                 if d < 0:
                     break
@@ -179,7 +245,6 @@ def longest_cycle(
             exts[d] = ext & (ext - 1)
             d += 1
             path[d] = w
-            visited |= 1 << w
     return EXHAUSTED, best_len, best, nodes
 
 
@@ -190,22 +255,27 @@ def cycle_with_length(
     max_nodes: int,
     deadline: float,
 ) -> Tuple[int, Optional[List[int]], int]:
-    """Find one simple cycle of length exactly k (k >= 3), or prove none."""
+    """Find one simple cycle of length exactly k (k >= 3), or prove none.
+
+    Same search and pruning as :func:`longest_cycle`, with k in place of the
+    best length so far.
+    """
     if k < 3 or k > n:
         return EXHAUSTED, None, 0
     nodes = 0
-    # explicit stack: path[0..d] is the path, with head path[d], and exts[i]
-    # holds the untried extensions of path[i] for i < d
+    # explicit stack, as in longest_cycle
     path = [0] * k
     exts = [0] * k
+    reach = [0] * k
+    one = [False] * k
     for a in range(n - k + 1):
         a_bit = 1 << a
+        adj_a = adj[a]
         allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)
-        if (adj[a] & allowed).bit_count() < 2:
+        if (adj_a & allowed).bit_count() < 2:
             continue
         path[0] = a
         d = 0
-        visited = a_bit
         while True:
             nodes += 1
             if nodes > max_nodes:
@@ -219,16 +289,18 @@ def cycle_with_length(
                 if (adj[head] >> a) & 1:
                     return FOUND, path, nodes
             else:
-                free = allowed & ~visited
-                reach = _reachable(head, adj, free, a_bit)
-                if reach & a_bit and plen + (reach & free).bit_count() >= k:
-                    ext = adj[head] & free
+                if d:
+                    r, c = _reach_after(adj, reach[d - 1], one[d - 1], head)
+                else:
+                    r, c = _reach_after(adj, allowed | a_bit, False, a)
+                if adj_a & (r | (1 << head)) and plen + r.bit_count() >= k:
+                    ext = adj[head] & r
+                    reach[d] = r
+                    one[d] = c
             if not ext:
                 # backtrack past the head and every vertex with nothing left to try
-                visited ^= 1 << head
                 d -= 1
                 while d >= 0 and not exts[d]:
-                    visited ^= 1 << path[d]
                     d -= 1
                 if d < 0:
                     break
@@ -237,5 +309,4 @@ def cycle_with_length(
             exts[d] = ext & (ext - 1)
             d += 1
             path[d] = w
-            visited |= 1 << w
     return EXHAUSTED, None, nodes

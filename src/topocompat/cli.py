@@ -96,7 +96,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 def _cmd_potential(args: argparse.Namespace) -> int:
     spec = args.system
-    cycle = None
+    cycle = star = None
     if spec.kind == "hypercube":
         # closed forms; never builds the graph, so large dimensions stay cheap
         s = spec.parameter
@@ -105,6 +105,8 @@ def _cmd_potential(args: argparse.Namespace) -> int:
         n = 1 << s
         if args.task == "star":
             p = compat.hypercube_star_potential(s, args.reach)
+            if args.witness:
+                star = compat.hypercube_star_witness(s, args.reach)
         else:
             p = compat.hypercube_ring_potential(s)
             if args.witness and p:
@@ -112,7 +114,9 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     else:
         system = spec.build()
         n = system.order
-        if args.task == "star":
+        if args.task == "star" and args.witness:
+            p, star = compat.star_potential_certificate(system, args.reach)
+        elif args.task == "star":
             p = compat.star_potential(system, args.reach)
         else:
             p, cycle = compat.ring_potential_certificate(system, args.reach, _budget_from(args))
@@ -120,13 +124,8 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     print(f"p={report.potential_p} c={report.index_rounded}")
     if args.witness and cycle is not None:
         print("cycle: " + " ".join(str(v) for v in cycle))
-    elif args.witness and args.task == "star":
-        if spec.kind == "hypercube":
-            center, leaves = compat.hypercube_star_witness(s, args.reach)
-        else:
-            power = graph_power(system, args.reach)
-            center = max(range(power.order), key=power.degree)
-            leaves = power.neighbors(center)
+    elif star is not None:
+        center, leaves = star
         print(f"center={center} leaves=" + " ".join(str(v) for v in leaves))
     return 0
 

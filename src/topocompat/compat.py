@@ -31,6 +31,7 @@ __all__ = [
     "hypercube_star_witness",
     "hypercube_ring_potential",
     "star_potential",
+    "star_potential_certificate",
     "ring_potential",
     "ring_potential_certificate",
     "compatibility_index",
@@ -75,6 +76,17 @@ def star_potential(system: Graph, reach: int) -> int:
     free: the power transform never links separate components.
     """
     return max_star_order(graph_power(system, reach))
+
+
+def star_potential_certificate(
+    system: Graph, reach: int
+) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
+    """Star potential plus a witness: the first vertex of maximum degree in
+    the power graph, and its neighbours there as the leaves."""
+    power = graph_power(system, reach)
+    center = max(range(power.order), key=power.degree)
+    leaves = power.neighbors(center)
+    return 1 + len(leaves), (center, leaves)
 
 
 def ring_potential_certificate(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from topocompat import gray_code_cycle, graph_power, hypercube, parse_topology_spec
+from topocompat import cli, compat
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
 
@@ -65,6 +66,26 @@ class TestPotentialCommand:
         assert lines[0] == "p=5 c=0.8333"
         assert lines[1].startswith("center=0 leaves=")
         assert len(lines[1].split("leaves=")[1].split()) == 4
+
+    def test_star_witness_builds_the_power_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_power(g, reach):
+            calls.append(reach)
+            return graph_power(g, reach)
+
+        monkeypatch.setattr(cli, "graph_power", counting_power)
+        monkeypatch.setattr(compat, "graph_power", counting_power)
+        code = run(["potential", "--task", "star", "--system", "ring:9",
+                    "--reach", "3", "--witness"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=7 c=0.7778\ncenter=0 leaves=1 2 3 6 7 8\n"
+        assert calls == [3]
+
+    def test_ring_potential_of_ring_3000(self, capsys):
+        code = run(["potential", "--task", "ring", "--system", "ring:3000", "--reach", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=3000 c=1.0000\n"
 
     def test_custom_file_system(self, tmp_path, capsys):
         path = tmp_path / "sys.edges"

@@ -27,6 +27,7 @@ from topocompat.compat import (
     render_csv,
     render_markdown,
     round_half_up,
+    star_potential_certificate,
 )
 from topocompat.topologies import TopologySpec
 
@@ -98,6 +99,15 @@ class TestStarPotential:
 
         g = from_edge_list(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 4)])
         assert star_potential(g, 1) == 4
+
+    @pytest.mark.parametrize("system", [hypercube(4), ring(9), star(6), complete(5), ring(3)])
+    @pytest.mark.parametrize("reach", (1, 2, 3))
+    def test_certificate_is_a_maximum_star(self, system, reach):
+        p, (center, leaves) = star_potential_certificate(system, reach)
+        power = graph_power(system, reach)
+        assert p == star_potential(system, reach) == 1 + len(leaves)
+        assert leaves == power.neighbors(center)
+        assert center == min(v for v in range(power.order) if power.degree(v) == p - 1)
 
 
 class TestRingPotential:

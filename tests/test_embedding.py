@@ -23,7 +23,7 @@ from topocompat import (
     star,
     verify_embedding,
 )
-from topocompat._kernels import FOUND, pykernels
+from topocompat._kernels import EXHAUSTED, FOUND, pykernels
 from topocompat.embedding import ABSENCE_CHECKS
 from oracles import brute_force_embeds, is_valid_cycle, random_graph
 
@@ -303,6 +303,34 @@ class TestAgainstBruteForce:
                 hi = find_embedding(task, graph_power(system, reach + 1))
                 if lo is not None:
                     assert hi is not None
+
+
+class TestLongChains:
+    """Long rings, where a search that redoes reachability per node is quadratic.
+
+    These fix the answers and the node counts, not the time taken.
+    """
+
+    def test_longest_cycle_of_ring_3000(self):
+        g = ring(3000)
+        status, length, witness, nodes = pykernels.longest_cycle(3000, g.adjacency_masks(),
+                                                                 10**8, 0.0)
+        assert (status, length, nodes) == (EXHAUSTED, 3000, 3000)
+        assert is_valid_cycle(g, witness)
+
+    def test_cycle_with_length_on_ring_3000(self):
+        g = ring(3000)
+        status, cycle, _ = pykernels.cycle_with_length(3000, g.adjacency_masks(), 3000,
+                                                       10**8, 0.0)
+        assert status == FOUND and is_valid_cycle(g, cycle)
+        status, cycle, _ = pykernels.cycle_with_length(3000, g.adjacency_masks(), 2999,
+                                                       10**8, 0.0)
+        assert (status, cycle) == (EXHAUSTED, None)
+
+    def test_ring_2000_into_ring_2000(self):
+        task = host = ring(2000)
+        emb = find_embedding(task, host, SearchBudget(max_host_order=2000))
+        assert emb is not None and verify_embedding(task, host, emb)
 
 
 def test_concurrent_searches_on_shared_graphs():
