@@ -1,0 +1,63 @@
+"""Time the reachability transform on both sides of the bitset cap.
+
+    python benchmarks/bench_transform.py
+
+Up to order 4096 (``graph._BALL_MASK_MAX_ORDER``) ``graph_power`` and
+``star_potential`` grow every ball at once as bitmasks; above it they run a
+BFS per vertex.  Each case is timed on the path its order selects.  Where the
+other path is affordable it is timed too, and both graphs must be equal.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from topocompat import graph, graph_power, parse_topology_spec, star_potential  # noqa: E402
+
+# (system, reach, whether to build the power, whether to run the other path too)
+CASES = [
+    ("complete:1000", 2, True, False),  # dense: the BFS path takes about a minute
+    ("star:4000", 2, False, False),  # the power is K_4000, 16M entries on either path
+    ("hypercube:12", 3, True, True),
+    ("ring:4096", 8, True, True),  # sparse and low reach: the BFS path is faster
+    ("hypercube:13", 2, True, True),
+    ("ring:65536", 2, True, False),  # the masks would take 512 MB
+]
+
+
+def on_path(masks: bool, fn, *args):
+    """(result, ms) of fn(*args) with the cap forcing the mask or the BFS path."""
+    saved = graph._BALL_MASK_MAX_ORDER
+    graph._BALL_MASK_MAX_ORDER = sys.maxsize if masks else 0
+    try:
+        t0 = time.perf_counter()
+        return fn(*args), (time.perf_counter() - t0) * 1e3
+    finally:
+        graph._BALL_MASK_MAX_ORDER = saved
+
+
+def main() -> int:
+    print(f"{'case':<24} {'path':<5} {'power':>9} {'star':>9} {'other path':>11}  equal")
+    mismatches = 0
+    for spec, reach, build, cross in CASES:
+        g = parse_topology_spec(spec).build()
+        masks = g.order <= graph._BALL_MASK_MAX_ORDER
+        p, star_ms = on_path(masks, star_potential, g, reach)
+        power_ms = other = equal = "-"
+        if build:
+            power, ms = on_path(masks, graph_power, g, reach)
+            power_ms = f"{ms:6.0f} ms"
+            mismatches += p != 1 + power.max_degree()
+        if cross:
+            power2, ms = on_path(not masks, graph_power, g, reach)
+            other, equal = f"{ms:6.0f} ms", str(power2 == power)
+            mismatches += power2 != power
+        print(f"{spec + ' reach ' + str(reach):<24} {'masks' if masks else 'bfs':<5} "
+              f"{power_ms:>9} {star_ms:6.0f} ms {other:>11}  {equal}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,9 +19,7 @@ from .errors import (
     TopoCompatError,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     ball_size,
     diameter,
     from_edge_list,
@@ -59,9 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph",
-    "DistanceMatrix",
     "from_edge_list",
-    "all_pairs_distances",
     "diameter",
     "graph_power",
     "is_bipartite",

@@ -20,9 +20,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle, max_star_order
-from .errors import InvalidParameter, InvalidPotential
-from .graph import Graph, graph_power
+from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
+from .errors import InvalidParameter, InvalidPotential, InvalidReachability
+from .graph import Graph, graph_power, max_ball_size
 from .topologies import TopologySpec, canonical_hypercube_dim, gray_code_cycle
 
 __all__ = [
@@ -72,10 +72,14 @@ def star_potential(system: Graph, reach: int) -> int:
     """Largest star order embeddable in the transformed system graph.
 
     A star K_{1,k} embeds iff some vertex of the power graph has degree >= k,
-    so no search is needed.  Disconnected systems get the best component for
-    free: the power transform never links separate components.
+    so no search is needed, and that degree plus one is the size of the
+    vertex's reach-ball: the answer is the largest ball, counted without
+    building the power graph.  Disconnected systems get the best component
+    for free: a ball never crosses into another component.
     """
-    return max_star_order(graph_power(system, reach))
+    if reach < 1:
+        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
+    return max_ball_size(system, reach)
 
 
 def star_potential_certificate(

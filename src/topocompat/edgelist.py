@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import os
+from bisect import bisect_right
 from typing import TextIO, Union
 
 from .errors import EdgeListFormatError
@@ -75,9 +76,14 @@ def read_edge_list(stream: TextIO) -> Graph:
 def write_edge_list(g: Graph, stream: TextIO) -> None:
     """Write a graph in canonical form: header, then sorted ``u v`` lines."""
     stream.write(f"{g.order} {g.num_edges}\n")
+    # the lines of sorted_edges(), one string per vertex: its neighbors above it
+    names = [str(v) for v in range(g.order)]
     for u in range(g.order):
-        # streams sorted_edges() from the sorted neighbor tuples without building the list
-        stream.writelines(f"{u} {v}\n" for v in g.neighbors(u) if v > u)
+        nbrs = g.neighbors(u)
+        start = bisect_right(nbrs, u)
+        if start < len(nbrs):
+            head = names[u] + " "
+            stream.write(head + ("\n" + head).join(map(names.__getitem__, nbrs[start:])) + "\n")
 
 
 def loads(text: str) -> Graph:

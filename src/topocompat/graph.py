@@ -10,29 +10,39 @@ lookups, equality and hashing derive from it, and per-vertex bitmasks
 
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
-Each vertex's BFS ball becomes its neighbor tuple directly, with no edge list.
+Each vertex's ball minus the vertex becomes its neighbor tuple directly, with
+no edge list.  Up to order 4096 all balls are grown at once as bitmasks, one
+round per unit of reach, and each row is read off its mask in ascending order;
+above it every vertex gets its own BFS, because all masks at once would take
+n^2/8 bytes (512 MB at order 65536), which loses to the BFS on sparse graphs.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
 __all__ = [
     "Graph",
-    "DistanceMatrix",
     "from_edge_list",
-    "all_pairs_distances",
     "diameter",
     "graph_power",
     "is_bipartite",
     "component_color_classes",
     "ball_size",
+    "max_ball_size",
 ]
+
+# Largest order whose transforms grow every ball at once as bitmasks, which
+# take n^2/8 bytes (2 MB here); see the module docstring.
+_BALL_MASK_MAX_ORDER = 4096
 
 
 class Graph:
@@ -126,39 +136,6 @@ class Graph:
         return f"Graph(n={self._n}, m={self.num_edges})"
 
 
-class DistanceMatrix:
-    """All-pairs shortest-path lengths; ``None`` marks unreachable pairs."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Sequence[Sequence[Optional[int]]]):
-        self._rows = tuple(tuple(row) for row in rows)
-
-    @property
-    def order(self) -> int:
-        return len(self._rows)
-
-    def get(self, u: int, v: int) -> Optional[int]:
-        return self._rows[u][v]
-
-    def __getitem__(self, pair: Tuple[int, int]) -> Optional[int]:
-        u, v = pair
-        return self._rows[u][v]
-
-    def row(self, u: int) -> Tuple[Optional[int], ...]:
-        return self._rows[u]
-
-    def max_finite(self) -> int:
-        """Largest finite entry (0 for a single-vertex graph)."""
-        return max(d for row in self._rows for d in row if d is not None)
-
-    def all_reachable(self) -> bool:
-        return all(d is not None for row in self._rows for d in row)
-
-    def __repr__(self) -> str:
-        return f"DistanceMatrix(order={len(self._rows)})"
-
-
 def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from an order and edge pairs.
 
@@ -185,16 +162,6 @@ def _bfs_levels(g: Graph, source: int, cutoff: Optional[int] = None) -> dict:
     return dist
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """All-pairs shortest-path lengths via BFS from every vertex."""
-    n = g.order
-    rows = []
-    for s in range(n):
-        dist = _bfs_levels(g, s)
-        rows.append([dist.get(v) for v in range(n)])
-    return DistanceMatrix(rows)
-
-
 def diameter(g: Graph) -> "int | float":
     """Largest finite distance; ``math.inf`` when the graph is disconnected."""
     n = g.order
@@ -216,16 +183,59 @@ def graph_power(g: Graph, reach: int) -> Graph:
     input instance (graphs are immutable).  reach=0 is rejected: the edgeless
     transform has no use downstream and would leak degenerate cases into the
     embedding engine.
+
+    Up to order 4096 the rows come from bitmask balls grown all at once
+    (:func:`_ball_masks`); above it, from one BFS per vertex, because all the
+    masks would take n^2/8 bytes.  The result is the same either way.
     """
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
     if reach == 1:
         return g
+    if g.order <= _BALL_MASK_MAX_ORDER:
+        return Graph._from_neighbors(_rows_of(_ball_masks(g, reach)))
     # a ball minus its center is exactly the vertices at distance 1..reach
     return Graph._from_neighbors(tuple(
         tuple(sorted(v for v in _bfs_levels(g, s, cutoff=reach) if v != s))
         for s in range(g.order)
     ))
+
+
+def _ball_masks(g: Graph, reach: int) -> List[int]:
+    """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
+
+    Round d sets ball_d(v) = ball_{d-1}(v) | OR of ball_{d-1}(u) over u ~ v,
+    reading only the previous round's list, so at most two rounds of masks
+    are alive at once.  A round that changes nothing leaves every ball a
+    whole component, so later rounds are skipped.
+    """
+    nbrs = g._neighbors
+    balls = [1 << v for v in range(g.order)]
+    for _ in range(reach):
+        prev, get = balls, balls.__getitem__
+        balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
+        if balls == prev:
+            break
+    return balls
+
+
+def _rows_of(balls: List[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Neighbor tuples of the power graph, emptying ``balls`` as it goes.
+
+    Character i of the reversed binary string is bit i, so its ``1``s come
+    out in ascending order and each row is sorted without a sort.  Every row
+    indexes one shared tuple of vertex ids instead of allocating fresh ints,
+    and each ball is dropped as soon as its row is out, so peak memory stays
+    near one set of masks.
+    """
+    ids = tuple(range(len(balls)))
+    ones = re.compile("1").finditer
+    rows = []
+    for v in range(len(balls)):
+        bits = bin(balls[v] ^ (1 << v))[:1:-1]
+        balls[v] = None
+        rows.append(tuple([ids[m.start()] for m in ones(bits)]))
+    return tuple(rows)
 
 
 def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
@@ -270,3 +280,17 @@ def ball_size(g: Graph, center: int, reach: int) -> int:
     if reach < 0:
         raise InvalidReachability(f"reachability must be >= 0, got {reach}")
     return len(_bfs_levels(g, center, cutoff=reach))
+
+
+def max_ball_size(g: Graph, reach: int) -> int:
+    """Largest ball_size over all centers, without building the power graph.
+
+    This is one more than the maximum degree of the reach-th power (reach >=
+    1).  It takes the same size-selected path as :func:`graph_power`: a
+    popcount over the ball masks up to order 4096, a BFS per vertex above.
+    """
+    if reach < 0:
+        raise InvalidReachability(f"reachability must be >= 0, got {reach}")
+    if g.order <= _BALL_MASK_MAX_ORDER:
+        return max(b.bit_count() for b in _ball_masks(g, reach))
+    return max(len(_bfs_levels(g, s, cutoff=reach)) for s in range(g.order))

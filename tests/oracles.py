@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check search results.
 
 Everything here is deliberately naive: exhaustive enumeration over injective
-maps and vertex sequences, and a plain BFS over the edge set.  These oracles
+maps and vertex sequences, and plain BFS over the edge set.  These oracles
 share no code with the package's search kernels or its graph transform, so
 agreement between the two is meaningful evidence.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from topocompat import Graph, complete, from_edge_list, hypercube, ring, star
 
@@ -69,6 +69,45 @@ def power_reference(g: Graph, reach: int) -> Set[Tuple[int, int]]:
             frontier = nxt
         out.update((s, v) for v in seen if s < v)
     return out
+
+
+class Distances:
+    """All-pairs shortest-path lengths; ``None`` marks unreachable pairs."""
+
+    def __init__(self, rows: List[List[Optional[int]]]):
+        self._rows = rows
+
+    def get(self, u: int, v: int) -> Optional[int]:
+        return self._rows[u][v]
+
+    def row(self, u: int) -> List[Optional[int]]:
+        return self._rows[u]
+
+    def max_finite(self) -> int:
+        return max(d for row in self._rows for d in row if d is not None)
+
+
+def all_pairs_distances(g: Graph) -> Distances:
+    """Shortest-path lengths from every vertex, by level-by-level BFS over g.edges."""
+    adj: List[List[int]] = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    rows = []
+    for s in range(g.order):
+        row: List[Optional[int]] = [None] * g.order
+        row[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] is None:
+                        row[w] = row[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(row)
+    return Distances(rows)
 
 
 def is_valid_cycle(g: Graph, seq: Sequence[int]) -> bool:

@@ -82,6 +82,20 @@ class TestPotentialCommand:
         assert capsys.readouterr().out == "p=7 c=0.7778\ncenter=0 leaves=1 2 3 6 7 8\n"
         assert calls == [3]
 
+    def test_star_potential_builds_no_power(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_power(g, reach):
+            calls.append(reach)
+            return graph_power(g, reach)
+
+        monkeypatch.setattr(cli, "graph_power", counting_power)
+        monkeypatch.setattr(compat, "graph_power", counting_power)
+        code = run(["potential", "--task", "star", "--system", "ring:9", "--reach", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=7 c=0.7778\n"
+        assert calls == []
+
     def test_ring_potential_of_ring_3000(self, capsys):
         code = run(["potential", "--task", "ring", "--system", "ring:3000", "--reach", "1"])
         assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from topocompat import (
     InvalidParameter,
     InvalidPotential,
+    InvalidReachability,
     compatibility_index,
     compatibility_table,
     complete,
@@ -93,6 +94,10 @@ class TestStarPotential:
     @pytest.mark.parametrize("reach", (1, 2, 3))
     def test_generic_equals_closed_form_on_hypercubes(self, s, reach):
         assert star_potential(hypercube(s), reach) == hypercube_star_potential(s, reach)
+
+    def test_reach_zero_rejected(self):
+        with pytest.raises(InvalidReachability):
+            star_potential(ring(5), 0)
 
     def test_disconnected_takes_best_component(self):
         from topocompat import from_edge_list

@@ -1,10 +1,12 @@
 """Edge-list text format round-trips and error handling."""
 
+import random
+
 import pytest
 
-from topocompat import EdgeListFormatError, hypercube, ring, star
+from topocompat import EdgeListFormatError, from_edge_list, graph_power, hypercube, ring, star
 from topocompat.edgelist import dumps, loads
-from oracles import generated_topologies
+from oracles import generated_topologies, random_graph
 
 
 def test_writer_canonical_form():
@@ -24,6 +26,21 @@ def test_duplicate_and_reversed_edges_collapse():
 @pytest.mark.parametrize("label,g", generated_topologies(64))
 def test_round_trip(label, g):
     assert loads(dumps(g)) == g
+
+
+def _edge_list_samples():
+    """Seeded graphs and their squares, with isolated vertices and n = 1."""
+    rng = random.Random(20261018)
+    graphs = [random_graph(rng, rng.randint(1, 40), rng.choice((0.02, 0.1, 0.4)))
+              for _ in range(30)]
+    graphs += [from_edge_list(1, []), from_edge_list(12, [(3, 11)]), star(40)]
+    return graphs + [graph_power(g, 2) for g in graphs]
+
+
+@pytest.mark.parametrize("g", _edge_list_samples())
+def test_writer_emits_sorted_edges(g):
+    lines = [f"{g.order} {g.num_edges}\n"] + [f"{u} {v}\n" for u, v in g.sorted_edges()]
+    assert dumps(g) == "".join(lines)
 
 
 def test_round_trip_is_byte_identical():

@@ -10,7 +10,6 @@ from topocompat import (
     InvalidEdge,
     InvalidReachability,
     InvalidVertex,
-    all_pairs_distances,
     ball_size,
     complete,
     diameter,
@@ -20,9 +19,11 @@ from topocompat import (
     is_bipartite,
     ring,
     star,
+    star_potential,
 )
-from topocompat.graph import component_color_classes
-from oracles import generated_topologies, power_reference, random_graph
+from topocompat import graph
+from topocompat.graph import component_color_classes, max_ball_size
+from oracles import all_pairs_distances, generated_topologies, power_reference, random_graph
 
 
 def _power_samples():
@@ -32,6 +33,10 @@ def _power_samples():
               for _ in range(40)]
     graphs += [from_edge_list(1, []), from_edge_list(5, []),
                from_edge_list(8, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)])]
+    # dense and degenerate rows: complete graphs, stars, K_{a,b}
+    graphs += [complete(2), complete(9), star(2), star(11),
+               from_edge_list(7, [(u, v) for u in range(3) for v in range(3, 7)]),
+               from_edge_list(9, [(u, v) for u in range(1) for v in range(1, 9)] + [(2, 5)])]
     return graphs
 
 
@@ -185,6 +190,39 @@ class TestGraphPowerAgainstReference:
             assert power.sorted_edges() == built.sorted_edges()
             assert all(power.neighbors(v) == built.neighbors(v) for v in range(g.order))
             assert power.adjacency_masks() == built.adjacency_masks()
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_largest_ball_is_one_plus_power_degree(self, g):
+        for reach in range(1, g.order + 1):
+            expected = 1 + graph_power(g, reach).max_degree()
+            assert max_ball_size(g, reach) == expected
+            assert star_potential(g, reach) == expected
+
+
+class TestGraphPowerAgainstReferenceAboveCap(TestGraphPowerAgainstReference):
+    """The same checks on the per-vertex BFS path that serves orders above the cap."""
+
+    @pytest.fixture(autouse=True)
+    def _bfs_path(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+
+
+class TestPowerPathSelection:
+    @pytest.mark.parametrize("order,masks", [(4096, True), (4097, False)])
+    def test_cap_selects_the_path(self, order, masks, monkeypatch):
+        calls = []
+        ball_masks = graph._ball_masks
+
+        def counting(g, reach):
+            calls.append(g.order)
+            return ball_masks(g, reach)
+
+        monkeypatch.setattr(graph, "_ball_masks", counting)
+        g = ring(order)
+        power = graph_power(g, 2)
+        assert power.neighbors(0) == (1, 2, order - 2, order - 1)
+        assert max_ball_size(g, 2) == 5
+        assert calls == ([order, order] if masks else [])
 
 
 class TestBipartite:
