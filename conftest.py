@@ -30,7 +30,7 @@ def ckernels_plan():
     if have_compiled():
         return "import", "the extension is importable"
     if shutil.which(CC):
-        return "build", f"the extension is built from the checked-in C with {CC}"
+        return "build", f"the extension is built from _ckernels.c with {CC}"
     return "skip", f"compiled kernels not built and no C compiler ({CC!r}) found to build them"
 
 
@@ -40,12 +40,19 @@ def pytest_report_header(config):
 
 
 def _build_extension(out: Path):
-    """Compile the extension under out and import it from there."""
-    subprocess.run(
+    """Compile the extension under out and import it from there.
+
+    The C is written by hand, so a compiler warning for it fails the build.
+    """
+    build = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out), "--build-temp", str(out / "temp")],
-        cwd=REPO, check=True, capture_output=True,
+        cwd=REPO, check=True, capture_output=True, text=True,
     )
+    warnings = [line for line in (build.stdout + build.stderr).splitlines()
+                if "_ckernels.c" in line and "warning:" in line]
+    if warnings:
+        pytest.fail("compiler warnings for _ckernels.c:\n" + "\n".join(warnings))
     ext_dir = out / "topocompat" / "_kernels"
     built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
              for p in ext_dir.glob("_ckernels" + suffix)]

@@ -1,9 +1,9 @@
 """Build script for the optional compiled search kernels.
 
-The extension is an accelerator, not a requirement: when Cython is available
-the .pyx is recompiled, otherwise the checked-in generated C is used, and if
-no C compiler is present the build is skipped entirely and the package falls
-back to the pure-Python kernels at import time.
+The extension is an accelerator, not a requirement: it is one hand-written C
+file, ``_ckernels.c``, and if no C compiler is present, or the build fails,
+the build is skipped and the package falls back to the pure-Python kernels
+at import time.
 """
 
 import os
@@ -12,22 +12,7 @@ from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 from setuptools.errors import CCompilerError, ExecError, PlatformError
 
-EXT_NAME = "topocompat._kernels._ckernels"
-PYX = os.path.join("src", "topocompat", "_kernels", "_ckernels.pyx")
 C_SRC = os.path.join("src", "topocompat", "_kernels", "_ckernels.c")
-
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension(EXT_NAME, [PYX], extra_compile_args=["-O3"])],
-        language_level="3",
-    )
-except ImportError:
-    if os.path.exists(C_SRC):
-        extensions = [Extension(EXT_NAME, [C_SRC], extra_compile_args=["-O3"])]
-    else:
-        extensions = []
 
 
 class OptionalBuildExt(build_ext):
@@ -52,6 +37,6 @@ class OptionalBuildExt(build_ext):
 
 
 setup(
-    ext_modules=extensions,
+    ext_modules=[Extension("topocompat._kernels._ckernels", [C_SRC], extra_compile_args=["-O3"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension (``_ckernels``, built from Cython) covers graphs of
-order <= 64, where adjacency bitmasks fit machine words.  Larger graphs, or
+The compiled extension (``_ckernels``, built from the hand-written
+``_ckernels.c``) covers graphs of order <= 64, where adjacency bitmasks fit
+machine words.  Larger graphs, or
 environments without the extension, use the pure-Python twin.  Set
 ``TOPO_COMPAT_PURE=1`` to force the pure backend (useful for benchmarking
 and debugging); both backends return identical results.

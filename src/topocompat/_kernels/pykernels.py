@@ -3,21 +3,26 @@
 These are the hot inner loops of the package: backtracking subgraph
 isomorphism and exact simple-cycle search.  Adjacency arrives as one int
 bitmask per vertex; arbitrary-width Python ints make the same code correct
-for any graph order.  The compiled twin in ``_ckernels`` implements the
-identical algorithms over machine words (order <= 64) with the identical
-candidate order and node accounting, so the two backends return identical
-results, witnesses included.  Backtracking keeps its own stack, so search
-depth is not bounded by the interpreter's recursion limit.
+for any graph order.  The compiled twin, the hand-written ``_ckernels.c``,
+implements the identical algorithms over machine words (order <= 64) with
+the identical candidate order and node accounting, so the two backends
+return identical results, witnesses included.  Backtracking keeps its own
+stack, so search depth is not bounded by the interpreter's recursion limit.
+
+There is one cycle search, :func:`_cycle_search`: the longest cycle longer
+than a given length with at most a given number of vertices.
+:func:`longest_cycle` asks it for (0, n) and :func:`cycle_with_length` for
+(k - 1, k).
 
 Status codes: FOUND (witness returned), EXHAUSTED (search space fully
 explored), BUDGET_EXCEEDED (node or time cap hit; result unknown).
 
 Node accounting: subgraph search counts one node per attempted candidate
-assignment; cycle searches count one node per vertex pushed on the path.
+assignment; the cycle search counts one node per vertex pushed on the path.
 Deadlines are absolute ``time.monotonic()`` values checked every 4096 nodes
 (0 disables the check).
 
-Reachability in the cycle searches.  At a node with path head h, let F be
+Reachability in the cycle search.  At a node with path head h, let F be
 the free vertices (larger than the anchor and off the path).  The search
 prunes on R, the free vertices reachable from h through free vertices, which
 is the union of the components of G[F] that meet N(h).  The anchor a can
@@ -176,31 +181,35 @@ def _reach_after(adj: Sequence[int], reach: int, one: bool, w: int) -> Tuple[int
     return comp, True
 
 
-def longest_cycle(
+def _cycle_search(
     n: int,
     adj: Sequence[int],
+    best_len: int,
+    limit: int,
     max_nodes: int,
     deadline: float,
-) -> Tuple[int, int, Optional[List[int]], int]:
-    """Length and witness of the longest simple cycle (0, None if acyclic).
+) -> Tuple[int, Optional[List[int]], int]:
+    """The longest simple cycle longer than ``best_len`` with at most
+    ``limit`` vertices: (status, witness or None, nodes).
 
     Each candidate cycle is searched from its smallest vertex (the anchor):
     paths start at the anchor and run through larger ids only.  Extension is
-    pruned when the anchor becomes unreachable from the path head through
-    free vertices, or when path length plus reachable-free count cannot beat
-    the best cycle found so far.  The reachable free set is kept per depth
-    and derived from the parent's (see the module docstring).
+    pruned when the path holds ``limit`` vertices, when the anchor becomes
+    unreachable from the path head through free vertices, or when path
+    length plus reachable-free count cannot beat the best cycle found so
+    far.  The search stops as soon as a cycle of ``limit`` vertices is
+    found.  The reachable free set is kept per depth and derived from the
+    parent's (see the module docstring).
     """
-    best_len = 0
     best: Optional[List[int]] = None
     nodes = 0
     # explicit stack: path[0..d] is the path, with head path[d]; for i < d,
     # exts[i] holds the untried extensions of path[i], reach[i] the free
     # vertices reachable from path[i], and one[i] whether they are connected
-    path = [0] * n
-    exts = [0] * n
-    reach = [0] * n
-    one = [False] * n
+    path = [0] * limit
+    exts = [0] * limit
+    reach = [0] * limit
+    one = [False] * limit
     for a in range(n):
         if n - a <= best_len:
             break
@@ -214,86 +223,23 @@ def longest_cycle(
         while True:
             nodes += 1
             if nodes > max_nodes:
-                return BUDGET_EXCEEDED, 0, None, nodes
+                return BUDGET_EXCEEDED, None, nodes
             if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
-                return BUDGET_EXCEEDED, 0, None, nodes
+                return BUDGET_EXCEEDED, None, nodes
             head = path[d]
             plen = d + 1
             if plen >= 3 and (adj[head] >> a) & 1 and plen > best_len:
                 best_len = plen
                 best = path[:plen]
-                if best_len == n:
-                    return EXHAUSTED, best_len, best, nodes
-            if d:
-                r, c = _reach_after(adj, reach[d - 1], one[d - 1], head)
-            else:
-                r, c = _reach_after(adj, allowed | a_bit, False, a)
+                if best_len == limit:
+                    return EXHAUSTED, best, nodes
             ext = 0
-            if adj_a & (r | (1 << head)) and plen + r.bit_count() > best_len:
-                ext = adj[head] & r
-                reach[d] = r
-                one[d] = c
-            if not ext:
-                # backtrack past the head and every vertex with nothing left to try
-                d -= 1
-                while d >= 0 and not exts[d]:
-                    d -= 1
-                if d < 0:
-                    break
-                ext = exts[d]
-            w = (ext & -ext).bit_length() - 1
-            exts[d] = ext & (ext - 1)
-            d += 1
-            path[d] = w
-    return EXHAUSTED, best_len, best, nodes
-
-
-def cycle_with_length(
-    n: int,
-    adj: Sequence[int],
-    k: int,
-    max_nodes: int,
-    deadline: float,
-) -> Tuple[int, Optional[List[int]], int]:
-    """Find one simple cycle of length exactly k (k >= 3), or prove none.
-
-    Same search and pruning as :func:`longest_cycle`, with k in place of the
-    best length so far.
-    """
-    if k < 3 or k > n:
-        return EXHAUSTED, None, 0
-    nodes = 0
-    # explicit stack, as in longest_cycle
-    path = [0] * k
-    exts = [0] * k
-    reach = [0] * k
-    one = [False] * k
-    for a in range(n - k + 1):
-        a_bit = 1 << a
-        adj_a = adj[a]
-        allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)
-        if (adj_a & allowed).bit_count() < 2:
-            continue
-        path[0] = a
-        d = 0
-        while True:
-            nodes += 1
-            if nodes > max_nodes:
-                return BUDGET_EXCEEDED, None, nodes
-            if (nodes & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
-                return BUDGET_EXCEEDED, None, nodes
-            head = path[d]
-            plen = d + 1
-            ext = 0
-            if plen == k:
-                if (adj[head] >> a) & 1:
-                    return FOUND, path, nodes
-            else:
+            if plen < limit:
                 if d:
                     r, c = _reach_after(adj, reach[d - 1], one[d - 1], head)
                 else:
                     r, c = _reach_after(adj, allowed | a_bit, False, a)
-                if adj_a & (r | (1 << head)) and plen + r.bit_count() >= k:
+                if adj_a & (r | (1 << head)) and plen + r.bit_count() > best_len:
                     ext = adj[head] & r
                     reach[d] = r
                     one[d] = c
@@ -309,4 +255,32 @@ def cycle_with_length(
             exts[d] = ext & (ext - 1)
             d += 1
             path[d] = w
-    return EXHAUSTED, None, nodes
+    return EXHAUSTED, best, nodes
+
+
+def longest_cycle(
+    n: int,
+    adj: Sequence[int],
+    max_nodes: int,
+    deadline: float,
+) -> Tuple[int, int, Optional[List[int]], int]:
+    """Length and witness of the longest simple cycle (0, None if acyclic)."""
+    status, best, nodes = _cycle_search(n, adj, 0, n, max_nodes, deadline)
+    if best is None:
+        return status, 0, None, nodes
+    return status, len(best), best, nodes
+
+
+def cycle_with_length(
+    n: int,
+    adj: Sequence[int],
+    k: int,
+    max_nodes: int,
+    deadline: float,
+) -> Tuple[int, Optional[List[int]], int]:
+    """Find one simple cycle of length exactly k (k >= 3), or prove none:
+    the longest cycle longer than k - 1 with at most k vertices."""
+    if k < 3 or k > n:
+        return EXHAUSTED, None, 0
+    status, best, nodes = _cycle_search(n, adj, k - 1, k, max_nodes, deadline)
+    return (FOUND if best else status), best, nodes

@@ -143,8 +143,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     task = args.task.build()
-    host = graph_power(args.system.build(), args.reach)
-    emb = find_embedding(task, host, _budget_from(args))
+    system = args.system.build()
+    budget = _budget_from(args)
+    # the transform keeps the order, so a host too large is known before it is built
+    budget.check_host_order(system.order)
+    emb = find_embedding(task, graph_power(system, args.reach), budget)
     if emb is None:
         print("no embedding")
         return 0

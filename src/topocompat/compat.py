@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
 from .errors import InvalidParameter, InvalidPotential, InvalidReachability
-from .graph import Graph, graph_power, max_ball_size
+from .graph import Graph, graph_power, largest_ball, max_ball_size
 from .topologies import TopologySpec, canonical_hypercube_dim, gray_code_cycle
 
 __all__ = [
@@ -77,8 +77,7 @@ def star_potential(system: Graph, reach: int) -> int:
     building the power graph.  Disconnected systems get the best component
     for free: a ball never crosses into another component.
     """
-    if reach < 1:
-        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
+    _check_star_reach(reach)
     return max_ball_size(system, reach)
 
 
@@ -86,11 +85,17 @@ def star_potential_certificate(
     system: Graph, reach: int
 ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
     """Star potential plus a witness: the first vertex of maximum degree in
-    the power graph, and its neighbours there as the leaves."""
-    power = graph_power(system, reach)
-    center = max(range(power.order), key=power.degree)
-    leaves = power.neighbors(center)
+    the power graph, and its neighbours there as the leaves.  Like
+    :func:`star_potential`, it builds no power graph: the center is the
+    first largest ball and the leaves are the rest of that ball."""
+    _check_star_reach(reach)
+    center, leaves = largest_ball(system, reach)
     return 1 + len(leaves), (center, leaves)
+
+
+def _check_star_reach(reach: int) -> None:
+    if reach < 1:
+        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 
 
 def ring_potential_certificate(

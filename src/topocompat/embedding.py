@@ -74,6 +74,11 @@ class SearchBudget:
     def deadline(self) -> float:
         return time.monotonic() + self.time_limit
 
+    def check_host_order(self, order: int) -> None:
+        """Raise HostTooLarge when a host of this order exceeds max_host_order."""
+        if order > self.max_host_order:
+            raise HostTooLarge(f"host order {order} exceeds budget cap {self.max_host_order}")
+
 
 DEFAULT_BUDGET = SearchBudget()
 
@@ -142,10 +147,7 @@ def find_embedding(task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDG
     BudgetExceeded when the search could not finish within budget.  The
     search runs only when none of the ABSENCE_CHECKS proves absence first.
     """
-    if host.order > budget.max_host_order:
-        raise HostTooLarge(
-            f"host order {host.order} exceeds budget cap {budget.max_host_order}"
-        )
+    budget.check_host_order(host.order)
     if any(check(task, host) for check in ABSENCE_CHECKS):
         return None
     kern = _kernels.kernels_for(host.order)

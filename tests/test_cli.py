@@ -67,7 +67,7 @@ class TestPotentialCommand:
         assert lines[1].startswith("center=0 leaves=")
         assert len(lines[1].split("leaves=")[1].split()) == 4
 
-    def test_star_witness_builds_the_power_once(self, capsys, monkeypatch):
+    def test_star_witness_builds_no_power(self, capsys, monkeypatch):
         calls = []
 
         def counting_power(g, reach):
@@ -80,7 +80,7 @@ class TestPotentialCommand:
                     "--reach", "3", "--witness"])
         assert code == 0
         assert capsys.readouterr().out == "p=7 c=0.7778\ncenter=0 leaves=1 2 3 6 7 8\n"
-        assert calls == [3]
+        assert calls == []
 
     def test_star_potential_builds_no_power(self, capsys, monkeypatch):
         calls = []
@@ -186,6 +186,19 @@ class TestEmbedCommand:
                     "--max-host-order", "65"])
         assert code == 0
         assert capsys.readouterr().out == "embedding found\n"
+
+    def test_host_cap_checked_before_the_power_is_built(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_power(g, reach):
+            calls.append(reach)
+            return graph_power(g, reach)
+
+        monkeypatch.setattr(cli, "graph_power", counting_power)
+        code = run(["embed", "--task", "ring:4", "--system", "hypercube:13", "--reach", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: host order 8192 exceeds budget cap 64\n"
+        assert calls == []
 
     def test_time_limit_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")

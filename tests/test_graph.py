@@ -22,7 +22,7 @@ from topocompat import (
     star_potential,
 )
 from topocompat import graph
-from topocompat.graph import component_color_classes, max_ball_size
+from topocompat.graph import component_color_classes, largest_ball, max_ball_size
 from oracles import all_pairs_distances, generated_topologies, power_reference, random_graph
 
 
@@ -197,6 +197,13 @@ class TestGraphPowerAgainstReference:
             expected = 1 + graph_power(g, reach).max_degree()
             assert max_ball_size(g, reach) == expected
             assert star_potential(g, reach) == expected
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_largest_ball_is_the_first_max_degree_row(self, g):
+        for reach in range(1, g.order + 1):
+            power = graph_power(g, reach)
+            center = max(range(power.order), key=power.degree)
+            assert largest_ball(g, reach) == (center, power.neighbors(center))
 
 
 class TestGraphPowerAgainstReferenceAboveCap(TestGraphPowerAgainstReference):

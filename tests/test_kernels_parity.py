@@ -6,13 +6,16 @@ with the same candidate order.
 
 The ``ckernels`` fixture lives in the root ``conftest.py``: when the
 extension is not importable but a C compiler is on PATH, it is built from
-the checked-in C into a temporary directory and loaded from there; the
-source tree is never written to.  The test header names the plan.
+the checked-in C into a temporary directory and loaded from there (a
+compiler warning for ``_ckernels.c`` fails the build); the source tree is
+never written to.  The test header names the plan.
 """
 
 import random
 
-from topocompat import graph_power, hypercube, ring
+import pytest
+
+from topocompat import complete, from_edge_list, graph_power, hypercube, ring
 from topocompat._kernels import pykernels
 from oracles import random_graph
 
@@ -73,9 +76,77 @@ def test_budget_cutoff_parity(ckernels):
         assert a[0] == pykernels.BUDGET_EXCEEDED
         assert a[2] == cap + 1
 
-    for cap in (1, 10, 500):
+    # caps at and past 2^62, where the compiled kernels clamp, never cut off
+    for cap in (1, 10, 500, 2**62, 2**64, 10**30):
         args = (16, h4.adjacency_masks(), cap, 0.0)
         assert ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
+
+    # C15 is absent from the bipartite H4, so every cap below the 72,252
+    # nodes of the full search cuts it off
+    for cap in (1, 10, 500, 5000):
+        args = (16, h4.adjacency_masks(), 15, cap, 0.0)
+        a = ckernels.cycle_with_length(*args)
+        assert a == pykernels.cycle_with_length(*args)
+        assert a == (pykernels.BUDGET_EXCEEDED, None, cap + 1)
+
+
+def _past_deadline_calls():
+    """One call per entry point, each needing more than 4096 nodes to finish."""
+    h4 = hypercube(4)
+    h4_minus = from_edge_list(15, [(u - 1, v - 1) for u, v in h4.edges if 0 not in (u, v)])
+    k7 = complete(7)
+    h5_sq = graph_power(hypercube(5), 2)
+    return [
+        ("subgraph_search", (7, k7.adjacency_masks(), 32, h5_sq.adjacency_masks(),
+                             list(range(7)), 10**8)),
+        ("longest_cycle", (15, h4_minus.adjacency_masks(), 10**8)),
+        ("cycle_with_length", (16, h4.adjacency_masks(), 15, 10**8)),
+    ]
+
+
+@pytest.mark.parametrize("backend", ("compiled", "pure"))
+def test_past_deadline_stops_at_node_4096(backend, request):
+    kern = request.getfixturevalue("ckernels") if backend == "compiled" else pykernels
+    for name, args in _past_deadline_calls():
+        result = getattr(kern, name)(*args, 1e-9)
+        assert result[0] == pykernels.BUDGET_EXCEEDED, name
+        assert result[-1] == 4096, name
+        assert result == getattr(pykernels, name)(*args, 1e-9)
+
+
+def test_compiled_rejects_order_65(ckernels):
+    masks = ring(65).adjacency_masks()
+    with pytest.raises(ValueError):
+        ckernels.subgraph_search(3, ring(3).adjacency_masks(), 65, masks, [0, 1, 2], 10, 0.0)
+    with pytest.raises(ValueError):
+        ckernels.subgraph_search(65, masks, 65, masks, list(range(65)), 10, 0.0)
+    with pytest.raises(ValueError):
+        ckernels.longest_cycle(65, masks, 10, 0.0)
+    with pytest.raises(ValueError):
+        ckernels.cycle_with_length(65, masks, 5, 10, 0.0)
+
+
+@pytest.mark.parametrize("adj", ([6, 5], [6, 5, "3"], [6, 5, 3.0], [6, 5, -1], None),
+                         ids=("short", "str", "float", "negative", "none"))
+def test_compiled_rejects_bad_adjacency(ckernels, adj):
+    good = ring(3).adjacency_masks()
+    calls = [
+        lambda: ckernels.longest_cycle(3, adj, 10, 0.0),
+        lambda: ckernels.cycle_with_length(3, adj, 3, 10, 0.0),
+        lambda: ckernels.subgraph_search(3, adj, 3, good, [0, 1, 2], 10, 0.0),
+        lambda: ckernels.subgraph_search(3, good, 3, adj, [0, 1, 2], 10, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises((TypeError, IndexError, ValueError, OverflowError)):
+            call()
+
+
+@pytest.mark.parametrize("order", ([0, 1], [0, 1, 3], [0, 1, -1], [0, 1, "2"]),
+                         ids=("short", "too large", "negative", "str"))
+def test_compiled_rejects_bad_order(ckernels, order):
+    masks = ring(3).adjacency_masks()
+    with pytest.raises((TypeError, IndexError, ValueError, OverflowError)):
+        ckernels.subgraph_search(3, masks, 3, masks, order, 10, 0.0)
 
 
 def test_status_constants_match(ckernels):
