@@ -118,10 +118,8 @@ static PyObject *subgraph_search(PyObject *Py_UNUSED(self), PyObject *args, PyOb
         return NULL;
     if (tn > hn)
         return Py_BuildValue("iOi", EXHAUSTED, Py_None, 0);
-    if (tn == 0) {
-        PyErr_SetString(PyExc_IndexError, "the task graph is empty");
-        return NULL;
-    }
+    if (tn == 0) /* the empty map embeds an empty task */
+        return Py_BuildValue("i[]i", FOUND, 0);
     uint64_t t_adj[MAXN], h_adj[MAXN], ord[MAXN], prev[MAXN], cands[MAXN];
     int need[MAXN], h_deg[MAXN], img[MAXN];
     Budget b;

@@ -80,6 +80,8 @@ def subgraph_search(
     """
     if task_n > host_n:
         return EXHAUSTED, None, 0
+    if task_n == 0:  # the empty map embeds an empty task
+        return FOUND, [], 0
 
     need = [task_adj[u].bit_count() for u in order]
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]

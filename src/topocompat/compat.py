@@ -15,15 +15,16 @@ decimal places with a dot separator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
-from .errors import InvalidParameter, InvalidPotential, InvalidReachability
+from .errors import InvalidParameter, InvalidPotential, InvalidReachability, _FrozenRecord
 from .graph import Graph, graph_power, largest_ball, max_ball_size
 from .topologies import TopologySpec, canonical_hypercube_dim, gray_code_cycle
+
+if TYPE_CHECKING:  # imported where an index is made, so other commands never load them
+    from decimal import Decimal
+    from fractions import Fraction
 
 __all__ = [
     "CompatibilityReport",
@@ -129,11 +130,15 @@ def compatibility_index(p: int, n: int) -> Fraction:
         raise InvalidPotential(f"system order must be positive, got {n}")
     if p < 0 or p > n:
         raise InvalidPotential(f"potential {p} outside 0..{n}")
+    from fractions import Fraction
+
     return Fraction(p, n)
 
 
 def round_half_up(value: Fraction, places: int = 4) -> Decimal:
     """Round a nonnegative rational half-up to the given decimal places."""
+    from decimal import Decimal
+
     scale = 10**places
     q, r = divmod(value.numerator * scale, value.denominator)
     if 2 * r >= value.denominator:
@@ -141,17 +146,15 @@ def round_half_up(value: Fraction, places: int = 4) -> Decimal:
     return Decimal(q).scaleb(-places)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(_FrozenRecord):
     """One (system, task, reachability) cell: potential and index."""
 
-    system: TopologySpec
-    task_kind: str
-    reach: int
-    order_n: int
-    potential_p: int
-    index_exact: Fraction
-    index_rounded: Decimal
+    _fields = ("system", "task_kind", "reach", "order_n", "potential_p",
+               "index_exact", "index_rounded")
+
+    def __init__(self, system: TopologySpec, task_kind: str, reach: int, order_n: int,
+                 potential_p: int, index_exact: Fraction, index_rounded: Decimal):
+        super().__init__(system, task_kind, reach, order_n, potential_p, index_exact, index_rounded)
 
     @property
     def size_label(self) -> int:

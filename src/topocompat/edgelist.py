@@ -98,7 +98,10 @@ def dumps(g: Graph) -> str:
 
 def read_edge_list_path(path: PathLike) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_edge_list(fh)
+        try:
+            return read_edge_list(fh)
+        except UnicodeDecodeError:
+            raise EdgeListFormatError(f"{os.fspath(path)}: not UTF-8 text") from None
 
 
 def write_edge_list_path(g: Graph, path: PathLike) -> None:

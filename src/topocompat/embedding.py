@@ -26,11 +26,10 @@ proof of absence and the search is skipped:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from . import _kernels
-from .errors import BudgetExceeded, HostTooLarge, InvalidParameter
+from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
 from .graph import Graph, component_color_classes
 
 __all__ = [
@@ -44,18 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_FrozenRecord):
     """Map from task vertex i to host vertex mapping[i]."""
 
-    mapping: Tuple[int, ...]
+    _fields = ("mapping",)
+
+    def __init__(self, mapping: Tuple[int, ...]):
+        super().__init__(mapping)
 
     def __len__(self) -> int:
         return len(self.mapping)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_FrozenRecord):
     """Caps for the exponential searches.
 
     max_host_order bounds the host size accepted by the generic subgraph
@@ -63,13 +63,12 @@ class SearchBudget:
     finite wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
     """
 
-    max_host_order: int = 64
-    max_nodes: int = 10**8
-    time_limit: float = 60.0
+    _fields = ("max_host_order", "max_nodes", "time_limit")
 
-    def __post_init__(self):
-        if self.max_host_order < 1 or self.max_nodes < 1 or not 0 < self.time_limit < float("inf"):
+    def __init__(self, max_host_order: int = 64, max_nodes: int = 10**8, time_limit: float = 60.0):
+        if max_host_order < 1 or max_nodes < 1 or not 0 < time_limit < float("inf"):
             raise InvalidParameter("search budget fields must be strictly positive and finite")
+        super().__init__(max_host_order, max_nodes, time_limit)
 
     def deadline(self) -> float:
         return time.monotonic() + self.time_limit

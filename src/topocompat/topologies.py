@@ -9,10 +9,9 @@ so callers can take closed-form shortcuts instead of exponential searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _FrozenRecord
 from .graph import Graph
 
 __all__ = [
@@ -38,24 +37,36 @@ def hypercube(s: int) -> Graph:
     return Graph(n, edges)
 
 
+def _check_order_cap(kind: str, n: int) -> None:
+    if n > 1 << MAX_HYPERCUBE_DIM:  # refused before any edge is listed
+        raise InvalidParameter(f"{kind} order {n} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
+
+
 def ring(p: int) -> Graph:
-    """The cycle graph C_p: vertex i adjacent to (i +- 1) mod p."""
+    """The cycle graph C_p: vertex i adjacent to (i +- 1) mod p; p <= 2^20."""
     if p < 3:
         raise InvalidParameter(f"ring order must be >= 3, got {p}")
+    _check_order_cap("ring", p)
     return Graph(p, [(i, (i + 1) % p) for i in range(p)])
 
 
 def star(p: int) -> Graph:
-    """The star K_{1,p-1}: center vertex 0 adjacent to vertices 1..p-1."""
+    """The star K_{1,p-1}: center vertex 0 adjacent to vertices 1..p-1; p <= 2^20."""
     if p < 2:
         raise InvalidParameter(f"star order must be >= 2, got {p}")
+    _check_order_cap("star", p)
     return Graph(p, [(0, i) for i in range(1, p)])
 
 
 def complete(n: int) -> Graph:
-    """The complete graph K_n."""
+    """The complete graph K_n, with at most as many edges as H_20 (n <= 4579)."""
     if n < 1:
         raise InvalidParameter(f"complete-graph order must be >= 1, got {n}")
+    m, cap = n * (n - 1) // 2, MAX_HYPERCUBE_DIM << (MAX_HYPERCUBE_DIM - 1)
+    if m > cap:
+        raise InvalidParameter(
+            f"complete graph K_{n} has {m} edges, above the cap {cap} (the edges of H_{MAX_HYPERCUBE_DIM})"
+        )
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -84,17 +95,17 @@ def canonical_hypercube_dim(g: Graph) -> Optional[int]:
     return s
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_FrozenRecord):
     """Tagged descriptor of a topology: generated by kind/parameter, or a file.
 
     Text syntax (used by the CLI): ``hypercube:s``, ``ring:p``, ``star:p``,
     ``complete:n``, ``file:PATH``.
     """
 
-    kind: str
-    parameter: Optional[int] = None
-    path: Optional[str] = None
+    _fields = ("kind", "parameter", "path")
+
+    def __init__(self, kind: str, parameter: Optional[int] = None, path: Optional[str] = None):
+        super().__init__(kind, parameter, path)
 
     def build(self) -> Graph:
         if self.kind == "hypercube":

@@ -108,6 +108,14 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=3 c=0.7500\n"
 
+    def test_non_utf8_file_system_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bytes.edges"
+        path.write_bytes(b"\xff\xfe")
+        assert run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text\n"
+
 
 class TestTableCommand:
     def test_markdown_reference_table(self, capsys):
@@ -271,6 +279,14 @@ class TestGenAndPower:
 
     def test_missing_input_file_exits_two(self, capsys):
         assert run(["gen", "file:/nonexistent/g.edges"]) == 2
+
+    @pytest.mark.parametrize("spec", ["ring:99999999999999999999", "star:1048577",
+                                      "complete:4580"])
+    def test_gen_above_the_order_cap_exits_two(self, spec, capsys):
+        assert run(["gen", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "cap" in captured.err
 
 
 class TestArgumentErrors:

@@ -1,6 +1,7 @@
 """Edge-list text format round-trips and error handling."""
 
 import random
+import re
 
 import pytest
 
@@ -87,3 +88,16 @@ def test_path_helpers(tmp_path):
     target = tmp_path / "star.edges"
     write_edge_list_path(g, target)
     assert read_edge_list_path(target) == g
+
+
+def test_non_utf8_file_is_a_format_error_naming_the_file(tmp_path):
+    from topocompat.edgelist import read_edge_list_path
+
+    target = tmp_path / "bytes.edges"
+    target.write_bytes(b"\xff\xfe")
+    with pytest.raises(EdgeListFormatError, match="bytes.edges: not UTF-8 text$"):
+        read_edge_list_path(target)
+    # a bad byte after valid lines is refused the same way
+    target.write_bytes(b"2 1\n0 1\n# caf\xe9\n")
+    with pytest.raises(EdgeListFormatError, match="^" + re.escape(f"{target}: not UTF-8 text") + "$"):
+        read_edge_list_path(str(target))

@@ -153,3 +153,10 @@ def test_status_constants_match(ckernels):
     assert ckernels.FOUND == pykernels.FOUND
     assert ckernels.EXHAUSTED == pykernels.EXHAUSTED
     assert ckernels.BUDGET_EXCEEDED == pykernels.BUDGET_EXCEEDED
+
+
+def test_empty_task_embeds_everywhere(ckernels):
+    for host_n, host_adj in ((0, []), (3, ring(3).adjacency_masks())):
+        args = (0, [], host_n, host_adj, [], 10, 0.0)
+        assert ckernels.subgraph_search(*args) == (pykernels.FOUND, [], 0)
+        assert pykernels.subgraph_search(*args) == (pykernels.FOUND, [], 0)

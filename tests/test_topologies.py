@@ -121,6 +121,50 @@ class TestGrayCodeCycle:
             gray_code_cycle(1)
 
 
+class TestOrderCaps:
+    """ring and star orders stop at 2^20, complete graphs at H_20's edge count."""
+
+    @pytest.mark.parametrize("build", [ring, star, complete])
+    def test_huge_orders_refused_at_once(self, build):
+        with pytest.raises(InvalidParameter, match="exceeds the cap|above the cap"):
+            build(99999999999999999999)
+
+    def test_real_caps(self):
+        with pytest.raises(InvalidParameter, match="^ring order 1048577 exceeds the cap 2\\^20$"):
+            ring(2**20 + 1)
+        with pytest.raises(InvalidParameter, match="^star order 1048577 exceeds the cap 2\\^20$"):
+            star(2**20 + 1)
+        with pytest.raises(InvalidParameter,
+                           match="^complete graph K_4580 has 10485910 edges, above the cap 10485760"):
+            complete(4580)
+
+    def test_boundary(self, monkeypatch):
+        from topocompat import topologies
+
+        monkeypatch.setattr(topologies, "MAX_HYPERCUBE_DIM", 3)
+        assert ring(8).order == 8 and star(8).order == 8
+        assert complete(5).num_edges == 10  # H_3 has 12 edges
+        with pytest.raises(InvalidParameter, match="ring order 9 exceeds the cap 2\\^3"):
+            ring(9)
+        with pytest.raises(InvalidParameter, match="star order 9 exceeds the cap 2\\^3"):
+            star(9)
+        with pytest.raises(InvalidParameter, match="K_6 has 15 edges, above the cap 12"):
+            complete(6)
+        # H_1 has one edge, exactly as many as K_2
+        monkeypatch.setattr(topologies, "MAX_HYPERCUBE_DIM", 1)
+        assert complete(2).num_edges == 1
+        with pytest.raises(InvalidParameter, match="K_3 has 3 edges, above the cap 1"):
+            complete(3)
+
+    def test_small_orders_keep_their_messages(self):
+        with pytest.raises(InvalidParameter, match="^ring order must be >= 3, got 2$"):
+            ring(2)
+        with pytest.raises(InvalidParameter, match="^star order must be >= 2, got 1$"):
+            star(1)
+        with pytest.raises(InvalidParameter, match="^complete-graph order must be >= 1, got 0$"):
+            complete(0)
+
+
 class TestCanonicalHypercubeDetection:
     @pytest.mark.parametrize("s", range(1, 7))
     def test_detects_generated_hypercubes(self, s):
