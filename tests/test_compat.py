@@ -231,6 +231,24 @@ class TestCompatibilityTable:
         with pytest.raises(InvalidParameter):
             compatibility_table([2], [1], "mesh")
 
+    def test_full_grid_up_to_the_cap(self):
+        reports = compatibility_table(range(1, 21), range(1, 21), "star")
+        assert len(reports) == 400
+        assert reports[-1].potential_p == reports[-1].order_n == 1 << 20
+
+    @pytest.mark.parametrize("s_values,reaches,message", [
+        ([21], [1], "^hypercube dimension must be in 1..20, got 21$"),
+        ([0, 3], [1], "^hypercube dimension must be in 1..20, got 0$"),
+        ([3], [21], "^reachability must be in 1..20, got 21$"),
+        ([3], [0], "^reachability must be in 1..20, got 0$"),
+        # each value is checked as it is read, so a huge range stops at 21
+        (range(1, 10**30), [1], "^hypercube dimension must be in 1..20, got 21$"),
+        ([3], range(1, 10**30), "^reachability must be in 1..20, got 21$"),
+    ])
+    def test_values_outside_one_to_twenty_rejected(self, s_values, reaches, message):
+        with pytest.raises(InvalidParameter, match=message):
+            compatibility_table(s_values, reaches, "ring")
+
 
 class TestMonotonicityAndDecay:
     def test_star_potential_nondecreasing_in_reach(self):

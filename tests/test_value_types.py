@@ -169,3 +169,12 @@ def test_spec_str_is_the_cli_syntax():
 def test_budget_rejects_non_positive_or_non_finite(field, bad):
     with pytest.raises(InvalidParameter, match="^search budget fields must be strictly positive and finite$"):
         SearchBudget(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["max_host_order", "max_nodes"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite_caps(field, bad):
+    # a nan cap compares False against every order and count, so it would
+    # switch its check off rather than raise
+    with pytest.raises(InvalidParameter, match="^search budget fields must be strictly positive and finite$"):
+        SearchBudget(**{field: bad})
