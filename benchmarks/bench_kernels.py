@@ -2,9 +2,9 @@
 """Benchmark the pure-Python search kernels against the compiled extension.
 
 Runs identical workloads through both backends, verifies they return the
-same result, and reports wall time plus speedup.  Rows whose graphs exceed
-the compiled backend's order limit run on the pure backend only and print
-``-`` in the compiled columns.  Usage:
+same result, and reports wall time, speedup and the nodes each search
+expanded.  Rows whose graphs exceed the compiled backend's order limit run
+on the pure backend only and print ``-`` in the compiled columns.  Usage:
 
     python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -22,13 +22,14 @@ except ImportError:
 
 from topocompat import from_edge_list, graph_power, hypercube, ring
 from topocompat._kernels import COMPILED_MAX_ORDER, have_compiled, pykernels
-from topocompat.embedding import _search_order
+from topocompat.embedding import _anchor_order, _search_order
 
 NO_DEADLINE = 0.0
 NODE_CAP = 10**9
 
 
-# each *_case returns (largest graph order, runner); a runner takes a kernel module
+# each *_case returns (largest graph order, runner); a runner takes a kernel
+# module and returns a tuple whose last item is the nodes expanded
 def subgraph_case(task, host):
     args = (task.order, task.adjacency_masks(), host.order, host.adjacency_masks(),
             _search_order(task), NODE_CAP, NO_DEADLINE)
@@ -36,20 +37,22 @@ def subgraph_case(task, host):
 
 
 def longest_cycle_case(g):
-    args = (g.order, g.adjacency_masks(), NODE_CAP, NO_DEADLINE)
+    """The search ``embedding.longest_cycle`` runs: on the low-degree-first labels."""
+    args = (g.order, _anchor_order(g)[1], NODE_CAP, NO_DEADLINE)
     return g.order, lambda kern: kern.longest_cycle(*args)
 
 
 def ring_order_sweep_case(g, up_to):
-    masks = g.adjacency_masks()
+    masks = _anchor_order(g)[1]
 
     def runner(kern):
-        found = set()
+        found, nodes = set(), 0
         for p in range(3, up_to + 1):
-            status, _, _ = kern.cycle_with_length(g.order, masks, p, NODE_CAP, NO_DEADLINE)
+            status, _, spent = kern.cycle_with_length(g.order, masks, p, NODE_CAP, NO_DEADLINE)
+            nodes += spent
             if status == kern.FOUND:
                 found.add(p)
-        return found
+        return found, nodes
 
     return g.order, runner
 
@@ -80,6 +83,9 @@ def build_workloads():
         ("tree31 into H6 (found)", *subgraph_case(heap_tree(31), hypercube(6))),
         ("longest cycle, H4 minus a vertex", *longest_cycle_case(hypercube_minus_vertex(4))),
         ("longest cycle, random n=20 p=0.18", *longest_cycle_case(sparse_random(20, 0.18, 9))),
+        # sparse graphs like perfbench's G(40, 0.1) and G(60, 0.07), where the peel works
+        ("longest cycle, sparse G(40)", *longest_cycle_case(sparse_random(40, 0.1, 4))),
+        ("longest cycle, sparse G(60)", *longest_cycle_case(sparse_random(60, 0.07, 1))),
         ("ring orders 3..16 in H4", *ring_order_sweep_case(h4, 16)),
         # long paths, one node per path vertex, beyond the compiled order limit
         ("longest cycle, ring:1500", *longest_cycle_case(ring(1500))),
@@ -111,19 +117,21 @@ def main():
 
     workloads = build_workloads()
     width = max(len(name) for name, _, _ in workloads)
-    header = f"{'workload':{width}}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}"
+    header = (f"{'workload':{width}}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}"
+              f"  {'nodes':>9}")
     print(header)
     print("-" * len(header))
     for name, order, runner in workloads:
         pure_t, pure_r = best_time(runner, pykernels, args.repeat)
+        nodes = pure_r[-1]
         if have_compiled() and order <= COMPILED_MAX_ORDER:
             comp_t, comp_r = best_time(runner, _ckernels, args.repeat)
             if pure_r != comp_r:
                 raise SystemExit(f"backend mismatch on {name!r}: {pure_r} vs {comp_r}")
             print(f"{name:{width}}  {pure_t * 1000:8.2f}ms  {comp_t * 1000:8.2f}ms"
-                  f"  {pure_t / comp_t:7.1f}x")
+                  f"  {pure_t / comp_t:7.1f}x  {nodes:>9}")
         else:
-            print(f"{name:{width}}  {pure_t * 1000:8.2f}ms  {'-':>10}  {'-':>8}")
+            print(f"{name:{width}}  {pure_t * 1000:8.2f}ms  {'-':>10}  {'-':>8}  {nodes:>9}")
 
 
 if __name__ == "__main__":

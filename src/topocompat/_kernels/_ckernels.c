@@ -2,8 +2,9 @@
  *
  * Graphs have order <= 64, so each adjacency mask fits one uint64_t.  The
  * algorithms, candidate order and node accounting are those of pykernels.py
- * (its module docstring has the reachability invariant and its proof), so
- * both backends return identical tuples, witnesses and node counts included.
+ * (its module docstring has the reachability invariant, the peel of the
+ * reachable set and their proofs), so both backends return identical tuples,
+ * witnesses and node counts included.
  * The dispatcher in topocompat._kernels routes larger graphs to the pure
  * backend.  Backtracking keeps explicit stacks, and the deadline is read from
  * time.monotonic every 4096 nodes.
@@ -210,6 +211,27 @@ static uint64_t reach_after(const uint64_t *adj, uint64_t reach, int *one, int w
     return left ? comp | grow(adj, rest, left, rest) : comp;
 }
 
+/* Drop from r, over and over, every vertex with fewer than two neighbours in
+ * r | keep, as pykernels._peel: only the vertices of todo and the neighbours
+ * of dropped ones are checked.  With keep = {head, anchor}, no vertex of a
+ * path from the head back to the anchor through r is dropped, and a dropped
+ * vertex is a leaf of G[r], so r stays one component if it was one.  A child
+ * starts from the old head's neighbours, the only vertices whose support
+ * shrank; the root checks all of r. */
+static uint64_t peel(const uint64_t *adj, uint64_t r, uint64_t keep, uint64_t todo)
+{
+    for (todo &= r; todo;) {
+        int v = CTZ(todo);
+        uint64_t nb = adj[v] & (r | keep);
+        todo &= todo - 1;
+        if (!(nb & (nb - 1))) {
+            r &= ~BIT(v);
+            todo |= adj[v] & r;
+        }
+    }
+    return r;
+}
+
 /* The longest simple cycle longer than *best_len with at most limit vertices,
  * as pykernels._cycle_search: raises *best_len and fills best when it finds
  * one.  Returns EXHAUSTED, BUDGET_EXCEEDED, or -1 with an exception set. */
@@ -241,6 +263,7 @@ static int cycle_search(int n, const uint64_t *adj, int *best_len, int limit, Bu
             if (plen < limit) {
                 int c = d ? one[d - 1] : 0;
                 uint64_t r = reach_after(adj, d ? reach[d - 1] : allowed | a_bit, &c, head);
+                r = peel(adj, r, a_bit | BIT(head), d ? adj[path[d - 1]] : r);
                 if ((adj_a & (r | BIT(head))) && plen + POPCOUNT(r) > *best_len) {
                     ext = adj[head] & r;
                     reach[d] = r;

@@ -48,6 +48,40 @@ that, stopping once it has met them all.  Only when R is not known to be one
 component is K_w - {w} searched for, inside R.  On a long path the set stays
 one component and each node costs O(1) mask operations, where a fresh search
 from the head would cost O(n).
+
+Peeling the reachable set.  Every cycle through the path closes with a path
+from the head h back to the anchor a whose interior lies in R.  Each interior
+vertex has two neighbours on that closing path, so two in R | {h, a}.  The
+search therefore drops from R, over and over, every vertex with fewer than
+two neighbours in R | {h, a} (:func:`_peel`), and the bound, the anchor test
+and the extensions all use the set that is left:
+
+    no interior vertex of a closing path is ever dropped.
+
+Proof: by induction on the drop order.  While none of the interior vertices
+has been dropped, each still has its two path neighbours in R | {h, a}, so
+it is not the next one dropped either.
+
+The peel keeps the ``one`` flag true.  A dropped vertex has at most one
+neighbour left in R, so it is a leaf or isolated in G[R], and taking it out
+splits no component.
+
+The peel is incremental, like R itself.  A child derives its set from the
+parent's peeled set P as above: w's component of G[P], minus w.  A closing
+path from w runs through P (it extends one from h) and is joined to w
+there, so the child's set still holds its interior.  Every vertex of P had
+two neighbours in P | {h, a}, and those in P lie in w's component, so in
+the child's set or w.  The child's support is its set with {w, a}, so the
+one vertex that has left the support is the old head h: only neighbours of
+h can have fallen below two.  The child's peel starts from them and follows
+what each drop loses.  At the root, where h = a, the whole set is peeled.
+The set left does not depend on the order of the drops: it is the largest
+subset in which every vertex has two neighbours in it or in {h, a}.
+
+The peel only cuts branches that hold no cycle longer than the best one
+found so far, so the search visits the nodes that improve the best cycle in
+the same order as without it, and returns the same cycle whenever both
+finish, in at most as many nodes.
 """
 
 from __future__ import annotations
@@ -183,6 +217,22 @@ def _reach_after(adj: Sequence[int], reach: int, one: bool, w: int) -> Tuple[int
     return comp, True
 
 
+def _peel(adj: Sequence[int], r: int, keep: int, todo: int) -> int:
+    """Drop from ``r``, over and over, every vertex with fewer than two
+    neighbours in ``r | keep``.  Only the vertices of ``todo`` and the
+    neighbours of dropped ones are checked, so every other vertex of ``r``
+    must already have two (see the module docstring)."""
+    todo &= r
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        nb = adj[v] & (r | keep)
+        if not nb & (nb - 1):
+            r &= ~(1 << v)
+            todo |= adj[v] & r
+    return r
+
+
 def _cycle_search(
     n: int,
     adj: Sequence[int],
@@ -200,8 +250,9 @@ def _cycle_search(
     unreachable from the path head through free vertices, or when path
     length plus reachable-free count cannot beat the best cycle found so
     far.  The search stops as soon as a cycle of ``limit`` vertices is
-    found.  The reachable free set is kept per depth and derived from the
-    parent's (see the module docstring).
+    found.  The reachable free set is kept per depth, derived from the
+    parent's and peeled of the vertices no closing path can use (see the
+    module docstring).
     """
     best: Optional[List[int]] = None
     nodes = 0
@@ -241,6 +292,8 @@ def _cycle_search(
                     r, c = _reach_after(adj, reach[d - 1], one[d - 1], head)
                 else:
                     r, c = _reach_after(adj, allowed | a_bit, False, a)
+                # a child rechecks the old head's neighbours, the root all of r
+                r = _peel(adj, r, a_bit | (1 << head), adj[path[d - 1]] if d else r)
                 if adj_a & (r | (1 << head)) and plen + r.bit_count() > best_len:
                     ext = adj[head] & r
                     reach[d] = r

@@ -57,9 +57,9 @@ def hypercube_star_potential(s: int, reach: int) -> int:
     """Largest star order embeddable in the reach-th power of H_s.
 
     Exact integer sum(C(s, i), i=0..reach); terms with i > s vanish, so the
-    value saturates at 2^s once reach >= s.
+    value saturates at 2^s once reach >= s, and the sum stops at s.
     """
-    return sum(math.comb(s, i) for i in range(reach + 1))
+    return sum(math.comb(s, i) for i in range(min(reach, s) + 1))
 
 
 def hypercube_star_witness(s: int, reach: int) -> Tuple[int, Tuple[int, ...]]:

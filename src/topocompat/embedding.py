@@ -32,6 +32,18 @@ binary tree's siblings before their parent and so branches over the whole
 host at several depths: the 31-vertex tree into H6 ran past 20M nodes that
 way, and is found in 38 nodes now.  The order changes only which branch is
 tried first, never what is explored, so answers stay exact.
+
+The cycle searches (:func:`longest_cycle`, :func:`embeddable_ring_orders`)
+relabel the host low degree first, ties to the smaller id, and map the
+witness back (:func:`_anchor_order`).  The kernels search each cycle from
+its smallest vertex, its anchor, so the low-degree vertices become anchors
+first.  A vertex of degree two fixes both of its cycle neighbours at once,
+and once its cycles have been searched it leaves the free set, which
+starves its neighbours and lets the kernels peel more of the reachable set.
+Relabelling is exact: under any total order every cycle has exactly one
+smallest vertex, so every cycle is still searched once.  On a regular host
+the order is the identity.  On the benchmark's G(60, 0.07) of seed 1, the
+longest cycle takes 181 nodes this way and runs past 500,000 without it.
 """
 
 from __future__ import annotations
@@ -230,16 +242,38 @@ def verify_embedding(task: Graph, host: Graph, e: Embedding) -> bool:
     return all(host.has_edge(m[u], m[v]) for u, v in task.edges)
 
 
+def _anchor_order(g: Graph) -> Tuple[list, Tuple[int, ...]]:
+    """g's vertices in ascending (degree, id) order, and g's adjacency masks
+    relabelled so that vertex order[i] becomes i.
+
+    The cycle kernels anchor each cycle at its smallest vertex, so under
+    these labels low-degree vertices are anchors first (the module docstring
+    says why).  On a regular graph the order is the identity and the masks
+    are g's own.
+    """
+    order = sorted(range(g.order), key=g.degree)  # stable: ties by id
+    if all(u == i for i, u in enumerate(order)):
+        return order, g.adjacency_masks()
+    label = [0] * g.order
+    for i, u in enumerate(order):
+        label[u] = i
+    return order, tuple(sum(1 << label[w] for w in g.neighbors(u)) for u in order)
+
+
 def longest_cycle(
     g: Graph, budget: SearchBudget = DEFAULT_BUDGET
 ) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """Length of the longest simple cycle plus a witness (0, None if acyclic)."""
+    """Length of the longest simple cycle plus a witness (0, None if acyclic).
+
+    The search runs on the low-degree-first labels of :func:`_anchor_order`
+    and the witness is mapped back to g's."""
+    order, masks = _anchor_order(g)
     status, length, witness, _ = _kernels.kernels_for(g.order).longest_cycle(
-        g.order, g.adjacency_masks(), budget.max_nodes, budget.deadline()
+        g.order, masks, budget.max_nodes, budget.deadline()
     )
     if status == _kernels.BUDGET_EXCEEDED:
         raise BudgetExceeded("longest-cycle search ran out of node or time budget")
-    return length, tuple(witness) if witness is not None else None
+    return length, tuple(order[v] for v in witness) if witness is not None else None
 
 
 def max_star_order(g: Graph) -> int:
@@ -253,12 +287,13 @@ def embeddable_ring_orders(
     """Orders p in [3, up_to] for which the cycle C_p embeds in g.
 
     Cycle lengths need not be contiguous, so each order gets its own exact
-    search.  The node and time budget is shared across the whole sweep.
+    search, on the labels of :func:`_anchor_order`.  The node and time
+    budget is shared across the whole sweep.
     """
     if up_to > g.order:
         raise InvalidParameter(f"up_to {up_to} exceeds graph order {g.order}")
     kern = _kernels.kernels_for(g.order)
-    masks = g.adjacency_masks()
+    masks = _anchor_order(g)[1]
     deadline = budget.deadline()
     nodes_left = budget.max_nodes
     found = set()

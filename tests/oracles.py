@@ -9,7 +9,7 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Set, Tuple
 
 from topocompat import Graph, complete, from_edge_list, hypercube, ring, star
@@ -32,11 +32,17 @@ def brute_force_embeds(task: Graph, host: Graph) -> bool:
 
 
 def brute_force_cycle_orders(g: Graph, up_to: int) -> Set[int]:
-    """All k in [3, up_to] with a simple k-cycle, by trying every sequence."""
+    """All k in [3, up_to] with a simple k-cycle, by trying every sequence
+    of k distinct vertices that starts at its smallest one (every k-cycle is
+    one of them up to rotation)."""
     found = set()
     hedges = g.edges
     for k in range(3, up_to + 1):
-        for perm in permutations(range(g.order), k):
+        for perm in (
+            (first, *rest)
+            for first, *others in combinations(range(g.order), k)
+            for rest in permutations(others)
+        ):
             ok = True
             for i in range(k):
                 a, b = perm[i], perm[(i + 1) % k]

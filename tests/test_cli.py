@@ -32,6 +32,13 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=16 c=0.5000\n"
 
+    def test_star_on_hypercube_with_a_huge_reach(self, capsys):
+        # reach past the dimension saturates: no sum over a trillion terms
+        code = run(["potential", "--task", "star", "--system", "hypercube:5",
+                    "--reach", "1000000000000"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=32 c=1.0000\n"
+
     def test_ring_on_hypercube(self, capsys):
         code = run(["potential", "--task", "ring", "--system", "hypercube:8", "--reach", "1"])
         assert code == 0

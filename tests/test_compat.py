@@ -64,6 +64,12 @@ class TestHypercubeStarPotential:
     def test_reach_at_dimension_gives_whole_hypercube(self, s):
         assert hypercube_star_potential(s, s) == 2**s
 
+    @pytest.mark.parametrize("s", (1, 5, 20))
+    def test_reach_past_dimension_saturates(self, s):
+        # the sum stops at i = s, so a huge reach costs no more than reach s
+        for reach in (s + 1, 2 * s, 10**12):
+            assert hypercube_star_potential(s, reach) == 2**s
+
 
 class TestHypercubeClosedForms:
     @pytest.mark.parametrize("s", range(1, 9))
@@ -152,6 +158,21 @@ class TestRingPotential:
             assert len(cycle) == p
             assert is_valid_cycle(graph_power(system, reach), cycle)
         assert ring_potential_certificate(star(6), 1) == (0, None)
+
+    def test_sparse_g60_decided_within_500k_nodes(self, monkeypatch):
+        # the cycle search without the peel and the low-degree anchors ran
+        # out of 500k nodes on this G(60, 0.07); it now takes 222
+        import random
+
+        from topocompat import SearchBudget, _kernels
+        from topocompat._kernels import pykernels
+        from topocompat.compat import ring_potential_certificate
+        from oracles import is_valid_cycle, random_graph
+
+        monkeypatch.setattr(_kernels, "kernels_for", lambda order: pykernels)
+        g = random_graph(random.Random(2), 60, 0.07)
+        p, cycle = ring_potential_certificate(g, 1, SearchBudget(max_nodes=500_000))
+        assert p == 54 and len(cycle) == p and is_valid_cycle(g, cycle)
 
 
 class TestCompatibilityIndex:

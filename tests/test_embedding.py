@@ -24,7 +24,7 @@ from topocompat import (
     verify_embedding,
 )
 from topocompat._kernels import EXHAUSTED, FOUND, pykernels
-from topocompat.embedding import ABSENCE_CHECKS
+from topocompat.embedding import ABSENCE_CHECKS, _anchor_order
 from oracles import brute_force_embeds, is_valid_cycle, random_graph
 
 
@@ -221,6 +221,19 @@ class TestLongestCycle:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
             longest_cycle(graph_power(hypercube(4), 2), SearchBudget(max_nodes=10))
+
+    def test_anchor_order_is_low_degree_first(self):
+        # a triangle 0-1-2 with the path 1-3-4 hanging from it: degrees 2, 3, 2, 2, 1
+        g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
+        order, masks = _anchor_order(g)
+        assert order == [4, 0, 2, 3, 1]
+        label = {u: i for i, u in enumerate(order)}
+        assert masks == from_edge_list(5, [(label[u], label[v]) for u, v in g.edges]).adjacency_masks()
+
+    def test_regular_hosts_keep_their_labels(self):
+        for g in (ring(9), hypercube(4), graph_power(hypercube(3), 2), complete(5)):
+            order, masks = _anchor_order(g)
+            assert order == list(range(g.order)) and masks == g.adjacency_masks()
 
 
 class TestMaxStarOrder:

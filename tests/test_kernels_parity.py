@@ -17,6 +17,7 @@ import pytest
 
 from topocompat import complete, from_edge_list, graph_power, hypercube, ring
 from topocompat._kernels import pykernels
+from topocompat.embedding import _anchor_order
 from oracles import random_graph
 
 
@@ -46,23 +47,42 @@ def test_subgraph_search_parity(ckernels):
     assert checked == 60
 
 
+def _cycle_instances():
+    """(order, masks) pairs: the shared instances, plus sparse graphs of order
+    40-64 (p = 4/n), where the cycle search peels most, each also under the
+    low-degree-first labels the library searches them with."""
+    _, graphs = _instances()
+    out = [(g.order, g.adjacency_masks()) for g in graphs]
+    rng = random.Random(20261018)
+    for n in (40, 48, 56, 64):
+        g = random_graph(rng, n, 4 / n)
+        out += [(n, g.adjacency_masks()), (n, _anchor_order(g)[1])]
+    return out
+
+
 def test_longest_cycle_parity(ckernels):
-    rng, graphs = _instances()
-    for g in graphs:
-        # cap keeps the pure side quick on the 64-vertex instances while
+    statuses = set()
+    for n, masks in _cycle_instances():
+        # cap keeps the pure side quick on the larger instances while
         # still exercising the budget-exceeded path identically
-        cap = 10**6 if g.order <= 16 else 20000
-        args = (g.order, g.adjacency_masks(), cap, 0.0)
-        assert ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
+        cap = 10**6 if n <= 16 else 20000
+        args = (n, masks, cap, 0.0)
+        result = ckernels.longest_cycle(*args)
+        assert result == pykernels.longest_cycle(*args)
+        statuses.add(result[0])
+    assert statuses == {pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED}
 
 
 def test_cycle_with_length_parity(ckernels):
-    rng, graphs = _instances()
-    for g in graphs:
-        cap = 10**6 if g.order <= 16 else 20000
-        for k in (3, 4, 5, g.order // 2, g.order):
-            args = (g.order, g.adjacency_masks(), k, cap, 0.0)
-            assert ckernels.cycle_with_length(*args) == pykernels.cycle_with_length(*args)
+    statuses = set()
+    for n, masks in _cycle_instances():
+        cap = 10**6 if n <= 16 else 20000
+        for k in (3, 4, 5, n // 2, n):
+            args = (n, masks, k, cap, 0.0)
+            result = ckernels.cycle_with_length(*args)
+            assert result == pykernels.cycle_with_length(*args)
+            statuses.add(result[0])
+    assert statuses == {pykernels.FOUND, pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED}
 
 
 def test_budget_cutoff_parity(ckernels):
@@ -92,14 +112,14 @@ def test_budget_cutoff_parity(ckernels):
 
 def _past_deadline_calls():
     """One call per entry point, each needing more than 4096 nodes to finish."""
-    h4 = hypercube(4)
-    h4_minus = from_edge_list(15, [(u - 1, v - 1) for u, v in h4.edges if 0 not in (u, v)])
+    h4, h5 = hypercube(4), hypercube(5)
+    h5_minus = from_edge_list(31, [(u - 1, v - 1) for u, v in h5.edges if 0 not in (u, v)])
     k7 = complete(7)
-    h5_sq = graph_power(hypercube(5), 2)
+    h5_sq = graph_power(h5, 2)
     return [
         ("subgraph_search", (7, k7.adjacency_masks(), 32, h5_sq.adjacency_masks(),
                              list(range(7)), 10**8)),
-        ("longest_cycle", (15, h4_minus.adjacency_masks(), 10**8)),
+        ("longest_cycle", (31, h5_minus.adjacency_masks(), 10**8)),
         ("cycle_with_length", (16, h4.adjacency_masks(), 15, 10**8)),
     ]
 

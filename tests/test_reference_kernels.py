@@ -3,10 +3,14 @@
 ``reference_kernels`` recomputes reachability with a fresh BFS at every
 cycle-search node and scans every earlier position to set up the subgraph
 search.  The package's pure kernels derive reachability incrementally and
-set up in O(n + m), and must still return the identical full tuple: status,
-length, witness and node count.  The graphs reach order 96, past the 64
-vertices the compiled parity tests stop at, and the node caps start at 1,
-so budget cut-offs must agree node for node too.
+set up in O(n + m).  The subgraph search must still return the identical
+full tuple: status, witness and node count.  The cycle search also peels
+the vertices no closing path can use, so it expands a subset of the
+reference's nodes in the same order: wherever the reference decides, it
+must return the same status, length and witness in no more nodes, and it
+never runs out where the reference does not.  The graphs reach order 96,
+past the 64 vertices the compiled parity tests stop at, and the node caps
+start at 1, so budget cut-offs are compared too.
 """
 
 import random
@@ -91,28 +95,42 @@ def _cases(family, seed):
         yield rng, _graph(rng, family, n)
 
 
+def _no_worse(result, ref) -> bool:
+    """Whether a cycle-search result is the reference's answer wherever the
+    reference decides, in no more nodes."""
+    if result[-1] > ref[-1]:
+        return False
+    return ref[0] == BUDGET_EXCEEDED or result[:-1] == ref[:-1]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_longest_cycle_matches_reference(family):
-    statuses = set()
+    statuses, fewer = set(), 0
     for rng, g in _cases(family, 1000 + FAMILIES.index(family)):
         args = (g.order, g.adjacency_masks(), _cap(rng, g.order), 0.0)
         result = pykernels.longest_cycle(*args)
-        assert result == reference.longest_cycle(*args), (family, g.order, args[2])
+        ref = reference.longest_cycle(*args)
+        assert _no_worse(result, ref), (family, g.order, args[2], result, ref)
         statuses.add(result[0])
+        fewer += result[-1] < ref[-1]
     assert statuses == {EXHAUSTED, BUDGET_EXCEEDED}
+    assert fewer
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cycle_with_length_matches_reference(family):
-    statuses = set()
+    statuses, fewer = set(), 0
     for rng, g in _cases(family, 2000 + FAMILIES.index(family)):
         n, masks = g.order, g.adjacency_masks()
         for k in {3, 4, rng.randint(3, max(3, n)), n - 1, n}:
             args = (n, masks, k, _cap(rng, n), 0.0)
             result = pykernels.cycle_with_length(*args)
-            assert result == reference.cycle_with_length(*args), (family, n, k, args[3])
+            ref = reference.cycle_with_length(*args)
+            assert _no_worse(result, ref), (family, n, k, args[3], result, ref)
             statuses.add(result[0])
+            fewer += result[-1] < ref[-1]
     assert statuses == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
+    assert fewer
 
 
 def _task(rng, host):
