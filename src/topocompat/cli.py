@@ -5,6 +5,10 @@ reachability transform), ``potential`` (star/ring potential and index against
 a system), ``table`` (the star/ring-versus-hypercube compatibility grid), and
 ``embed`` (arbitrary task-into-system embedding query).
 
+``potential`` and ``table`` only parse and print: each cell comes from
+:func:`topocompat.compat.potential`, which alone decides between a closed
+form and a graph search.
+
 Exit codes: 0 success (including a definitive "no embedding"), 1 when a
 search budget was exhausted (result unknown), 2 for invalid arguments or
 input.  ``TOPO_COMPAT_TIME_LIMIT`` (seconds) overrides the default time
@@ -23,7 +27,7 @@ from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, TopoCompatError
 from .graph import Graph, graph_power
-from .topologies import check_hypercube_dim, gray_code_cycle, parse_topology_spec, TopologySpec
+from .topologies import parse_topology_spec, TopologySpec
 
 __all__ = ["run", "main", "parse_range"]
 
@@ -95,36 +99,13 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_potential(args: argparse.Namespace) -> int:
-    spec = args.system
-    cycle = star = None
-    if spec.kind == "hypercube":
-        # closed forms; never builds the graph, so large dimensions stay cheap
-        s = spec.parameter
-        check_hypercube_dim(s)
-        n = 1 << s
-        if args.task == "star":
-            p = compat.hypercube_star_potential(s, args.reach)
-            if args.witness:
-                star = compat.hypercube_star_witness(s, args.reach)
-        else:
-            p = compat.hypercube_ring_potential(s)
-            if args.witness and p:
-                cycle = gray_code_cycle(s)
-    else:
-        system = spec.build()
-        n = system.order
-        if args.task == "star" and args.witness:
-            p, star = compat.star_potential_certificate(system, args.reach)
-        elif args.task == "star":
-            p = compat.star_potential(system, args.reach)
-        else:
-            p, cycle = compat.ring_potential_certificate(system, args.reach, _budget_from(args))
-    report = compat.make_report(spec, args.task, args.reach, n, p)
+    report, cert = compat.potential(args.system, args.task, args.reach, _budget_from(args),
+                                    args.witness)
     print(f"p={report.potential_p} c={report.index_rounded}")
-    if args.witness and cycle is not None:
-        print("cycle: " + " ".join(str(v) for v in cycle))
-    elif star is not None:
-        center, leaves = star
+    if cert is not None and args.task == "ring":
+        print("cycle: " + " ".join(str(v) for v in cert))
+    elif cert is not None:
+        center, leaves = cert
         print(f"center={center} leaves=" + " ".join(str(v) for v in leaves))
     return 0
 

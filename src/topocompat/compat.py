@@ -8,6 +8,10 @@ form (the Hamming ball size sum(C(s, i), i=0..d)) and ring potentials on
 hypercubes are certified by the reflected Gray cycle, so building the full
 star/ring-versus-hypercube table never touches the exponential search engine.
 
+:func:`potential` makes every cell, for the CLI and the table alike, and is
+the one place that chooses between those closed forms (a ``hypercube:s``
+spec, no graph built) and the graph functions (every other spec).
+
 Indexes are kept as exact rationals; display rounding is half-up to four
 decimal places with a dot separator.
 """
@@ -19,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
 from .errors import InvalidParameter, InvalidPotential, InvalidReachability, _FrozenRecord
-from .graph import Graph, graph_power, largest_ball, max_ball_size
+from .graph import Graph, graph_power, largest_ball
 from .topologies import (
     MAX_HYPERCUBE_DIM,
     TopologySpec,
@@ -41,6 +45,7 @@ __all__ = [
     "star_potential_certificate",
     "ring_potential",
     "ring_potential_certificate",
+    "potential",
     "compatibility_index",
     "round_half_up",
     "compatibility_table",
@@ -59,6 +64,8 @@ def hypercube_star_potential(s: int, reach: int) -> int:
     Exact integer sum(C(s, i), i=0..reach); terms with i > s vanish, so the
     value saturates at 2^s once reach >= s, and the sum stops at s.
     """
+    check_hypercube_dim(s)
+    _check_reach(reach)
     return sum(math.comb(s, i) for i in range(min(reach, s) + 1))
 
 
@@ -67,40 +74,41 @@ def hypercube_star_witness(s: int, reach: int) -> Tuple[int, Tuple[int, ...]]:
 
     H_s is vertex-transitive, so 0 is the first vertex of maximum degree there.
     """
+    check_hypercube_dim(s)
+    _check_reach(reach)
     return 0, tuple(v for v in range(1, 1 << s) if v.bit_count() <= reach)
 
 
 def hypercube_ring_potential(s: int) -> int:
     """Ring potential of H_s at any reach: 2^s (the Gray cycle), 0 for the edge H_1."""
+    check_hypercube_dim(s)
     return (1 << s) if s >= 2 else 0
 
 
 def star_potential(system: Graph, reach: int) -> int:
-    """Largest star order embeddable in the transformed system graph.
-
-    A star K_{1,k} embeds iff some vertex of the power graph has degree >= k,
-    so no search is needed, and that degree plus one is the size of the
-    vertex's reach-ball: the answer is the largest ball, counted without
-    building the power graph.  Disconnected systems get the best component
-    for free: a ball never crosses into another component.
-    """
-    _check_star_reach(reach)
-    return max_ball_size(system, reach)
+    """Largest star order embeddable in the transformed system graph."""
+    return star_potential_certificate(system, reach)[0]
 
 
 def star_potential_certificate(
     system: Graph, reach: int
 ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
     """Star potential plus a witness: the first vertex of maximum degree in
-    the power graph, and its neighbours there as the leaves.  Like
-    :func:`star_potential`, it builds no power graph: the center is the
-    first largest ball and the leaves are the rest of that ball."""
-    _check_star_reach(reach)
+    the power graph, and its neighbours there as the leaves.
+
+    A star K_{1,k} embeds iff some vertex of the power graph has degree >= k,
+    so no search is needed, and that degree plus one is the size of the
+    vertex's reach-ball: the center is the first largest ball and the leaves
+    are the rest of it, found without building the power graph.  Disconnected
+    systems get the best component for free: a ball never crosses into
+    another component.
+    """
+    _check_reach(reach)
     center, leaves = largest_ball(system, reach)
     return 1 + len(leaves), (center, leaves)
 
 
-def _check_star_reach(reach: int) -> None:
+def _check_reach(reach: int) -> None:
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 
@@ -111,14 +119,12 @@ def ring_potential_certificate(
     """Ring potential plus a witness cycle (None when the potential is 0).
 
     The potential is the longest simple cycle of the power graph, 0 when the
-    host is acyclic (no ring task of any order fits).  Canonically labeled
-    hypercubes skip the search: the Gray cycle is Hamiltonian in H_s and
-    stays one in every power, so the potential is the full order 2^s.
+    host is acyclic (no ring task of any order fits), as every system of
+    order below 3 is.  Canonically labeled hypercubes skip the search: the
+    Gray cycle is Hamiltonian in H_s and stays one in every power, so the
+    potential is the full order 2^s.
     """
-    if system.order < 3:
-        raise InvalidParameter(f"ring potential needs a system of order >= 3, got {system.order}")
-    if reach < 1:
-        raise InvalidParameter(f"reachability must be >= 1, got {reach}")
+    _check_reach(reach)
     s = canonical_hypercube_dim(system)
     if s is not None and s >= 2:
         return system.order, gray_code_cycle(s)
@@ -128,6 +134,43 @@ def ring_potential_certificate(
 def ring_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
     """Largest ring order embeddable in the transformed system graph."""
     return ring_potential_certificate(system, reach, budget)[0]
+
+
+def potential(
+    system: TopologySpec, task_kind: str, reach: int,
+    budget: SearchBudget = DEFAULT_BUDGET, witness: bool = False,
+) -> Tuple[CompatibilityReport, Optional[tuple]]:
+    """One cell: the report of ``task_kind`` against ``system`` at ``reach``,
+    and with ``witness`` its certificate (None without, or when p = 0).
+
+    This is the only place that picks closed form or search.  A
+    ``hypercube:s`` spec takes the closed forms and builds no graph; every
+    other spec is built and goes to the star or ring functions above.  The
+    certificate is a cycle for rings and (center, leaves) for stars.
+    """
+    if task_kind not in ("star", "ring"):
+        raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
+    _check_reach(reach)
+    cert = None
+    if system.kind == "hypercube":
+        s = system.parameter
+        if task_kind == "star":
+            p = hypercube_star_potential(s, reach)
+            cert = hypercube_star_witness(s, reach) if witness else None
+        else:
+            p = hypercube_ring_potential(s)
+            cert = gray_code_cycle(s) if witness and p else None
+        n = 1 << s
+    else:
+        g = system.build()
+        n = g.order
+        if task_kind == "ring":
+            p, cert = ring_potential_certificate(g, reach, budget)
+        elif witness:
+            p, cert = star_potential_certificate(g, reach)
+        else:
+            p = star_potential(g, reach)
+    return make_report(system, task_kind, reach, n, p), cert if witness else None
 
 
 def compatibility_index(p: int, n: int) -> Fraction:
@@ -190,7 +233,8 @@ def compatibility_table(
 ) -> List[CompatibilityReport]:
     """Star/ring-versus-hypercube compatibility cells, reach-major, s ascending.
 
-    Every cell comes from a closed form, so no graph is built.  Dimensions
+    Every cell is a :func:`potential` of a ``hypercube:s`` spec, so each
+    comes from a closed form and no graph is built.  Dimensions
     and reaches must lie in 1..MAX_HYPERCUBE_DIM: H_s has diameter s <= 20,
     so a larger reach only repeats the reach-20 row.  Each value is checked
     as it is read, so a huge range is refused at its first value out of
@@ -206,17 +250,9 @@ def compatibility_table(
         reaches.add(reach)
     if not dims or not reaches:
         raise InvalidParameter("empty dimension or reachability range")
-    if task_kind not in ("star", "ring"):
-        raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
     ss = sorted(dims)
-    reports = []
-    for reach in sorted(reaches):
-        for s in ss:
-            p = (hypercube_star_potential(s, reach) if task_kind == "star"
-                 else hypercube_ring_potential(s))
-            spec = TopologySpec(kind="hypercube", parameter=s)
-            reports.append(make_report(spec, task_kind, reach, 1 << s, p))
-    return reports
+    return [potential(TopologySpec(kind="hypercube", parameter=s), task_kind, reach)[0]
+            for reach in sorted(reaches) for s in ss]
 
 
 def render_csv(reports: Sequence[CompatibilityReport]) -> str:

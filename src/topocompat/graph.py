@@ -37,7 +37,6 @@ __all__ = [
     "is_bipartite",
     "component_color_classes",
     "ball_size",
-    "max_ball_size",
     "largest_ball",
 ]
 
@@ -283,33 +282,20 @@ def ball_size(g: Graph, center: int, reach: int) -> int:
     return len(_bfs_levels(g, center, cutoff=reach))
 
 
-def _ball_sizes(g: Graph, reach: int) -> List[int]:
-    """ball_size of every center, on the same size-selected path as
-    :func:`graph_power`: a popcount over the ball masks up to order 4096, a
-    BFS per vertex above."""
-    if reach < 0:
-        raise InvalidReachability(f"reachability must be >= 0, got {reach}")
-    if g.order <= _BALL_MASK_MAX_ORDER:
-        return [b.bit_count() for b in _ball_masks(g, reach)]
-    return [len(_bfs_levels(g, s, cutoff=reach)) for s in range(g.order)]
-
-
-def max_ball_size(g: Graph, reach: int) -> int:
-    """Largest ball_size over all centers, without building the power graph.
-
-    This is one more than the maximum degree of the reach-th power (reach >=
-    1).
-    """
-    return max(_ball_sizes(g, reach))
-
-
 def largest_ball(g: Graph, reach: int) -> Tuple[int, Tuple[int, ...]]:
     """The first center of a largest reach-ball, and the ball's other
     vertices in ascending order, without building the power graph.
 
     These are the first vertex of maximum degree in the reach-th power and
-    its neighbours there: one pass over the ball sizes, then one BFS.
+    its neighbours there.  The ball sizes come from the same size-selected
+    path as :func:`graph_power` (a popcount over the ball masks up to order
+    4096, a BFS per vertex above), then one more BFS lists the ball.
     """
-    sizes = _ball_sizes(g, reach)
+    if reach < 0:
+        raise InvalidReachability(f"reachability must be >= 0, got {reach}")
+    if g.order <= _BALL_MASK_MAX_ORDER:
+        sizes = [b.bit_count() for b in _ball_masks(g, reach)]
+    else:
+        sizes = [len(_bfs_levels(g, s, cutoff=reach)) for s in range(g.order)]
     center = sizes.index(max(sizes))
     return center, tuple(sorted(v for v in _bfs_levels(g, center, cutoff=reach) if v != center))

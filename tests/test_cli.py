@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from topocompat import gray_code_cycle, graph_power, hypercube, parse_topology_spec
+from topocompat import Graph, gray_code_cycle, graph_power, hypercube, parse_topology_spec
 from topocompat import cli, compat
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
@@ -128,6 +128,80 @@ class TestPotentialCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: not UTF-8 text\n"
+
+
+class TestOneCellWhateverTheRoute:
+    """``potential`` gives one answer per system, whatever route picks it."""
+
+    @pytest.mark.parametrize("task,system", [
+        ("star", "ring:5"), ("star", "hypercube:3"), ("ring", "hypercube:3"), ("ring", "ring:5"),
+    ])
+    @pytest.mark.parametrize("witness", [[], ["--witness"]])
+    def test_bad_budget_exits_two_on_every_path(self, task, system, witness, capsys,
+                                               monkeypatch):
+        argv = ["potential", "--task", task, "--system", system, "--reach", "1", *witness]
+        assert run([*argv, "--time-limit", "nan"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: search budget fields must be strictly positive and finite\n")
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "abc")
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: TOPO_COMPAT_TIME_LIMIT is not a number: 'abc'\n")
+
+    @pytest.mark.parametrize("spec", [*(f"hypercube:{s}" for s in range(1, 7)),
+                                      "star:2", "complete:1", "complete:2", "ring:3"])
+    @pytest.mark.parametrize("task", ["star", "ring"])
+    @pytest.mark.parametrize("witness", [[], ["--witness"]])
+    def test_spec_and_its_file_agree(self, spec, task, witness, tmp_path, capsys):
+        path = tmp_path / "system.edges"
+        write_edge_list_path(parse_topology_spec(spec).build(), path)
+        for reach in range(1, 5):
+            outcomes = []
+            for system in (spec, f"file:{path}"):
+                code = run(["potential", "--task", task, "--system", system,
+                            "--reach", str(reach), *witness])
+                outcomes.append((code, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == 0
+
+    @pytest.mark.parametrize("task", ["star", "ring"])
+    def test_table_cells_match_potential(self, task, tmp_path, capsys):
+        assert run(["table", "--task", task, "--s", "1..8", "--reach", "1..4"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 32
+        for row in rows:
+            fields = dict(field.split("=", 1) for field in row.split())
+            s, reach = int(fields["system"].split(":")[1]), fields["reach"]
+            path = tmp_path / f"h{s}.edges"
+            if not path.exists():
+                write_edge_list_path(hypercube(s), path)
+            for system in (f"hypercube:{s}", f"file:{path}"):
+                assert run(["potential", "--task", task, "--system", system,
+                            "--reach", reach]) == 0
+                assert capsys.readouterr().out == f"p={fields['p']} c={fields['c']}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--task", "star", "--system", "hypercube:20", "--reach", "5"],
+        ["potential", "--task", "ring", "--system", "hypercube:20", "--reach", "1", "--witness"],
+        ["table", "--task", "star", "--s", "1..20", "--reach", "1..20"],
+        ["table", "--task", "ring", "--s", "1..20", "--reach", "1..20"],
+    ])
+    def test_closed_forms_build_no_graph(self, argv, capsys, monkeypatch):
+        built = []
+        init, from_neighbors = Graph.__init__, Graph._from_neighbors.__func__
+
+        def counting_init(self, n, edges):
+            built.append(n)
+            init(self, n, edges)
+
+        def counting_from_neighbors(cls, neighbors):
+            built.append(len(neighbors))
+            return from_neighbors(cls, neighbors)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        monkeypatch.setattr(Graph, "_from_neighbors", classmethod(counting_from_neighbors))
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+        assert built == []
 
 
 class TestTableCommand:

@@ -25,6 +25,7 @@ from topocompat.compat import (
     hypercube_ring_potential,
     hypercube_star_witness,
     make_report,
+    potential,
     render_csv,
     render_markdown,
     round_half_up,
@@ -85,6 +86,56 @@ class TestHypercubeClosedForms:
         for s in range(2, 9):
             assert hypercube_ring_potential(s) == len(gray_code_cycle(s)) == 2**s
 
+    @pytest.mark.parametrize("closed_form", [hypercube_star_potential, hypercube_star_witness])
+    @pytest.mark.parametrize("reach", [0, -1])
+    def test_star_forms_reject_reach_below_one(self, closed_form, reach):
+        with pytest.raises(InvalidReachability, match=f"^reachability must be >= 1, got {reach}$"):
+            closed_form(3, reach)
+
+    @pytest.mark.parametrize("s", [0, 21])
+    @pytest.mark.parametrize("closed_form", [
+        lambda s: hypercube_star_potential(s, 1),
+        lambda s: hypercube_star_witness(s, 1),
+        hypercube_ring_potential,
+    ])
+    def test_forms_reject_dimension_outside_the_cap(self, closed_form, s):
+        # the same bound hypercube(s), potential and table apply
+        with pytest.raises(InvalidParameter, match=f"^hypercube dimension must be in 1..20, got {s}$"):
+            closed_form(s)
+
+
+class TestPotentialCell:
+    @pytest.mark.parametrize("spec", [TopologySpec("hypercube", 3), TopologySpec("ring", 5)])
+    @pytest.mark.parametrize("task_kind", ["star", "ring"])
+    def test_reach_zero_rejected_on_every_path(self, spec, task_kind):
+        with pytest.raises(InvalidReachability):
+            potential(spec, task_kind, 0)
+
+    def test_bad_task_kind_rejected(self):
+        with pytest.raises(InvalidParameter, match="^task kind must be 'star' or 'ring', got 'mesh'$"):
+            potential(TopologySpec("ring", 5), "mesh", 1)
+
+    @pytest.mark.parametrize("spec", [TopologySpec("hypercube", 3), TopologySpec("ring", 6)])
+    def test_certificate_only_with_witness(self, spec):
+        for task_kind in ("star", "ring"):
+            report, cert = potential(spec, task_kind, 1)
+            assert cert is None
+            assert potential(spec, task_kind, 1, witness=True)[0] == report
+
+    def test_hypercube_spec_matches_built_graph(self):
+        for s in range(1, 6):
+            g = hypercube(s)
+            for reach in range(1, s + 2):
+                star_report, (center, leaves) = potential(
+                    TopologySpec("hypercube", s), "star", reach, witness=True)
+                assert star_report.potential_p == star_potential(g, reach) == 1 + len(leaves)
+                assert (center, leaves) == star_potential_certificate(g, reach)[1]
+                ring_report, cycle = potential(TopologySpec("hypercube", s), "ring", reach,
+                                               witness=True)
+                assert ring_report.potential_p == ring_potential(g, reach)
+                assert ring_report.order_n == star_report.order_n == 2**s
+                assert cycle == (gray_code_cycle(s) if s >= 2 else None)
+
 
 class TestStarPotential:
     def test_hypercube_four_reach_one(self):
@@ -132,9 +183,17 @@ class TestRingPotential:
     def test_acyclic_host_reports_zero(self):
         assert ring_potential(star(6), 1) == 0
 
-    def test_small_system_rejected(self):
-        with pytest.raises(InvalidParameter):
-            ring_potential(star(2), 1)
+    @pytest.mark.parametrize("system", [star(2), complete(2), complete(1), hypercube(1)])
+    def test_small_system_has_ring_potential_zero(self, system):
+        # below order 3 there is no cycle, at any reach, as for any acyclic host
+        from topocompat.compat import ring_potential_certificate
+
+        for reach in (1, 2):
+            assert ring_potential_certificate(system, reach) == (0, None)
+
+    def test_reach_zero_rejected(self):
+        with pytest.raises(InvalidReachability, match="^reachability must be >= 1, got 0$"):
+            ring_potential(ring(5), 0)
 
     def test_ring_system_with_reach_two(self):
         # C_9 squared is 4-regular and Hamiltonian
