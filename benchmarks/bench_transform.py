@@ -6,6 +6,9 @@ Up to order 4096 (``graph._BALL_MASK_MAX_ORDER``) ``graph_power`` and
 ``star_potential`` grow every ball at once as bitmasks; above it they run a
 BFS per vertex.  Each case is timed on the path its order selects.  Where the
 other path is affordable it is timed too, and both graphs must be equal.
+The ``bound`` column says whether one BFS against the degree or component
+bound (``graph._ball_by_bound``) decides the star potential, so that no
+path runs at all.
 """
 
 import sys
@@ -14,7 +17,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from topocompat import graph, graph_power, parse_topology_spec, star_potential  # noqa: E402
+from topocompat import (  # noqa: E402
+    from_edge_list,
+    graph,
+    graph_power,
+    parse_topology_spec,
+    star_potential,
+)
+
+
+def chord_ring(n: int):
+    """The n-ring plus the chord (0, n // 2), whose star potential no bound decides."""
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
+
 
 # (system, reach, whether to build the power, whether to run the other path too)
 CASES = [
@@ -22,9 +37,17 @@ CASES = [
     ("star:4000", 2, False, False),  # the power is K_4000, 16M entries on either path
     ("hypercube:12", 3, True, True),
     ("ring:4096", 8, True, True),  # sparse and low reach: the BFS path is faster
+    ("chord-ring:4096", 32, True, False),
     ("hypercube:13", 2, True, True),
     ("ring:65536", 2, True, False),  # the masks would take 512 MB
+    ("ring:16384", 8192, False, False),  # the power is K_16384, above the edge cap
 ]
+
+
+def build(spec: str):
+    if spec.startswith("chord-ring:"):
+        return chord_ring(int(spec.split(":")[1]))
+    return parse_topology_spec(spec).build()
 
 
 def on_path(masks: bool, fn, *args):
@@ -39,14 +62,16 @@ def on_path(masks: bool, fn, *args):
 
 
 def main() -> int:
-    print(f"{'case':<24} {'path':<5} {'power':>9} {'star':>9} {'other path':>11}  equal")
+    print(f"{'case':<28} {'path':<5} {'power':>9} {'star':>9} {'bound':>5} "
+          f"{'other path':>11}  equal")
     mismatches = 0
-    for spec, reach, build, cross in CASES:
-        g = parse_topology_spec(spec).build()
+    for spec, reach, make_power, cross in CASES:
+        g = build(spec)
         masks = g.order <= graph._BALL_MASK_MAX_ORDER
         p, star_ms = on_path(masks, star_potential, g, reach)
+        bound = "yes" if graph._ball_by_bound(g, reach) is not None else "no"
         power_ms = other = equal = "-"
-        if build:
+        if make_power:
             power, ms = on_path(masks, graph_power, g, reach)
             power_ms = f"{ms:6.0f} ms"
             mismatches += p != 1 + power.max_degree()
@@ -54,8 +79,8 @@ def main() -> int:
             power2, ms = on_path(not masks, graph_power, g, reach)
             other, equal = f"{ms:6.0f} ms", str(power2 == power)
             mismatches += power2 != power
-        print(f"{spec + ' reach ' + str(reach):<24} {'masks' if masks else 'bfs':<5} "
-              f"{power_ms:>9} {star_ms:6.0f} ms {other:>11}  {equal}")
+        print(f"{spec + ' reach ' + str(reach):<28} {'masks' if masks else 'bfs':<5} "
+              f"{power_ms:>9} {star_ms:6.0f} ms {bound:>5} {other:>11}  {equal}")
     return 1 if mismatches else 0
 
 

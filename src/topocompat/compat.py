@@ -7,6 +7,10 @@ machine is usable by the task.  Star potentials on hypercubes have a closed
 form (the Hamming ball size sum(C(s, i), i=0..d)) and ring potentials on
 hypercubes are certified by the reflected Gray cycle, so building the full
 star/ring-versus-hypercube table never touches the exponential search engine.
+Star potentials on other systems are one largest reach-ball, often decided
+by a single BFS against a degree or component bound (see
+:func:`topocompat.graph.largest_ball`); the full pass otherwise honours the
+time budget.
 
 :func:`potential` makes every cell, for the CLI and the table alike, and is
 the one place that chooses between those closed forms (a ``hypercube:s``
@@ -85,13 +89,13 @@ def hypercube_ring_potential(s: int) -> int:
     return (1 << s) if s >= 2 else 0
 
 
-def star_potential(system: Graph, reach: int) -> int:
+def star_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
     """Largest star order embeddable in the transformed system graph."""
-    return star_potential_certificate(system, reach)[0]
+    return star_potential_certificate(system, reach, budget)[0]
 
 
 def star_potential_certificate(
-    system: Graph, reach: int
+    system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
     """Star potential plus a witness: the first vertex of maximum degree in
     the power graph, and its neighbours there as the leaves.
@@ -101,10 +105,12 @@ def star_potential_certificate(
     vertex's reach-ball: the center is the first largest ball and the leaves
     are the rest of it, found without building the power graph.  Disconnected
     systems get the best component for free: a ball never crosses into
-    another component.
+    another component.  Only the budget's time limit applies, and only when
+    no single ball meets the degree or component bound: then every ball is
+    sized, and running out raises BudgetExceeded.
     """
     _check_reach(reach)
-    center, leaves = largest_ball(system, reach)
+    center, leaves = largest_ball(system, reach, budget.deadline())
     return 1 + len(leaves), (center, leaves)
 
 
@@ -145,8 +151,9 @@ def potential(
 
     This is the only place that picks closed form or search.  A
     ``hypercube:s`` spec takes the closed forms and builds no graph; every
-    other spec is built and goes to the star or ring functions above.  The
-    certificate is a cycle for rings and (center, leaves) for stars.
+    other spec is built and goes to the star or ring functions above, with
+    ``budget``.  The certificate is a cycle for rings and (center, leaves)
+    for stars.
     """
     if task_kind not in ("star", "ring"):
         raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
@@ -167,9 +174,9 @@ def potential(
         if task_kind == "ring":
             p, cert = ring_potential_certificate(g, reach, budget)
         elif witness:
-            p, cert = star_potential_certificate(g, reach)
+            p, cert = star_potential_certificate(g, reach, budget)
         else:
-            p = star_potential(g, reach)
+            p = star_potential(g, reach, budget)
     return make_report(system, task_kind, reach, n, p), cert if witness else None
 
 

@@ -15,19 +15,27 @@ no edge list.  Up to order 4096 all balls are grown at once as bitmasks, one
 round per unit of reach, and each row is read off its mask in ascending order;
 above it every vertex gets its own BFS, because all masks at once would take
 n^2/8 bytes (512 MB at order 65536), which loses to the BFS on sparse graphs.
+A power with more edges than H_20 is refused as its rows are counted.
+
+:func:`largest_ball` (the star potential) brackets first: no ball is larger
+than the Moore bound of the maximum degree, nor than the largest component,
+and one BFS that meets the smaller of the two bounds is the answer.  Only
+otherwise does it size every ball, on the same two paths, against a
+deadline.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import time
 from bisect import bisect_left
 from collections import deque
 from functools import reduce
 from operator import or_
 from typing import Iterable, List, Optional, Tuple
 
-from .errors import InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
+from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
 __all__ = [
     "Graph",
@@ -43,6 +51,10 @@ __all__ = [
 # Largest order whose transforms grow every ball at once as bitmasks, which
 # take n^2/8 bytes (2 MB here); see the module docstring.
 _BALL_MASK_MAX_ORDER = 4096
+
+# Most edges a transform may have: those of H_20, the cap topologies.complete
+# uses too.  Rows hold 16 bytes of pointers per edge, 168 MB at the cap.
+_POWER_MAX_EDGES = 20 << 19
 
 
 class Graph:
@@ -186,32 +198,56 @@ def graph_power(g: Graph, reach: int) -> Graph:
 
     Up to order 4096 the rows come from bitmask balls grown all at once
     (:func:`_ball_masks`); above it, from one BFS per vertex, because all the
-    masks would take n^2/8 bytes.  The result is the same either way.
+    masks would take n^2/8 bytes.  The result is the same either way.  A
+    power with more than ``_POWER_MAX_EDGES`` edges raises InvalidParameter:
+    the mask path counts them by popcount before any row is made, the BFS
+    path as each row is made.
     """
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
     if reach == 1:
         return g
     if g.order <= _BALL_MASK_MAX_ORDER:
-        return Graph._from_neighbors(_rows_of(_ball_masks(g, reach)))
-    # a ball minus its center is exactly the vertices at distance 1..reach
-    return Graph._from_neighbors(tuple(
-        tuple(sorted(v for v in _bfs_levels(g, s, cutoff=reach) if v != s))
-        for s in range(g.order)
-    ))
+        balls = _ball_masks(g, reach)
+        # below the cap at the default orders (K_4096 has 8,386,560 edges),
+        # but it keeps the cap true whichever constant moves
+        _check_power_entries(sum(b.bit_count() for b in balls) - g.order, reach)
+        return Graph._from_neighbors(_rows_of(balls))
+    rows, entries = [], 0
+    for s in range(g.order):
+        ball = _bfs_levels(g, s, cutoff=reach)
+        entries += len(ball) - 1
+        _check_power_entries(entries, reach)
+        # a ball minus its center is exactly the vertices at distance 1..reach
+        rows.append(tuple(sorted(v for v in ball if v != s)))
+    return Graph._from_neighbors(tuple(rows))
 
 
-def _ball_masks(g: Graph, reach: int) -> List[int]:
+def _check_power_entries(entries: int, reach: int) -> None:
+    """Refuse a power whose rows hold ``entries`` > twice the edge cap."""
+    if entries > 2 * _POWER_MAX_EDGES:
+        raise InvalidParameter(f"the reach-{reach} transform has more than {_POWER_MAX_EDGES} "
+                               f"edges, the cap (the edges of H_20)")
+
+
+def _check_deadline(deadline: Optional[float]) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("largest-ball pass ran out of time budget")
+
+
+def _ball_masks(g: Graph, reach: int, deadline: Optional[float] = None) -> List[int]:
     """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
 
     Round d sets ball_d(v) = ball_{d-1}(v) | OR of ball_{d-1}(u) over u ~ v,
     reading only the previous round's list, so at most two rounds of masks
     are alive at once.  A round that changes nothing leaves every ball a
-    whole component, so later rounds are skipped.
+    whole component, so later rounds are skipped.  Each round first checks
+    the optional monotonic ``deadline`` and raises BudgetExceeded past it.
     """
     nbrs = g._neighbors
     balls = [1 << v for v in range(g.order)]
     for _ in range(reach):
+        _check_deadline(deadline)
         prev, get = balls, balls.__getitem__
         balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
         if balls == prev:
@@ -282,20 +318,100 @@ def ball_size(g: Graph, center: int, reach: int) -> int:
     return len(_bfs_levels(g, center, cutoff=reach))
 
 
-def largest_ball(g: Graph, reach: int) -> Tuple[int, Tuple[int, ...]]:
+def largest_ball(
+    g: Graph, reach: int, deadline: Optional[float] = None
+) -> Tuple[int, Tuple[int, ...]]:
     """The first center of a largest reach-ball, and the ball's other
     vertices in ascending order, without building the power graph.
 
     These are the first vertex of maximum degree in the reach-th power and
-    its neighbours there.  The ball sizes come from the same size-selected
-    path as :func:`graph_power` (a popcount over the ball masks up to order
-    4096, a BFS per vertex above), then one more BFS lists the ball.
+    its neighbours there.  One BFS that meets the bound of
+    :func:`_ball_by_bound` decides it; otherwise the ball sizes come from the
+    same size-selected path as :func:`graph_power` (a popcount over the ball
+    masks up to order 4096, a BFS per vertex above), then one more BFS lists
+    the ball.  That pass checks the optional monotonic ``deadline`` once per
+    mask round or once per BFS, and raises BudgetExceeded past it.
     """
     if reach < 0:
         raise InvalidReachability(f"reachability must be >= 0, got {reach}")
+    found = _ball_by_bound(g, reach)
+    return found if found is not None else _largest_ball_pass(g, reach, deadline)
+
+
+def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """:func:`largest_ball`'s answer when one BFS meets the upper bound
+    U = min(M, C) on every ball, else None.
+
+    M is the Moore bound 1 + D * sum((D - 1)^i, i < reach) for maximum degree
+    D (Hoffman & Singleton 1960), capped at the order; C is the order of the
+    largest component.  When M < C, M is uncapped and a vertex of lower
+    degree has a ball below it, so the probe is the first vertex of degree D.
+    Otherwise it is the first vertex of the first largest component, and
+    every smaller id lies in a smaller component.  Either way a probe whose
+    ball reaches U is the first center of a largest ball.
+    """
+    if reach == 0:  # every ball is its center alone, which M = 1 does not rank
+        return 0, ()
+    degrees = list(map(len, g._neighbors))
+    top = max(degrees)
+    moore = _moore_bound(top, reach, g.order)
+    largest = _largest_component(g, moore)
+    probe, bound = (degrees.index(top), moore) if largest is None else largest
+    ball = _bfs_levels(g, probe, cutoff=reach)
+    if len(ball) < bound:
+        return None
+    return probe, tuple(sorted(v for v in ball if v != probe))
+
+
+def _moore_bound(degree: int, reach: int, cap: int) -> int:
+    """min(cap, 1 + degree * sum((degree - 1)^i, i < reach)), summed only
+    until it reaches cap, so a huge reach costs at most cap terms."""
+    total, layer = 1, degree
+    for _ in range(reach):
+        if total >= cap or not layer:
+            break
+        total += layer
+        layer *= degree - 1
+    return min(total, cap)
+
+
+def _largest_component(g: Graph, above: int) -> Optional[Tuple[int, int]]:
+    """(first vertex, order) of the first largest component, or None as
+    soon as some component has more than ``above`` vertices.
+
+    Components are swept from each unseen vertex in ascending order, so
+    each sweep starts at its component's smallest id.
+    """
+    nbrs = g._neighbors
+    seen = bytearray(g.order)
+    best = (0, 0)
+    for root in range(g.order):
+        if seen[root]:
+            continue
+        seen[root], stack, size = 1, [root], 1
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+                    size += 1
+            if size > above:
+                return None
+        if size > best[1]:
+            best = (root, size)
+    return best
+
+
+def _largest_ball_pass(
+    g: Graph, reach: int, deadline: Optional[float] = None
+) -> Tuple[int, Tuple[int, ...]]:
+    """:func:`largest_ball` from every ball's size, with no bound."""
     if g.order <= _BALL_MASK_MAX_ORDER:
-        sizes = [b.bit_count() for b in _ball_masks(g, reach)]
+        sizes = [b.bit_count() for b in _ball_masks(g, reach, deadline)]
     else:
-        sizes = [len(_bfs_levels(g, s, cutoff=reach)) for s in range(g.order)]
+        sizes = []
+        for s in range(g.order):
+            _check_deadline(deadline)
+            sizes.append(len(_bfs_levels(g, s, cutoff=reach)))
     center = sizes.index(max(sizes))
     return center, tuple(sorted(v for v in _bfs_levels(g, center, cutoff=reach) if v != center))

@@ -124,6 +124,13 @@ def is_valid_cycle(g: Graph, seq: Sequence[int]) -> bool:
     return all(g.has_edge(seq[i], seq[(i + 1) % k]) for i in range(k))
 
 
+def chord_ring(n: int) -> Graph:
+    """The n-ring plus the chord (0, n // 2), for n >= 8: maximum degree 3,
+    so the Moore bound at reach 2 is 10, but the largest reach-2 ball (at 0)
+    has 8 vertices, and no single BFS decides the star potential."""
+    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)

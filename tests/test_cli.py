@@ -9,6 +9,7 @@ from topocompat import Graph, gray_code_cycle, graph_power, hypercube, parse_top
 from topocompat import cli, compat
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
+from oracles import chord_ring
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_table_star.csv"
 
@@ -128,6 +129,22 @@ class TestPotentialCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: not UTF-8 text\n"
+
+    def test_time_limit_env_var_stops_the_star_pass(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chord.edges"
+        write_edge_list_path(chord_ring(64), path)  # the bound does not decide it
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
+        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: largest-ball pass ran out of time budget\n")
+
+    def test_time_limit_env_var_spares_a_bound_decided_star(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ring.edges"
+        write_edge_list_path(parse_topology_spec("ring:64").build(), path)
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
+        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=5 c=0.0781\n"
 
 
 class TestOneCellWhateverTheRoute:

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from topocompat import (
+    BudgetExceeded,
     InvalidParameter,
+    SearchBudget,
     InvalidPotential,
     InvalidReachability,
     compatibility_index,
@@ -31,7 +33,9 @@ from topocompat.compat import (
     round_half_up,
     star_potential_certificate,
 )
+from topocompat import graph
 from topocompat.topologies import TopologySpec
+from oracles import chord_ring
 
 # (s, reach) -> potential, from the reference table
 TABLE_POTENTIALS = {
@@ -170,6 +174,32 @@ class TestStarPotential:
         assert p == star_potential(system, reach) == 1 + len(leaves)
         assert leaves == power.neighbors(center)
         assert center == min(v for v in range(power.order) if power.degree(v) == p - 1)
+
+
+class TestStarPotentialBudget:
+    TINY = SearchBudget(time_limit=1e-9)
+
+    @pytest.mark.parametrize("mask_order", [4096, 0])
+    def test_pass_raises_past_the_deadline_on_both_paths(self, mask_order, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", mask_order)
+        g = chord_ring(64)
+        assert star_potential(g, 2) == 8
+        with pytest.raises(BudgetExceeded, match="^largest-ball pass ran out of time budget$"):
+            star_potential(g, 2, self.TINY)
+        with pytest.raises(BudgetExceeded):
+            star_potential_certificate(g, 2, self.TINY)
+
+    def test_potential_cell_passes_its_budget(self, tmp_path):
+        from topocompat.edgelist import write_edge_list_path
+
+        path = tmp_path / "chord.edges"
+        write_edge_list_path(chord_ring(64), path)
+        with pytest.raises(BudgetExceeded):
+            potential(TopologySpec(kind="custom", path=str(path)), "star", 2, self.TINY)
+
+    def test_bound_decided_needs_no_time(self):
+        assert star_potential(ring(64), 2, self.TINY) == 5
+        assert star_potential_certificate(ring(64), 2, self.TINY) == (5, (0, (1, 2, 62, 63)))
 
 
 class TestRingPotential:

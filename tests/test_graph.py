@@ -8,6 +8,7 @@ import pytest
 from topocompat import (
     Graph,
     InvalidEdge,
+    InvalidParameter,
     InvalidReachability,
     InvalidVertex,
     ball_size,
@@ -23,7 +24,13 @@ from topocompat import (
 )
 from topocompat import graph
 from topocompat.graph import component_color_classes, largest_ball
-from oracles import all_pairs_distances, generated_topologies, power_reference, random_graph
+from oracles import (
+    all_pairs_distances,
+    chord_ring,
+    generated_topologies,
+    power_reference,
+    random_graph,
+)
 
 
 def _power_samples():
@@ -220,16 +227,133 @@ class TestPowerPathSelection:
         calls = []
         ball_masks = graph._ball_masks
 
-        def counting(g, reach):
+        def counting(g, reach, *deadline):
             calls.append(g.order)
-            return ball_masks(g, reach)
+            return ball_masks(g, reach, *deadline)
 
         monkeypatch.setattr(graph, "_ball_masks", counting)
-        g = ring(order)
+        g = chord_ring(order)  # the bound does not decide it, so the pass runs
         power = graph_power(g, 2)
-        assert power.neighbors(0) == (1, 2, order - 2, order - 1)
-        assert star_potential(g, 2) == 5
+        half = order // 2
+        assert power.neighbors(0) == (1, 2, half - 1, half, half + 1, order - 2, order - 1)
+        assert star_potential(g, 2) == 8
         assert calls == ([order, order] if masks else [])
+
+
+def _bracket_samples():
+    """Seeded random graphs of order 1-40, many disconnected or with isolated
+    vertices, and paths, rings, stars, complete and complete bipartite graphs,
+    trees, and unions with a high-degree vertex outside the largest component."""
+    rng = random.Random(20261018)
+    graphs = [random_graph(rng, rng.randint(1, 40), rng.choice((0.03, 0.06, 0.1, 0.2, 0.4)))
+              for _ in range(40)]
+    graphs += [from_edge_list(n, [(v, v + 1) for v in range(n - 1)]) for n in (1, 2, 3, 4, 7, 16)]
+    graphs += [ring(n) for n in (3, 4, 5, 12)] + [chord_ring(n) for n in (8, 13)]
+    graphs += [star(n) for n in (2, 3, 9)] + [complete(n) for n in (1, 2, 5, 8)]
+    graphs += [from_edge_list(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+               for a, b in ((1, 1), (2, 5), (4, 4), (6, 3))]
+    graphs += [from_edge_list(n, [(v, rng.randrange(v)) for v in range(1, n)]) for n in (6, 15, 30)]
+    # a path, a 6-ring, then a star K_{1,4}, then isolated vertices
+    graphs.append(from_edge_list(18, [(0, 1), (1, 2), *((v, 3 + (v - 2) % 6) for v in range(3, 9)),
+                                      *((9, v) for v in range(10, 14))]))
+    # a star whose center is the last vertex
+    graphs.append(from_edge_list(7, [(v, 6) for v in range(6)]))
+    return graphs
+
+
+BRACKET_SAMPLES = _bracket_samples()
+
+
+class TestBallBound:
+    """The bound either gives the pass's answer or defers to it."""
+
+    @pytest.fixture(autouse=True, params=["masks", "bfs"])
+    def _path(self, request, monkeypatch):
+        if request.param == "bfs":
+            monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+
+    def test_samples_cover_disconnected_and_isolated(self):
+        assert sum(diameter(g) == math.inf for g in BRACKET_SAMPLES) >= 15
+        assert sum(any(g.degree(v) == 0 for v in range(g.order)) for g in BRACKET_SAMPLES) >= 10
+
+    @pytest.mark.parametrize("g", BRACKET_SAMPLES)
+    def test_same_answer_as_the_pass_at_every_reach(self, g):
+        for reach in range(g.order + 1):
+            assert largest_ball(g, reach) == graph._largest_ball_pass(g, reach)
+
+    @pytest.mark.parametrize("degree,reach,cap,expected", [
+        (0, 5, 9, 1), (1, 5, 9, 2), (2, 3, 100, 7), (3, 2, 100, 10), (3, 3, 100, 22),
+        (12, 2, 4096, 145), (3, 3, 22, 22), (3, 3, 21, 21), (2, 10**12, 16384, 16384),
+    ])
+    def test_moore_bound(self, degree, reach, cap, expected):
+        assert graph._moore_bound(degree, reach, cap) == expected
+
+
+class TestBallBoundRoutes:
+    """Which queries the bound decides, with the pass forbidden."""
+
+    @pytest.fixture
+    def no_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the all-balls pass ran")
+
+        monkeypatch.setattr(graph, "_largest_ball_pass", refuse)
+
+    def test_relabelled_ring_is_decided_by_degree(self, no_pass):
+        n = 4096
+        perm = list(range(n))
+        random.Random(4096).shuffle(perm)
+        g = from_edge_list(n, [(perm[v], perm[(v + 1) % n]) for v in range(n)])
+        at = perm.index(0)
+        expected = tuple(sorted(perm[(at + k) % n] for k in range(-32, 33) if k))
+        assert largest_ball(g, 32) == (0, expected)
+
+    def test_long_ring_at_half_reach(self, no_pass):
+        assert largest_ball(ring(16384), 8192) == (0, tuple(range(1, 16384)))
+
+    def test_disconnected_is_decided_by_component(self, no_pass):
+        # an edge, a 5-ring on 2..6, a star K_{1,3} centered at 7: M = 10 > C = 5
+        g = from_edge_list(11, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2),
+                                (7, 8), (7, 9), (7, 10)])
+        assert graph._moore_bound(3, 2, 11) == 10
+        assert largest_ball(g, 2) == (2, (3, 4, 5, 6))
+
+    def test_chord_ring_is_not_decided(self):
+        assert graph._ball_by_bound(chord_ring(64), 2) is None
+        assert largest_ball(chord_ring(64), 2) == (0, (1, 2, 31, 32, 33, 62, 63))
+
+
+class TestPowerEdgeCap:
+    def test_cap_is_the_edge_count_of_h20(self):
+        assert graph._POWER_MAX_EDGES == 20 * 2**19 == 10_485_760
+
+    def test_mask_path_counts_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 20)
+        assert graph_power(ring(10), 2).num_edges == 20
+
+        def no_rows(balls):
+            raise AssertionError("rows made")
+
+        monkeypatch.setattr(graph, "_rows_of", no_rows)
+        with pytest.raises(InvalidParameter, match="^the reach-3 transform has more than 20 edges"):
+            graph_power(ring(10), 3)
+
+    def test_bfs_path_counts_as_rows_are_made(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 20)
+        assert graph_power(ring(10), 2).num_edges == 20
+        calls = []
+        bfs_levels = graph._bfs_levels
+
+        def counting(g, source, cutoff=None):
+            calls.append(source)
+            return bfs_levels(g, source, cutoff)
+
+        monkeypatch.setattr(graph, "_bfs_levels", counting)
+        with pytest.raises(InvalidParameter, match="^the reach-3 transform has more than 20 edges"):
+            graph_power(ring(10), 3)
+        # rows of 6 entries pass 2 * 20 at the seventh row
+        assert calls == list(range(7))
 
 
 class TestBipartite:
