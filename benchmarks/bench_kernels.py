@@ -21,7 +21,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from topocompat import from_edge_list, graph_power, hypercube, ring
-from topocompat._kernels import COMPILED_MAX_ORDER, have_compiled, pykernels
+from topocompat._kernels import COMPILED_MAX_ORDER, active_backend, pykernels
 from topocompat.embedding import _anchor_order, _search_order
 
 NO_DEADLINE = 0.0
@@ -109,7 +109,8 @@ def main():
     parser.add_argument("--repeat", type=int, default=1, help="timing repetitions (best of N)")
     args = parser.parse_args()
 
-    if not have_compiled():
+    compiled = active_backend() == "compiled"
+    if not compiled:
         print("compiled kernels are not built; run `python setup.py build_ext --inplace`")
         print("timing the pure backend only\n")
     else:
@@ -124,7 +125,7 @@ def main():
     for name, order, runner in workloads:
         pure_t, pure_r = best_time(runner, pykernels, args.repeat)
         nodes = pure_r[-1]
-        if have_compiled() and order <= COMPILED_MAX_ORDER:
+        if compiled and order <= COMPILED_MAX_ORDER:
             comp_t, comp_r = best_time(runner, _ckernels, args.repeat)
             if pure_r != comp_r:
                 raise SystemExit(f"backend mismatch on {name!r}: {pure_r} vs {comp_r}")

@@ -14,7 +14,7 @@ REPO = Path(__file__).resolve().parent
 # Allow running the test suite from a source checkout without installing.
 sys.path.insert(0, str(REPO / "src"))
 
-from topocompat._kernels import active_backend, have_compiled  # noqa: E402
+from topocompat._kernels import active_backend  # noqa: E402
 
 EXT_NAME = "topocompat._kernels._ckernels"
 # the compiler setup.py would build the extension with
@@ -27,7 +27,7 @@ def ckernels_plan():
     action is "import" (the extension is importable), "build" (a C compiler
     is on PATH to build it) or "skip".
     """
-    if have_compiled():
+    if active_backend() == "compiled":
         return "import", "the extension is importable"
     if shutil.which(CC):
         return "build", f"the extension is built from _ckernels.c with {CC}"

@@ -20,7 +20,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    ball_size,
     diameter,
     from_edge_list,
     graph_power,
@@ -38,10 +37,8 @@ from .topologies import (
 from .embedding import (
     Embedding,
     SearchBudget,
-    embeddable_ring_orders,
     find_embedding,
     longest_cycle,
-    max_star_order,
     verify_embedding,
 )
 from .compat import (
@@ -61,7 +58,6 @@ __all__ = [
     "diameter",
     "graph_power",
     "is_bipartite",
-    "ball_size",
     "TopologySpec",
     "parse_topology_spec",
     "hypercube",
@@ -74,8 +70,6 @@ __all__ = [
     "find_embedding",
     "verify_embedding",
     "longest_cycle",
-    "max_star_order",
-    "embeddable_ring_orders",
     "CompatibilityReport",
     "hypercube_star_potential",
     "star_potential",

@@ -5,7 +5,8 @@ The compiled extension (``_ckernels``, built from the hand-written
 machine words.  Larger graphs, or
 environments without the extension, use the pure-Python twin.  Set
 ``TOPO_COMPAT_PURE=1`` to force the pure backend (useful for benchmarking
-and debugging); both backends return identical results.
+and debugging); both backends return identical results, and
+:func:`active_backend` names the one in use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "EXHAUSTED",
     "BUDGET_EXCEEDED",
     "COMPILED_MAX_ORDER",
-    "have_compiled",
     "active_backend",
     "kernels_for",
     "pykernels",
@@ -35,10 +35,6 @@ if os.environ.get("TOPO_COMPAT_PURE", "") in ("", "0"):
         _ckernels = None
 else:
     _ckernels = None
-
-
-def have_compiled() -> bool:
-    return _ckernels is not None
 
 
 def active_backend() -> str:

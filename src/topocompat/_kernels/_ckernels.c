@@ -8,6 +8,9 @@
  * The dispatcher in topocompat._kernels routes larger graphs to the pure
  * backend.  Backtracking keeps explicit stacks, and the deadline is read from
  * time.monotonic every 4096 nodes.
+ * The library calls only longest_cycle; cycle_with_length is kept for the
+ * benchmark tracer's kernel section and the parity tests until a
+ * cycle_search entry replaces both.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -335,7 +338,9 @@ static PyMethodDef methods[] = {
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_VARARGS | METH_KEYWORDS,
      "Length and witness of the longest simple cycle (0, None if acyclic)."},
     {"cycle_with_length", (PyCFunction)(void (*)(void))cycle_with_length,
-     METH_VARARGS | METH_KEYWORDS, "Find one simple cycle of length exactly k, or prove none."},
+     METH_VARARGS | METH_KEYWORDS,
+     "Find one simple cycle of length exactly k, or prove none (kept for the tracer and parity "
+     "tests)."},
     {NULL, NULL, 0, NULL},
 };
 

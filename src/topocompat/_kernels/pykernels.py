@@ -12,7 +12,9 @@ stack, so search depth is not bounded by the interpreter's recursion limit.
 There is one cycle search, :func:`_cycle_search`: the longest cycle longer
 than a given length with at most a given number of vertices.
 :func:`longest_cycle` asks it for (0, n) and :func:`cycle_with_length` for
-(k - 1, k).
+(k - 1, k).  The library calls only :func:`longest_cycle`;
+:func:`cycle_with_length` is kept for the benchmark tracer's kernel section
+and the parity tests until a ``cycle_search`` entry replaces both.
 
 Status codes: FOUND (witness returned), EXHAUSTED (search space fully
 explored), BUDGET_EXCEEDED (node or time cap hit; result unknown).
@@ -334,7 +336,9 @@ def cycle_with_length(
     deadline: float,
 ) -> Tuple[int, Optional[List[int]], int]:
     """Find one simple cycle of length exactly k (k >= 3), or prove none:
-    the longest cycle longer than k - 1 with at most k vertices."""
+    the longest cycle longer than k - 1 with at most k vertices.  No library
+    function calls it; it is kept for the benchmark tracer's kernel section
+    and the parity tests until ``cycle_search`` replaces it."""
     if k < 3 or k > n:
         return EXHAUSTED, None, 0
     status, best, nodes = _cycle_search(n, adj, k - 1, k, max_nodes, deadline)

@@ -10,7 +10,7 @@ star/ring-versus-hypercube table never touches the exponential search engine.
 Star potentials on other systems are one largest reach-ball, often decided
 by a single BFS against a degree or component bound (see
 :func:`topocompat.graph.largest_ball`); the full pass otherwise honours the
-time budget.
+time budget, as does building the power graph for a ring potential.
 
 :func:`potential` makes every cell, for the CLI and the table alike, and is
 the one place that chooses between those closed forms (a ``hypercube:s``
@@ -128,13 +128,15 @@ def ring_potential_certificate(
     host is acyclic (no ring task of any order fits), as every system of
     order below 3 is.  Canonically labeled hypercubes skip the search: the
     Gray cycle is Hamiltonian in H_s and stays one in every power, so the
-    potential is the full order 2^s.
+    potential is the full order 2^s.  Building the power honours the
+    budget's time limit, and the search then takes a time limit of its own,
+    so the whole can run for up to about twice the limit.
     """
     _check_reach(reach)
     s = canonical_hypercube_dim(system)
     if s is not None and s >= 2:
         return system.order, gray_code_cycle(s)
-    return longest_cycle(graph_power(system, reach), budget)
+    return longest_cycle(graph_power(system, reach, budget.deadline()), budget)
 
 
 def ring_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:

@@ -1,4 +1,4 @@
-"""Exact embedding machinery: subgraph isomorphism, cycles, stars.
+"""Exact embedding machinery: subgraph isomorphism and cycles.
 
 An embedding is an injective, edge-preserving map of a task graph into a
 host graph (usually a reachability-transformed system graph).  Searches are
@@ -8,7 +8,7 @@ can never be mistaken for "impossible".
 
 The backtracking searches themselves live in ``topocompat._kernels`` with a
 compiled fast path; this module owns the contracts, budget handling, and the
-analytic shortcuts that need no search (stars reduce to a degree maximum).
+necessary conditions that prove absence without a search.
 
 Before any subgraph search, :func:`find_embedding` runs the O(n + m)
 necessary conditions in :data:`ABSENCE_CHECKS`; the first one that fails is a
@@ -33,23 +33,23 @@ host at several depths: the 31-vertex tree into H6 ran past 20M nodes that
 way, and is found in 38 nodes now.  The order changes only which branch is
 tried first, never what is explored, so answers stay exact.
 
-The cycle searches (:func:`longest_cycle`, :func:`embeddable_ring_orders`)
-relabel the host low degree first, ties to the smaller id, and map the
-witness back (:func:`_anchor_order`).  The kernels search each cycle from
-its smallest vertex, its anchor, so the low-degree vertices become anchors
-first.  A vertex of degree two fixes both of its cycle neighbours at once,
-and once its cycles have been searched it leaves the free set, which
-starves its neighbours and lets the kernels peel more of the reachable set.
-Relabelling is exact: under any total order every cycle has exactly one
-smallest vertex, so every cycle is still searched once.  On a regular host
-the order is the identity.  On the benchmark's G(60, 0.07) of seed 1, the
-longest cycle takes 181 nodes this way and runs past 500,000 without it.
+The cycle search, :func:`longest_cycle`, relabels the host low degree first,
+ties to the smaller id, and maps the witness back (:func:`_anchor_order`).
+The kernels search each cycle from its smallest vertex, its anchor, so the
+low-degree vertices become anchors first.  A vertex of degree two fixes both
+of its cycle neighbours at once, and once its cycles have been searched it
+leaves the free set, which starves its neighbours and lets the kernels peel
+more of the reachable set.  Relabelling is exact: under any total order every
+cycle has exactly one smallest vertex, so every cycle is still searched once.
+On a regular host the order is the identity.  On the benchmark's G(60, 0.07)
+of seed 1, the longest cycle takes 181 nodes this way and runs past 500,000
+without it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
@@ -61,8 +61,6 @@ __all__ = [
     "find_embedding",
     "verify_embedding",
     "longest_cycle",
-    "max_star_order",
-    "embeddable_ring_orders",
 ]
 
 
@@ -274,34 +272,3 @@ def longest_cycle(
     if status == _kernels.BUDGET_EXCEEDED:
         raise BudgetExceeded("longest-cycle search ran out of node or time budget")
     return length, tuple(order[v] for v in witness) if witness is not None else None
-
-
-def max_star_order(g: Graph) -> int:
-    """Largest p with K_{1,p-1} embeddable: one more than the max degree."""
-    return 1 + g.max_degree()
-
-
-def embeddable_ring_orders(
-    g: Graph, up_to: int, budget: SearchBudget = DEFAULT_BUDGET
-) -> Set[int]:
-    """Orders p in [3, up_to] for which the cycle C_p embeds in g.
-
-    Cycle lengths need not be contiguous, so each order gets its own exact
-    search, on the labels of :func:`_anchor_order`.  The node and time
-    budget is shared across the whole sweep.
-    """
-    if up_to > g.order:
-        raise InvalidParameter(f"up_to {up_to} exceeds graph order {g.order}")
-    kern = _kernels.kernels_for(g.order)
-    masks = _anchor_order(g)[1]
-    deadline = budget.deadline()
-    nodes_left = budget.max_nodes
-    found = set()
-    for p in range(3, up_to + 1):
-        status, _, nodes = kern.cycle_with_length(g.order, masks, p, nodes_left, deadline)
-        nodes_left -= nodes
-        if status == _kernels.BUDGET_EXCEEDED:
-            raise BudgetExceeded("ring-order sweep ran out of node or time budget")
-        if status == _kernels.FOUND:
-            found.add(p)
-    return found

@@ -44,7 +44,6 @@ __all__ = [
     "graph_power",
     "is_bipartite",
     "component_color_classes",
-    "ball_size",
     "largest_ball",
 ]
 
@@ -153,6 +152,8 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
 
     Duplicate pairs and reversed duplicates collapse to one edge.  Raises
     InvalidVertex for endpoints outside 0..n-1 and InvalidEdge for self-loops.
+    It repeats the ``Graph`` constructor and stays public only because the
+    benchmark's tracer (``perfbench/tracing.py``) imports it.
     """
     return Graph(n, edges)
 
@@ -188,7 +189,7 @@ def diameter(g: Graph) -> "int | float":
     return worst
 
 
-def graph_power(g: Graph, reach: int) -> Graph:
+def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph:
     """Reachability transform: connect every pair at distance 1..reach.
 
     The vertex set is unchanged.  reach=1 is the identity and returns the
@@ -201,20 +202,22 @@ def graph_power(g: Graph, reach: int) -> Graph:
     masks would take n^2/8 bytes.  The result is the same either way.  A
     power with more than ``_POWER_MAX_EDGES`` edges raises InvalidParameter:
     the mask path counts them by popcount before any row is made, the BFS
-    path as each row is made.
+    path as each row is made.  Each mask round or BFS checks the optional
+    monotonic ``deadline`` and raises BudgetExceeded past it.
     """
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
     if reach == 1:
         return g
     if g.order <= _BALL_MASK_MAX_ORDER:
-        balls = _ball_masks(g, reach)
+        balls = _ball_masks(g, reach, deadline, "reachability transform")
         # below the cap at the default orders (K_4096 has 8,386,560 edges),
         # but it keeps the cap true whichever constant moves
         _check_power_entries(sum(b.bit_count() for b in balls) - g.order, reach)
         return Graph._from_neighbors(_rows_of(balls))
     rows, entries = [], 0
     for s in range(g.order):
+        _check_deadline(deadline, "reachability transform")
         ball = _bfs_levels(g, s, cutoff=reach)
         entries += len(ball) - 1
         _check_power_entries(entries, reach)
@@ -230,24 +233,26 @@ def _check_power_entries(entries: int, reach: int) -> None:
                                f"edges, the cap (the edges of H_20)")
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
+def _check_deadline(deadline: Optional[float], what: str) -> None:
+    """Raise BudgetExceeded naming the pass ``what`` once past ``deadline``."""
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded("largest-ball pass ran out of time budget")
+        raise BudgetExceeded(f"{what} ran out of time budget")
 
 
-def _ball_masks(g: Graph, reach: int, deadline: Optional[float] = None) -> List[int]:
+def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> List[int]:
     """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
 
     Round d sets ball_d(v) = ball_{d-1}(v) | OR of ball_{d-1}(u) over u ~ v,
     reading only the previous round's list, so at most two rounds of masks
     are alive at once.  A round that changes nothing leaves every ball a
     whole component, so later rounds are skipped.  Each round first checks
-    the optional monotonic ``deadline`` and raises BudgetExceeded past it.
+    the optional monotonic ``deadline`` and raises BudgetExceeded, naming the
+    pass ``what``, past it.
     """
     nbrs = g._neighbors
     balls = [1 << v for v in range(g.order)]
     for _ in range(reach):
-        _check_deadline(deadline)
+        _check_deadline(deadline, what)
         prev, get = balls, balls.__getitem__
         balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
         if balls == prev:
@@ -308,14 +313,6 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
 def is_bipartite(g: Graph) -> bool:
     """True iff the graph has no odd cycle (BFS 2-coloring, per component)."""
     return all(classes is not None for _, classes in component_color_classes(g))
-
-
-def ball_size(g: Graph, center: int, reach: int) -> int:
-    """Number of vertices within distance reach of center, center included."""
-    g._check_vertex(center)
-    if reach < 0:
-        raise InvalidReachability(f"reachability must be >= 0, got {reach}")
-    return len(_bfs_levels(g, center, cutoff=reach))
 
 
 def largest_ball(
@@ -407,11 +404,11 @@ def _largest_ball_pass(
 ) -> Tuple[int, Tuple[int, ...]]:
     """:func:`largest_ball` from every ball's size, with no bound."""
     if g.order <= _BALL_MASK_MAX_ORDER:
-        sizes = [b.bit_count() for b in _ball_masks(g, reach, deadline)]
+        sizes = [b.bit_count() for b in _ball_masks(g, reach, deadline, "largest-ball pass")]
     else:
         sizes = []
         for s in range(g.order):
-            _check_deadline(deadline)
+            _check_deadline(deadline, "largest-ball pass")
             sizes.append(len(_bfs_levels(g, s, cutoff=reach)))
     center = sizes.index(max(sizes))
     return center, tuple(sorted(v for v in _bfs_levels(g, center, cutoff=reach) if v != center))

@@ -146,6 +146,12 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=5 c=0.0781\n"
 
+    def test_time_limit_stops_the_ring_transform(self, capsys):
+        code = run(["potential", "--task", "ring", "--system", "ring:64", "--reach", "2",
+                    "--time-limit", "0.000001"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: reachability transform ran out of time budget\n")
+
 
 class TestOneCellWhateverTheRoute:
     """``potential`` gives one answer per system, whatever route picks it."""

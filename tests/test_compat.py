@@ -30,6 +30,7 @@ from topocompat.compat import (
     potential,
     render_csv,
     render_markdown,
+    ring_potential_certificate,
     round_half_up,
     star_potential_certificate,
 )
@@ -200,6 +201,26 @@ class TestStarPotentialBudget:
     def test_bound_decided_needs_no_time(self):
         assert star_potential(ring(64), 2, self.TINY) == 5
         assert star_potential_certificate(ring(64), 2, self.TINY) == (5, (0, (1, 2, 62, 63)))
+
+
+class TestRingPotentialBudget:
+    TINY = SearchBudget(time_limit=1e-9)
+
+    @pytest.mark.parametrize("mask_order", [4096, 0])
+    def test_transform_raises_past_the_deadline_on_both_paths(self, mask_order, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", mask_order)
+        g = chord_ring(64)
+        assert ring_potential(g, 2) == 64
+        with pytest.raises(BudgetExceeded, match="^reachability transform ran out of time budget$"):
+            ring_potential_certificate(g, 2, self.TINY)
+
+    def test_reach_one_transform_takes_no_deadline(self):
+        import time
+
+        g = chord_ring(64)
+        assert graph_power(g, 1, time.monotonic() - 1) is g
+        # the search decides in 64 nodes, before its first deadline check
+        assert ring_potential_certificate(g, 1, self.TINY)[0] == 64
 
 
 class TestRingPotential:

@@ -1,8 +1,9 @@
 """Longest cycles and ring orders against brute force, on both kernel backends.
 
-``embedding.longest_cycle`` and ``embeddable_ring_orders`` relabel the host
-low degree first and run the peeling cycle search; the brute-force oracle
-tries every vertex sequence.  They are compared on every labelled graph of
+``embedding.longest_cycle`` relabels the host low degree first and runs the
+peeling cycle search; the kernel entry ``cycle_with_length`` is run on the
+same labels for every ring order.  The brute-force oracle tries every vertex
+sequence.  They are compared on every labelled graph of
 order <= 5 and on seeded random graphs of orders 6-10, disconnected ones
 included.
 """
@@ -13,8 +14,9 @@ from itertools import combinations
 
 import pytest
 
-from topocompat import _kernels, embeddable_ring_orders, from_edge_list, longest_cycle
-from topocompat._kernels import pykernels
+from topocompat import _kernels, from_edge_list, longest_cycle
+from topocompat._kernels import FOUND, pykernels
+from topocompat.embedding import _anchor_order
 from oracles import brute_force_cycle_orders, is_valid_cycle, random_graph
 
 # (order, graphs of that order): few at 9-10, where the oracle takes ~0.5 s a graph
@@ -49,9 +51,10 @@ def _cases():
 
 @pytest.fixture(params=("pure", "compiled"))
 def backend(request, monkeypatch):
-    """Route every search through one backend."""
+    """Route every search through one backend, and return it."""
     kern = request.getfixturevalue("ckernels") if request.param == "compiled" else pykernels
     monkeypatch.setattr(_kernels, "kernels_for", lambda order: kern)
+    return kern
 
 
 def test_case_mix():
@@ -73,4 +76,7 @@ def test_longest_cycle_matches_brute_force(backend):
 
 def test_ring_orders_match_brute_force(backend):
     for g, orders in _cases():
-        assert embeddable_ring_orders(g, g.order) == orders, g.sorted_edges()
+        masks = _anchor_order(g)[1]
+        found = {p for p in range(3, g.order + 1)
+                 if backend.cycle_with_length(g.order, masks, p, 10**8, 0.0)[0] == FOUND}
+        assert found == orders, g.sorted_edges()

@@ -11,16 +11,15 @@ from topocompat import (
     InvalidParameter,
     SearchBudget,
     complete,
-    embeddable_ring_orders,
     find_embedding,
     from_edge_list,
     graph_power,
     hypercube,
     is_bipartite,
     longest_cycle,
-    max_star_order,
     ring,
     star,
+    star_potential,
     verify_embedding,
 )
 from topocompat._kernels import EXHAUSTED, FOUND, pykernels
@@ -236,41 +235,36 @@ class TestLongestCycle:
             assert order == list(range(g.order)) and masks == g.adjacency_masks()
 
 
-class TestMaxStarOrder:
+class TestStarPotentialAtReachOne:
     def test_complete_four(self):
-        assert max_star_order(complete(4)) == 4
+        assert star_potential(complete(4), 1) == 4
 
     def test_squared_hypercube_five(self):
-        assert max_star_order(graph_power(hypercube(5), 2)) == 16
+        assert star_potential(graph_power(hypercube(5), 2), 1) == 16
 
     def test_ring(self):
-        assert max_star_order(ring(8)) == 3
+        assert star_potential(ring(8), 1) == 3
 
     def test_edgeless(self):
-        assert max_star_order(from_edge_list(3, [])) == 1
+        assert star_potential(from_edge_list(3, []), 1) == 1
 
 
-class TestEmbeddableRingOrders:
+def _ring_orders(host, up_to):
+    """Orders p in 3..up_to for which the ring C_p embeds in host."""
+    return {p for p in range(3, up_to + 1) if find_embedding(ring(p), host) is not None}
+
+
+class TestRingOrders:
     def test_hypercube_three_even_orders_only(self):
-        assert embeddable_ring_orders(hypercube(3), 8) == {4, 6, 8}
+        assert _ring_orders(hypercube(3), 8) == {4, 6, 8}
 
     def test_complete_four(self):
-        assert embeddable_ring_orders(graph_power(hypercube(2), 2), 4) == {3, 4}
+        assert _ring_orders(graph_power(hypercube(2), 2), 4) == {3, 4}
 
     def test_squared_hypercube_three(self):
         # frozen golden value, confirmed by exhaustive sequence enumeration
         host = graph_power(hypercube(3), 2)
-        assert embeddable_ring_orders(host, 8) == {3, 4, 5, 6, 7, 8}
-
-    def test_up_to_beyond_order_rejected(self):
-        from topocompat import InvalidParameter
-
-        with pytest.raises(InvalidParameter):
-            embeddable_ring_orders(ring(5), 6)
-
-    def test_budget_shared_across_sweep(self):
-        with pytest.raises(BudgetExceeded):
-            embeddable_ring_orders(hypercube(4), 16, SearchBudget(max_nodes=20))
+        assert _ring_orders(host, 8) == {3, 4, 5, 6, 7, 8}
 
 
 class TestAgainstBruteForce:

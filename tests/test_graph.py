@@ -11,7 +11,6 @@ from topocompat import (
     InvalidParameter,
     InvalidReachability,
     InvalidVertex,
-    ball_size,
     complete,
     diameter,
     from_edge_list,
@@ -384,20 +383,23 @@ class TestBipartite:
         assert component_color_classes(g) == [(4, (3, 1)), (3, None), (6, (3, 3)), (1, (1, 0))]
 
 
+def _ball_order(g, center, reach):
+    return len(graph._bfs_levels(g, center, cutoff=reach))
+
+
 class TestBallSize:
     def test_hypercube_five_radius_two(self):
         g = hypercube(5)
-        assert all(ball_size(g, v, 2) == 16 for v in range(g.order))
+        assert all(_ball_order(g, v, 2) == 16 for v in range(g.order))
+        assert star_potential(g, 2) == 16
 
     def test_radius_zero(self):
-        assert ball_size(ring(6), 3, 0) == 1
+        assert _ball_order(ring(6), 3, 0) == 1
+        assert largest_ball(ring(6), 0) == (0, ())
 
     def test_long_ring(self):
-        assert ball_size(ring(8), 5, 2) == 5
-
-    def test_center_out_of_range(self):
-        with pytest.raises(InvalidVertex):
-            ball_size(ring(4), 4, 1)
+        assert _ball_order(ring(8), 5, 2) == 5
+        assert star_potential(ring(8), 2) == 5
 
     @pytest.mark.parametrize("label,g", generated_topologies(32))
     def test_ball_is_one_plus_power_degree(self, label, g):
@@ -406,4 +408,4 @@ class TestBallSize:
         for reach in (1, 2, 3):
             power = graph_power(g, reach)
             for v in range(g.order):
-                assert ball_size(g, v, reach) == 1 + power.degree(v)
+                assert _ball_order(g, v, reach) == 1 + power.degree(v)
