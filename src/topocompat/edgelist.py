@@ -5,18 +5,21 @@ Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
 anywhere; blank lines are ignored.  Duplicate and reversed edges collapse on
 read, and orders above 2^20 (the largest the package generates) are refused.
 The writer emits each edge once as ``u v`` with u < v, sorted
-lexicographically, so equal graphs serialize identically.
+lexicographically, so equal graphs serialize identically.  It takes each
+vertex's upper neighbors from ``Graph._upper_rows``, which reads the
+adjacency masks when the graph holds only those (a power on the mask path of
+``graph.graph_power``), decoding the bits above each vertex and no others,
+and the neighbor tuples otherwise; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from bisect import bisect_right
 from typing import TextIO, Union
 
 from .errors import EdgeListFormatError
-from .graph import Graph, from_edge_list
+from .graph import Graph
 from .topologies import MAX_HYPERCUBE_DIM
 
 __all__ = [
@@ -70,7 +73,7 @@ def read_edge_list(stream: TextIO) -> Graph:
             raise EdgeListFormatError(f"line {lineno}: more than {m} edge lines")
     if len(edges) < m:
         raise EdgeListFormatError(f"expected {m} edge lines, found {len(edges)}")
-    return from_edge_list(n, edges)
+    return Graph(n, edges)
 
 
 def write_edge_list(g: Graph, stream: TextIO) -> None:
@@ -78,12 +81,10 @@ def write_edge_list(g: Graph, stream: TextIO) -> None:
     stream.write(f"{g.order} {g.num_edges}\n")
     # the lines of sorted_edges(), one string per vertex: its neighbors above it
     names = [str(v) for v in range(g.order)]
-    for u in range(g.order):
-        nbrs = g.neighbors(u)
-        start = bisect_right(nbrs, u)
-        if start < len(nbrs):
+    for u, upper in enumerate(g._upper_rows(names)):
+        if upper:
             head = names[u] + " "
-            stream.write(head + ("\n" + head).join(map(names.__getitem__, nbrs[start:])) + "\n")
+            stream.write(head + ("\n" + head).join(upper) + "\n")
 
 
 def loads(text: str) -> Graph:

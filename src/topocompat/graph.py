@@ -1,21 +1,28 @@
 """Immutable simple undirected graphs with distance machinery.
 
 Vertices are the integers 0..n-1.  Graphs are simple (no self-loops, no
-parallel edges) and never mutated after construction, so instances can be
-shared freely across threads.
+parallel edges), and their edges never change after construction, so
+instances can be shared freely across threads.
 
-Adjacency is stored once, as a sorted neighbor tuple per vertex; edges,
-lookups, equality and hashing derive from it, and per-vertex bitmasks
-(arbitrary-width ints) are built lazily for the search kernels.
+Adjacency is one set of neighbor relations with two views: a sorted
+neighbor tuple per vertex, and a bitmask per vertex (arbitrary-width ints)
+for the search kernels.  A graph built from edges holds the tuples and makes
+the masks on first use; a power on the mask path holds the masks and decodes
+the tuples (:func:`_rows_of`) only when something first reads a row.
+Lookups, equality and hashing read the tuples; the edge count and the sorted
+edges read whichever view is there.
 
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
-Each vertex's ball minus the vertex becomes its neighbor tuple directly, with
-no edge list.  Up to order 4096 all balls are grown at once as bitmasks, one
-round per unit of reach, and each row is read off its mask in ascending order;
-above it every vertex gets its own BFS, because all masks at once would take
-n^2/8 bytes (512 MB at order 65536), which loses to the BFS on sparse graphs.
-A power with more edges than H_20 is refused as its rows are counted.
+Up to order 4096 all balls are grown at once as bitmasks, one round per unit
+of reach, and each ball minus its centre becomes the vertex's adjacency mask
+as it is: writing the power (``edgelist.write_edge_list``) makes no tuple,
+and the search kernels get the masks with no re-encode.  Above it every
+vertex gets its own BFS and its ball minus the vertex becomes its neighbor
+tuple, because all masks at once would take n^2/8 bytes (512 MB at order
+65536), which loses to the BFS on sparse graphs.  A power with more edges
+than H_20 is refused: on the mask path by popcount, on the BFS path first by
+a lower bound from the component orders and then as its rows are counted.
 
 :func:`largest_ball` (the star potential) brackets first: no ball is larger
 than the Moore bound of the maximum degree, nor than the largest component,
@@ -29,11 +36,11 @@ from __future__ import annotations
 import math
 import re
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
 from operator import or_
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
@@ -59,7 +66,7 @@ _POWER_MAX_EDGES = 20 << 19
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("_n", "_neighbors", "_masks")
+    __slots__ = ("_n", "_rows", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 1:
@@ -75,15 +82,33 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._n = n
-        self._neighbors = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
+        self._rows = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
         self._masks: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def _from_neighbors(cls, neighbors: Tuple[Tuple[int, ...], ...]) -> "Graph":
         """Wrap already valid adjacency: sorted, symmetric, loop-free tuples."""
         g = cls.__new__(cls)
-        g._n, g._neighbors, g._masks = len(neighbors), neighbors, None
+        g._n, g._rows, g._masks = len(neighbors), neighbors, None
         return g
+
+    @classmethod
+    def _from_masks(cls, masks: Tuple[int, ...]) -> "Graph":
+        """Wrap already valid adjacency masks: symmetric, no bit v in mask v."""
+        g = cls.__new__(cls)
+        g._n, g._rows, g._masks = len(masks), None, masks
+        return g
+
+    @property
+    def _neighbors(self) -> Tuple[Tuple[int, ...], ...]:
+        """The neighbor tuples, decoded from the masks on first use.
+
+        Filling is idempotent (every thread decodes the same tuples), so a
+        shared graph needs no lock.
+        """
+        if self._rows is None:
+            self._rows = _rows_of(self._masks)
+        return self._rows
 
     @property
     def order(self) -> int:
@@ -96,7 +121,9 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(map(len, self._neighbors)) // 2
+        if self._rows is None:
+            return sum(mask.bit_count() for mask in self._masks) // 2
+        return sum(map(len, self._rows)) // 2
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         self._check_vertex(v)
@@ -119,17 +146,33 @@ class Graph:
     def adjacency_masks(self) -> Tuple[int, ...]:
         """Per-vertex neighbor bitmasks (bit v of mask u set iff u ~ v).
 
-        Built on first use and cached; the arbitrary-width Python ints work
-        for any order, and fit machine words for n <= 64 where the compiled
-        search kernels apply.
+        Built from the neighbor tuples on first use and cached, unless the
+        graph holds them already (a power on the mask path); the
+        arbitrary-width Python ints work for any order, and fit machine words
+        for n <= 64 where the compiled search kernels apply.
         """
         if self._masks is None:
-            self._masks = tuple(sum(1 << v for v in nbrs) for nbrs in self._neighbors)
+            self._masks = tuple(sum(1 << v for v in nbrs) for nbrs in self._rows)
         return self._masks
 
     def sorted_edges(self) -> list:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u, nbrs in enumerate(self._neighbors) for v in nbrs if v > u]
+        return [(u, v) for u, upper in enumerate(self._upper_rows(range(self._n))) for v in upper]
+
+    def _upper_rows(self, labels: Sequence) -> Iterator[list]:
+        """Per vertex u in turn, ``labels[v]`` for each neighbor v > u, ascending.
+
+        A graph held only as masks reads u's off ``mask >> (u + 1)``, whose
+        reversed binary string has bit i at character i, so half the bits are
+        decoded and no tuple is made; otherwise u's tuple is sliced.
+        """
+        if self._rows is None:
+            ones = re.compile("1").finditer
+            for u, mask in enumerate(self._masks):
+                yield [labels[u + 1 + m.start()] for m in ones(bin(mask >> (u + 1))[:1:-1])]
+        else:
+            for u, nbrs in enumerate(self._rows):
+                yield list(map(labels.__getitem__, nbrs[bisect_right(nbrs, u):]))
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._n):
@@ -152,8 +195,9 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
 
     Duplicate pairs and reversed duplicates collapse to one edge.  Raises
     InvalidVertex for endpoints outside 0..n-1 and InvalidEdge for self-loops.
-    It repeats the ``Graph`` constructor and stays public only because the
-    benchmark's tracer (``perfbench/tracing.py``) imports it.
+    It repeats the ``Graph`` constructor, which the package itself calls;
+    it stays public only for the benchmark's tracer
+    (``perfbench/tracing.py``), the scripts in ``benchmarks/`` and the tests.
     """
     return Graph(n, edges)
 
@@ -197,13 +241,17 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     transform has no use downstream and would leak degenerate cases into the
     embedding engine.
 
-    Up to order 4096 the rows come from bitmask balls grown all at once
-    (:func:`_ball_masks`); above it, from one BFS per vertex, because all the
-    masks would take n^2/8 bytes.  The result is the same either way.  A
-    power with more than ``_POWER_MAX_EDGES`` edges raises InvalidParameter:
-    the mask path counts them by popcount before any row is made, the BFS
-    path as each row is made.  Each mask round or BFS checks the optional
-    monotonic ``deadline`` and raises BudgetExceeded past it.
+    Up to order 4096 every ball is grown at once as a bitmask
+    (:func:`_ball_masks`), and each ball with its centre bit cleared is the
+    power's adjacency mask for that vertex: the result holds those masks and
+    makes no neighbor tuple until one is read.  Above it each row comes from
+    one BFS per vertex, because all the masks would take n^2/8 bytes.  The
+    result is the same either way.  A power with more than
+    ``_POWER_MAX_EDGES`` edges raises InvalidParameter: the mask path counts
+    them by popcount before any mask is handed on; the BFS path first checks
+    :func:`_power_entries_floor`, before any BFS, then counts as each row is
+    made.  Each mask round or BFS checks the optional monotonic ``deadline``
+    and raises BudgetExceeded past it.
     """
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
@@ -214,7 +262,10 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
         # below the cap at the default orders (K_4096 has 8,386,560 edges),
         # but it keeps the cap true whichever constant moves
         _check_power_entries(sum(b.bit_count() for b in balls) - g.order, reach)
-        return Graph._from_neighbors(_rows_of(balls))
+        for v in range(g.order):  # in place, so old and new masks are not all alive at once
+            balls[v] ^= 1 << v
+        return Graph._from_masks(tuple(balls))
+    _check_power_entries(_power_entries_floor(g, reach), reach)
     rows, entries = [], 0
     for s in range(g.order):
         _check_deadline(deadline, "reachability transform")
@@ -224,6 +275,23 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
         # a ball minus its center is exactly the vertices at distance 1..reach
         rows.append(tuple(sorted(v for v in ball if v != s)))
     return Graph._from_neighbors(tuple(rows))
+
+
+def _power_entries_floor(g: Graph, reach: int) -> int:
+    """A lower bound on the row entries (twice the edges) of g's reach-th
+    power, in O(n + m): the sum over components of order c of
+    c * (min(c, reach + 1) - 1).
+
+    Proof: let v lie in a component of order c, at eccentricity e <= c - 1.
+    BFS layers 0..e from v are all non-empty, so v's ball of radius reach
+    holds at least reach + 1 vertices when reach < e, and the whole
+    component when reach >= e: at least min(c, reach + 1) either way.  v's
+    row in the power is its ball minus v.  The bound is exact when no
+    component has more than reach + 1 vertices, since every ball is then its
+    whole component, and loose otherwise: a ring's rows hold 2 * reach
+    entries against reach, and the squared H_s's s(s + 1)/2 against 2.
+    """
+    return sum(c * (min(c, reach + 1) - 1) for c, _ in component_color_classes(g))
 
 
 def _check_power_entries(entries: int, reach: int) -> None:
@@ -260,23 +328,16 @@ def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> L
     return balls
 
 
-def _rows_of(balls: List[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Neighbor tuples of the power graph, emptying ``balls`` as it goes.
+def _rows_of(masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Neighbor tuples of a graph held as adjacency masks, decoded on demand.
 
     Character i of the reversed binary string is bit i, so its ``1``s come
     out in ascending order and each row is sorted without a sort.  Every row
-    indexes one shared tuple of vertex ids instead of allocating fresh ints,
-    and each ball is dropped as soon as its row is out, so peak memory stays
-    near one set of masks.
+    indexes one shared tuple of vertex ids instead of allocating fresh ints.
     """
-    ids = tuple(range(len(balls)))
+    ids = tuple(range(len(masks)))
     ones = re.compile("1").finditer
-    rows = []
-    for v in range(len(balls)):
-        bits = bin(balls[v] ^ (1 << v))[:1:-1]
-        balls[v] = None
-        rows.append(tuple([ids[m.start()] for m in ones(bits)]))
-    return tuple(rows)
+    return tuple([tuple([ids[m.start()] for m in ones(bin(mask)[:1:-1])]) for mask in masks])
 
 
 def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
@@ -287,6 +348,7 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
     cycle.  A connected component's 2-coloring is unique up to swapping the
     two classes, so the sorted pair is well defined.
     """
+    nbrs = g._neighbors
     color = [-1] * g.order
     out = []
     for root in range(g.order):
@@ -298,7 +360,7 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in g._neighbors[u]:
+            for w in nbrs[u]:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
                     counts[color[w]] += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from topocompat import Graph, gray_code_cycle, graph_power, hypercube, parse_topology_spec
-from topocompat import cli, compat
+from topocompat import cli, compat, graph
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
 from oracles import chord_ring
@@ -202,29 +202,44 @@ class TestOneCellWhateverTheRoute:
                             "--reach", reach]) == 0
                 assert capsys.readouterr().out == f"p={fields['p']} c={fields['c']}\n"
 
+    @pytest.fixture
+    def graphs_built(self, monkeypatch):
+        """Names of the Graph constructors called from here on, one per graph:
+        ``__init__`` and every alternative constructor, which are the
+        classmethods (``_from_neighbors``, ``_from_masks``)."""
+        built = []
+
+        def counting(name, make):
+            def wrapper(*args):
+                built.append(name)
+                return make(*args)
+            return wrapper
+
+        init = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__", counting("__init__", init))
+        for name, attr in list(vars(Graph).items()):
+            if isinstance(attr, classmethod):
+                monkeypatch.setattr(Graph, name, classmethod(counting(name, attr.__func__)))
+        return built
+
     @pytest.mark.parametrize("argv", [
         ["potential", "--task", "star", "--system", "hypercube:20", "--reach", "5"],
         ["potential", "--task", "ring", "--system", "hypercube:20", "--reach", "1", "--witness"],
         ["table", "--task", "star", "--s", "1..20", "--reach", "1..20"],
         ["table", "--task", "ring", "--s", "1..20", "--reach", "1..20"],
     ])
-    def test_closed_forms_build_no_graph(self, argv, capsys, monkeypatch):
-        built = []
-        init, from_neighbors = Graph.__init__, Graph._from_neighbors.__func__
-
-        def counting_init(self, n, edges):
-            built.append(n)
-            init(self, n, edges)
-
-        def counting_from_neighbors(cls, neighbors):
-            built.append(len(neighbors))
-            return from_neighbors(cls, neighbors)
-
-        monkeypatch.setattr(Graph, "__init__", counting_init)
-        monkeypatch.setattr(Graph, "_from_neighbors", classmethod(counting_from_neighbors))
+    def test_closed_forms_build_no_graph(self, argv, capsys, graphs_built):
         assert run(argv) == 0
         assert capsys.readouterr().out
-        assert built == []
+        assert graphs_built == []
+
+    @pytest.mark.parametrize("cap,constructor", [(4096, "_from_masks"), (0, "_from_neighbors")])
+    def test_the_count_sees_every_constructor(self, cap, constructor, capsys, graphs_built,
+                                              monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", cap)
+        assert run(["power", "ring:8", "--reach", "2"]) == 0
+        assert capsys.readouterr().out.startswith("8 16\n")
+        assert graphs_built == ["__init__", constructor]
 
 
 class TestTableCommand:

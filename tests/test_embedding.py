@@ -22,9 +22,10 @@ from topocompat import (
     star_potential,
     verify_embedding,
 )
+from topocompat import graph
 from topocompat._kernels import EXHAUSTED, FOUND, pykernels
 from topocompat.embedding import ABSENCE_CHECKS, _anchor_order
-from oracles import brute_force_embeds, is_valid_cycle, random_graph
+from oracles import brute_force_cycle_orders, brute_force_embeds, is_valid_cycle, random_graph
 
 
 def _disjoint_union(a, b):
@@ -312,6 +313,45 @@ class TestAgainstBruteForce:
                     assert hi is not None
 
 
+class TestOnPowers:
+    """Searches on a fresh power, held as masks up to the transform cap and as
+    tuples above it, agree with brute force on the same power."""
+
+    @pytest.fixture(autouse=True, params=["masks", "bfs"])
+    def _path(self, request, monkeypatch):
+        if request.param == "bfs":
+            monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+
+    @staticmethod
+    def _systems():
+        rng = random.Random(0x90E5)
+        systems = [random_graph(rng, rng.randint(2, 7), rng.choice((0.2, 0.35, 0.5)))
+                   for _ in range(16)]
+        return systems + [_disjoint_union(ring(3), from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))]
+
+    def test_find_embedding_matches_brute_force(self):
+        for system in self._systems():
+            n = system.order
+            tasks = [ring(p) for p in range(3, n + 1)] + [star(p) for p in range(2, n + 1)]
+            for reach in range(1, 5):
+                found = [find_embedding(task, graph_power(system, reach)) for task in tasks]
+                host = graph_power(system, reach)
+                for task, emb in zip(tasks, found):
+                    assert (emb is not None) == brute_force_embeds(task, host)
+                    assert emb is None or verify_embedding(task, host, emb)
+
+    def test_longest_cycle_matches_brute_force(self):
+        for system in self._systems():
+            for reach in range(1, 5):
+                length, witness = longest_cycle(graph_power(system, reach))
+                host = graph_power(system, reach)
+                assert length == max(brute_force_cycle_orders(host, host.order), default=0)
+                if length:
+                    assert len(witness) == length and is_valid_cycle(host, witness)
+                else:
+                    assert witness is None
+
+
 class TestLongChains:
     """Long rings, where a search that redoes reachability per node is quadratic.
 
@@ -348,6 +388,19 @@ def test_concurrent_searches_on_shared_graphs():
     host = graph_power(hypercube(3), 2)
     tasks = [ring(p) for p in range(3, 9)] + [star(p) for p in range(2, 9)]
     expected = [find_embedding(t, host) is not None for t in tasks]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda t: find_embedding(t, host) is not None, tasks * 4))
+    assert results == expected * 4
+
+
+def test_concurrent_searches_on_a_fresh_power():
+    # the pool's threads are the first to read the power's rows, which a
+    # mask-held power decodes on demand
+    from concurrent.futures import ThreadPoolExecutor
+
+    tasks = [ring(p) for p in range(3, 9)] + [star(p) for p in range(2, 9)]
+    expected = [find_embedding(t, graph_power(hypercube(3), 2)) is not None for t in tasks]
+    host = graph_power(hypercube(3), 2)
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda t: find_embedding(t, host) is not None, tasks * 4))
     assert results == expected * 4

@@ -22,6 +22,7 @@ from topocompat import (
     star_potential,
 )
 from topocompat import graph
+from topocompat.edgelist import dumps
 from topocompat.graph import component_color_classes, largest_ball
 from oracles import (
     all_pairs_distances,
@@ -167,6 +168,21 @@ class TestGraphPower:
         assert graph_power(g, 3).edges == {(0, 1), (2, 3)}
 
 
+def _power_views(power):
+    """What a graph answers, by name; each is read only when called."""
+    n = power.order
+    return {
+        "num_edges": lambda: power.num_edges,
+        "adjacency_masks": power.adjacency_masks,
+        "dumps": lambda: dumps(power),
+        "sorted_edges": power.sorted_edges,
+        "hash": lambda: hash(power),
+        "neighbors": lambda: [power.neighbors(v) for v in range(n)],
+        "degree": lambda: [power.degree(v) for v in range(n)],
+        "has_edge": lambda: [power.has_edge(u, v) for u in range(n) for v in range(n)],
+    }
+
+
 class TestGraphPowerAgainstReference:
     def test_samples_cover_disconnected_and_isolated(self):
         assert sum(diameter(g) == math.inf for g in POWER_SAMPLES) >= 10
@@ -186,16 +202,19 @@ class TestGraphPowerAgainstReference:
 
     @pytest.mark.parametrize("g", POWER_SAMPLES)
     def test_same_content_either_constructor(self, g):
-        # graph_power wraps its tuples directly; Graph(n, edges) validates and sorts
+        # graph_power wraps its masks or tuples directly; Graph(n, edges) validates
+        # and sorts.  Each view is asked of a fresh power, so that it is read first.
         for reach in range(1, g.order + 1):
-            power = graph_power(g, reach)
             built = Graph(g.order, sorted(power_reference(g, reach), reverse=True))
-            assert power == built
-            assert hash(power) == hash(built)
-            assert power.edges == built.edges
-            assert power.sorted_edges() == built.sorted_edges()
-            assert all(power.neighbors(v) == built.neighbors(v) for v in range(g.order))
-            assert power.adjacency_masks() == built.adjacency_masks()
+            for name, view in _power_views(built).items():
+                assert _power_views(graph_power(g, reach))[name]() == view(), name
+            assert graph_power(g, reach) == built and built == graph_power(g, reach)
+            assert graph_power(g, reach).edges == built.edges
+
+    def test_power_holds_masks_up_to_the_cap(self):
+        power = graph_power(ring(10), 2)
+        held = graph._BALL_MASK_MAX_ORDER >= 10
+        assert (power._rows is None) is held and (power._masks is not None) is held
 
     @pytest.mark.parametrize("g", POWER_SAMPLES)
     def test_largest_ball_is_one_plus_power_degree(self, g):
@@ -210,6 +229,36 @@ class TestGraphPowerAgainstReference:
             power = graph_power(g, reach)
             center = max(range(power.order), key=power.degree)
             assert largest_ball(g, reach) == (center, power.neighbors(center))
+
+
+class TestMaskHeldPowerIsNotDecoded:
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        def refuse(masks):
+            raise AssertionError("rows made")
+
+        monkeypatch.setattr(graph, "_rows_of", refuse)
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_power_is_written_from_its_masks(self, g, no_rows):
+        for reach in range(2, 5):
+            expected = Graph(g.order, power_reference(g, reach))
+            power = graph_power(g, reach)
+            assert dumps(power) == dumps(expected)
+            assert power.num_edges == expected.num_edges
+            assert power.sorted_edges() == expected.sorted_edges()
+            assert power.adjacency_masks() == expected.adjacency_masks()
+
+    @pytest.mark.parametrize("g,reach,edges", [
+        (hypercube(12), 3, 4096 * (12 + 66 + 220) // 2), (ring(4096), 64, 4096 * 64),
+        (chord_ring(4096), 2, 4096 * 2 + 5),
+    ])
+    def test_largest_mask_path_powers(self, g, reach, edges, no_rows):
+        assert g.order == graph._BALL_MASK_MAX_ORDER
+        power = graph_power(g, reach)
+        lines = dumps(power).splitlines()
+        assert lines[0] == f"{g.order} {edges}" and len(lines) == 1 + edges
+        assert lines[1].startswith("0 1") and lines[-1] == f"{g.order - 2} {g.order - 1}"
 
 
 class TestGraphPowerAgainstReferenceAboveCap(TestGraphPowerAgainstReference):
@@ -353,6 +402,58 @@ class TestPowerEdgeCap:
             graph_power(ring(10), 3)
         # rows of 6 entries pass 2 * 20 at the seventh row
         assert calls == list(range(7))
+
+
+def _counting_bfs(monkeypatch):
+    """Record the source of every ``_bfs_levels`` call from here on."""
+    calls = []
+    bfs_levels = graph._bfs_levels
+
+    def counting(g, source, cutoff=None):
+        calls.append(source)
+        return bfs_levels(g, source, cutoff)
+
+    monkeypatch.setattr(graph, "_bfs_levels", counting)
+    return calls
+
+
+class TestPowerEntriesFloor:
+    """The BFS path refuses an oversized power before any BFS."""
+
+    def test_refused_before_any_bfs(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 20)
+        calls = _counting_bfs(monkeypatch)
+        # 10 rows of at least min(10, 6) - 1 = 5 entries: 50 > 2 * 20
+        with pytest.raises(InvalidParameter, match="^the reach-5 transform has more than 20 edges"):
+            graph_power(ring(10), 5)
+        assert calls == []
+
+    def test_at_the_cap_the_rows_are_counted(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 20)
+        calls = _counting_bfs(monkeypatch)
+        assert graph._power_entries_floor(ring(10), 4) == 40
+        with pytest.raises(InvalidParameter, match="^the reach-4 transform has more than 20 edges"):
+            graph_power(ring(10), 4)
+        # rows of 8 entries pass 2 * 20 at the sixth row
+        assert calls == list(range(6))
+
+    def test_long_ring_at_half_reach(self, monkeypatch):
+        calls = _counting_bfs(monkeypatch)
+        with pytest.raises(InvalidParameter, match="^the reach-32768 transform has more than "):
+            graph_power(ring(65536), 32768)
+        assert calls == []
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES)
+    def test_never_above_the_entries(self, g):
+        largest = max(c for c, _ in component_color_classes(g))
+        for reach in range(1, 5):
+            floor = graph._power_entries_floor(g, reach)
+            entries = 2 * graph_power(g, reach).num_edges
+            assert floor <= entries
+            if largest <= reach + 1:  # every ball is its whole component
+                assert floor == entries
 
 
 class TestBipartite:
