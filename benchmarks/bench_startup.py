@@ -1,0 +1,101 @@
+"""Start-up cost of a topo-compat process, and the modules each command loads.
+
+    python benchmarks/bench_startup.py [--rounds N] [--src PATH]
+
+Each query is one process, so its start-up is paid on every query.  A round
+runs, one fresh process each: a bare interpreter (``python -c pass``),
+``python -c "import topocompat.cli"``, and one small ``python -m
+topocompat.cli`` query per command.  The rows take turns within every round,
+so a slow stretch of a shared host falls on all of them alike.  The tree's
+``src`` is copied and byte-compiled first, as an install would be, so no
+row pays for compiling; each process gets the copy on ``PYTHONPATH`` and
+the pure kernels (``TOPO_COMPAT_PURE=1``).  The table gives each row's
+median wall time and quartiles in milliseconds.
+
+Then, for each command, a probe process imports the CLI, runs the same query
+with its output discarded, and lists the modules it loaded beyond what a bare
+interpreter had loaded; ``HEAVY`` names the standard-library modules that no
+query should load.
+"""
+
+import argparse
+import compileall
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = ("argparse", "gettext", "locale", "fractions", "decimal", "dataclasses", "inspect")
+# one small query per command; {out} is a scratch directory
+QUERIES = {
+    "gen": ["gen", "hypercube:6", "-o", "{out}/gen.edges"],
+    "power": ["power", "ring:64", "--reach", "2", "-o", "{out}/power.edges"],
+    "potential": ["potential", "--task", "star", "--system", "ring:8", "--reach", "1"],
+    "table": ["table", "--task", "star", "--s", "1..8", "--reach", "1..3", "--format", "csv"],
+    "embed": ["embed", "--task", "ring:4", "--system", "hypercube:3", "--reach", "1",
+              "--witness"],
+}
+PROBE = """
+import sys
+bare = set(sys.modules)
+import topocompat.cli as cli
+sys.stdout = open("/dev/null", "w")
+code = cli.run(sys.argv[1:])
+sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)) if code == 0 else f"exit {code}")
+"""
+
+
+def timed(argv: list, env: dict) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                   check=True)
+    return (time.perf_counter() - t0) * 1000
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--src", type=Path, default=SRC, help="the src directory to time")
+    args = parser.parse_args()
+    py = sys.executable
+    with tempfile.TemporaryDirectory(prefix="bench-startup-") as out:
+        src = Path(out, "src")
+        shutil.copytree(args.src, src, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        compileall.compile_dir(str(src), quiet=1)
+        env = dict(os.environ, PYTHONPATH=str(src), TOPO_COMPAT_PURE="1")
+        for name in ("TOPO_COMPAT_TIME_LIMIT", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
+            env.pop(name, None)
+        queries = {name: [a.format(out=out) for a in argv] for name, argv in QUERIES.items()}
+        rows = {"python -c pass": [py, "-c", "pass"],
+                "import topocompat.cli": [py, "-c", "import topocompat.cli"]}
+        rows.update((name, [py, "-m", "topocompat.cli", *argv]) for name, argv in queries.items())
+        for argv in rows.values():  # warm the file cache once
+            timed(argv, env)
+        samples = {row: [] for row in rows}
+        for _ in range(args.rounds):
+            for row, argv in rows.items():
+                samples[row].append(timed(argv, env))
+        print(f"{py} ({sys.version.split()[0]}), {args.rounds} rounds, "
+              f"{os.cpu_count()} CPUs; wall ms per process")
+        print(f"{'row':<24}{'median':>9}{'q1':>9}{'q3':>9}")
+        for row, times in samples.items():
+            q1, med, q3 = statistics.quantiles(times, n=4)
+            print(f"{row:<24}{med:>9.1f}{q1:>9.1f}{q3:>9.1f}")
+        print("\nmodules loaded beyond a bare interpreter:")
+        for name, argv in queries.items():
+            proc = subprocess.run([py, "-c", PROBE, *argv], env=env, capture_output=True,
+                                  text=True, check=True)
+            loaded = proc.stderr.split()
+            heavy = [m for m in HEAVY if m in loaded]
+            print(f"{name} ({len(loaded)}): {' '.join(loaded)}")
+            print(f"  of {', '.join(HEAVY)}: {', '.join(heavy) if heavy else 'none'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,62 +14,67 @@ search budget was exhausted (result unknown), 2 for invalid arguments or
 input.  ``TOPO_COMPAT_TIME_LIMIT`` (seconds) overrides the default time
 budget; ``--max-nodes``, ``--time-limit``, and ``--max-host-order`` override
 per invocation.
+
+Every command, positional and flag is one entry of ``COMMANDS``, read by
+argparse's rules: ``--flag=value``, unambiguous prefixes of long flags,
+``-h``/``--help`` per command, and usage errors in argparse's shape and
+wording (usage line, ``topo-compat[ CMD]: error: ...``, exit 2).  argparse
+itself is not imported: importing it (with ``gettext``, and ``locale`` on
+first use) and building its parsers cost about 7 ms of every process
+(2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import List, Optional, Sequence
 
 from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
-from .errors import BudgetExceeded, HostTooLarge, TopoCompatError
+from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, TopoCompatError
 from .graph import Graph, graph_power
-from .topologies import parse_topology_spec, TopologySpec
+from .topologies import parse_topology_spec
 
 __all__ = ["run", "main", "parse_range"]
 
 
 def parse_range(text: str) -> range:
-    """Parse ``a..b`` or a single integer ``a`` into an inclusive range."""
+    """Parse ``a..b`` or a single integer ``a`` into an inclusive range.
+
+    Raises InvalidParameter for anything else and for a range whose start
+    exceeds its end.
+    """
     lo, sep, hi = text.partition("..")
     try:
         a = int(lo)
         b = int(hi) if sep else a
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'a..b' or an integer, got {text!r}") from None
+        raise InvalidParameter(f"expected 'a..b' or an integer, got {text!r}") from None
     if a > b:
-        raise argparse.ArgumentTypeError(f"empty range {text!r} (start exceeds end)")
+        raise InvalidParameter(f"empty range {text!r} (start exceeds end)")
     return range(a, b + 1)
 
 
-def _topology_spec(text: str) -> TopologySpec:
-    try:
-        return parse_topology_spec(text)
-    except TopoCompatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below like any value under 1
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise InvalidParameter(f"expected a positive integer, got {text}")
     return value
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-nodes", type=_positive_int, default=DEFAULT_BUDGET.max_nodes,
-                     help="node-expansion cap for searches")
-    sub.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
-                     help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g}, "
-                          "or TOPO_COMPAT_TIME_LIMIT)")
-    sub.add_argument("--max-host-order", type=_positive_int, default=DEFAULT_BUDGET.max_host_order,
-                     help="largest host order the generic embedding search accepts")
+def _seconds(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameter(f"invalid float value: {text!r}") from None
 
 
-def _budget_from(args: argparse.Namespace) -> SearchBudget:
+def _budget_from(args: SimpleNamespace) -> SearchBudget:
     limit = args.time_limit
     if limit is None:
         raw = os.environ.get("TOPO_COMPAT_TIME_LIMIT", "")
@@ -85,23 +90,23 @@ def _emit_graph(g: Graph, path: Optional[str]) -> None:
     if path:
         edgelist.write_edge_list_path(g, path)
     else:
-        sys.stdout.write(edgelist.dumps(g))
+        edgelist.write_edge_list(g, sys.stdout)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     _emit_graph(args.spec.build(), args.output)
     return 0
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
+def _cmd_power(args: SimpleNamespace) -> int:
     _emit_graph(graph_power(args.spec.build(), args.reach), args.output)
     return 0
 
 
-def _cmd_potential(args: argparse.Namespace) -> int:
+def _cmd_potential(args: SimpleNamespace) -> int:
     report, cert = compat.potential(args.system, args.task, args.reach, _budget_from(args),
                                     args.witness)
-    print(f"p={report.potential_p} c={report.index_rounded}")
+    print(f"p={report.potential_p} c={report.index_text}")
     if cert is not None and args.task == "ring":
         print("cycle: " + " ".join(str(v) for v in cert))
     elif cert is not None:
@@ -110,7 +115,7 @@ def _cmd_potential(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     reports = compat.compatibility_table(args.s, args.reach, args.task)
     if args.format == "csv":
         sys.stdout.write(compat.render_csv(reports))
@@ -121,7 +126,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
+def _cmd_embed(args: SimpleNamespace) -> int:
     task = args.task.build()
     system = args.system.build()
     budget = _budget_from(args)
@@ -138,61 +143,256 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="topo-compat",
-        description="Topological compatibility of parallel tasks with interconnect topologies.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+# -- parsing: one table of commands, read by argparse's rules -------------------------
 
-    gen = subs.add_parser("gen", help="generate a topology as an edge-list file")
-    gen.add_argument("spec", type=_topology_spec,
-                     help="hypercube:s | ring:p | star:p | complete:n | file:PATH")
-    gen.add_argument("-o", "--output", help="output file (default: stdout)")
-    gen.set_defaults(func=_cmd_gen)
+class _Arg:
+    """A positional (one bare name) or a flag (its names) of a command.
 
-    power = subs.add_parser("power", help="emit the reachability transform of a topology")
-    power.add_argument("spec", type=_topology_spec)
-    power.add_argument("--reach", type=_positive_int, required=True)
-    power.add_argument("-o", "--output", help="output file (default: stdout)")
-    power.set_defaults(func=_cmd_power)
+    ``convert`` turns the text into the value and raises TopoCompatError for
+    a bad one; ``choices`` lists the texts allowed.  A ``switch`` takes no
+    value and sets True.  The value lands in the last name without dashes.
+    ``label`` names it in messages (``-o/--output``, ``spec``), ``usage``
+    in the usage line (``-o OUTPUT``) and ``heading`` in help
+    (``-o OUTPUT, --output OUTPUT``).
+    """
 
-    potential = subs.add_parser("potential", help="task potential p and index C against a system")
-    potential.add_argument("--task", choices=("star", "ring"), required=True)
-    potential.add_argument("--system", type=_topology_spec, required=True)
-    potential.add_argument("--reach", type=_positive_int, required=True)
-    potential.add_argument("--witness", action="store_true",
-                           help="print the certifying cycle or star center")
-    _add_budget_flags(potential)
-    potential.set_defaults(func=_cmd_potential)
+    def __init__(self, *names, convert=str, choices=(), default=None, required=False,
+                 switch=False, metavar="", help=""):
+        self.names, self.convert, self.choices, self.switch, self.help = (
+            names, convert, choices, switch, help)
+        self.is_flag = names[0].startswith("-")
+        self.dest = names[-1].lstrip("-").replace("-", "_")
+        self.default = False if switch else default
+        self.required = required or not self.is_flag
+        if choices:
+            metavar = "{" + ",".join(choices) + "}"
+        self.metavar = metavar or (self.dest.upper() if self.is_flag else self.dest)
+        self.label = "/".join(names) if self.is_flag else self.dest
+        self.usage = (self.metavar if not self.is_flag else names[0] if switch
+                      else f"{names[0]} {self.metavar}")
+        self.heading = ", ".join(
+            names if switch or not self.is_flag else [f"{n} {self.metavar}" for n in names])
 
-    table = subs.add_parser("table", help="compatibility grid over hypercube dimensions")
-    table.add_argument("--task", choices=("star", "ring"), required=True)
-    table.add_argument("--s", type=parse_range, required=True, metavar="A..B")
-    table.add_argument("--reach", type=parse_range, required=True, metavar="A..B")
-    table.add_argument("--format", choices=("text", "csv", "markdown"), default="text")
-    table.set_defaults(func=_cmd_table)
+    def value(self, text: str):
+        try:
+            if self.choices and text not in self.choices:
+                choices = ", ".join(map(repr, self.choices))
+                raise InvalidParameter(f"invalid choice: {text!r} (choose from {choices})")
+            return self.convert(text)
+        except TopoCompatError as exc:
+            raise InvalidParameter(f"argument {self.label}: {exc}") from None
 
-    embed = subs.add_parser("embed", help="embed a task topology into a transformed system")
-    embed.add_argument("--task", type=_topology_spec, required=True)
-    embed.add_argument("--system", type=_topology_spec, required=True)
-    embed.add_argument("--reach", type=_positive_int, required=True)
-    embed.add_argument("--witness", action="store_true", help="print the vertex mapping")
-    _add_budget_flags(embed)
-    embed.set_defaults(func=_cmd_embed)
 
-    return parser
+_HELP = _Arg("-h", "--help", switch=True, help="show this help message and exit")
+_SPEC_HELP = "hypercube:s | ring:p | star:p | complete:n | file:PATH"
+_TASK_KIND = _Arg("--task", choices=("star", "ring"), required=True, help="task family")
+_REACH = _Arg("--reach", convert=_positive_int, required=True,
+              help="vertices at distance 1..REACH become adjacent")
+_OUTPUT = _Arg("-o", "--output", help="output file (default: stdout)")
+_BUDGET = (
+    _Arg("--max-nodes", convert=_positive_int, default=DEFAULT_BUDGET.max_nodes,
+         help="node-expansion cap for searches"),
+    _Arg("--time-limit", convert=_seconds, metavar="SECONDS",
+         help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g}, "
+              "or TOPO_COMPAT_TIME_LIMIT)"),
+    _Arg("--max-host-order", convert=_positive_int, default=DEFAULT_BUDGET.max_host_order,
+         help="largest host order the generic embedding search accepts"),
+)
+
+PROG = "topo-compat"
+DESCRIPTION = "Topological compatibility of parallel tasks with interconnect topologies."
+# name -> (function, one-line help, its positionals and flags)
+COMMANDS = {
+    "gen": (_cmd_gen, "generate a topology as an edge-list file", (
+        _Arg("spec", convert=parse_topology_spec, help=_SPEC_HELP),
+        _OUTPUT,
+    )),
+    "power": (_cmd_power, "emit the reachability transform of a topology", (
+        _Arg("spec", convert=parse_topology_spec, help=_SPEC_HELP),
+        _REACH,
+        _OUTPUT,
+    )),
+    "potential": (_cmd_potential, "task potential p and index C against a system", (
+        _TASK_KIND,
+        _Arg("--system", convert=parse_topology_spec, required=True, help=_SPEC_HELP),
+        _REACH,
+        _Arg("--witness", switch=True, help="print the certifying cycle or star center"),
+        *_BUDGET,
+    )),
+    "table": (_cmd_table, "compatibility grid over hypercube dimensions", (
+        _TASK_KIND,
+        _Arg("--s", convert=parse_range, required=True, metavar="A..B",
+             help="hypercube dimensions, in 1..20"),
+        _Arg("--reach", convert=parse_range, required=True, metavar="A..B",
+             help="reachabilities, in 1..20"),
+        _Arg("--format", choices=("text", "csv", "markdown"), default="text",
+             help="output format (default text)"),
+    )),
+    "embed": (_cmd_embed, "embed a task topology into a transformed system", (
+        _Arg("--task", convert=parse_topology_spec, required=True, help=_SPEC_HELP),
+        _Arg("--system", convert=parse_topology_spec, required=True, help=_SPEC_HELP),
+        _REACH,
+        _Arg("--witness", switch=True, help="print the vertex mapping"),
+        *_BUDGET,
+    )),
+}
+_COMMAND = _Arg("command", choices=tuple(COMMANDS))
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+
+
+class _Exit(Exception):
+    """Parsing ends early: help (code 0, for stdout) or a usage error (code 2, stderr)."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code, self.text = code, text
+
+
+def _classify(token: str, flags: dict) -> tuple:
+    """(kind, item, attached value) of a token, by argparse's rules, given
+    the flag names in use: kind "O" is a flag (item: its _Arg), "A" a value
+    and "?" an unknown flag (item: the token).
+
+    A long flag may be given as any unambiguous prefix of its name, and a
+    value may be attached as ``--name=value``, ``-o=value`` or ``-ovalue``;
+    one attached to a switch is an error.  ``-``, ``--``, negative numbers
+    and tokens with a space in them are values.
+    """
+    if not token.startswith("-") or token in ("-", "--"):
+        return "A", token, None
+    name, eq, attached = token.partition("=")
+    if token in flags or not eq:
+        name, attached = token, None
+    if name in flags:
+        hits = [name]
+    elif name.startswith("--"):
+        hits = [f for f in flags if f.startswith(name)]
+    elif name[:2] in flags:
+        hits, attached = [name[:2]], token[2:]
+    else:
+        hits = []
+    if len(hits) > 1:
+        raise InvalidParameter(f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        arg = flags[hits[0]]
+        if arg.switch and attached is not None:
+            raise InvalidParameter(f"argument {arg.label}: ignored explicit argument "
+                                   f"{attached!r}")
+        return "O", arg, attached
+    digits = token[1:]  # argparse's negative number: -N, -N.N or -.N
+    if digits.replace(".", "", 1).isdecimal() and not digits.endswith(".") or " " in token:
+        return "A", token, None
+    return "?", token, None
+
+
+def _help(usage: str, description: str, sections: list) -> str:
+    """Help text; ``sections`` are (title, [_Arg]), help text from column 24."""
+    lines = [usage, "", description]
+    for title, args in sections:
+        if args:
+            lines += ["", title]
+        for arg in args:
+            if len(arg.heading) <= 20:
+                lines.append(f"  {arg.heading:<22}{arg.help}")
+            else:
+                lines += ["  " + arg.heading, " " * 24 + arg.help]
+    return "\n".join(lines) + "\n"
+
+
+def _usage(name: str, args: Sequence[_Arg]) -> str:
+    """argparse's usage line: flags in table order, then positionals."""
+    parts = [a.usage if a.required else f"[{a.usage}]"
+             for a in sorted(args, key=lambda a: not a.is_flag)]
+    return f"usage: {PROG} {name} [-h] " + " ".join(parts)
+
+
+def _parse_command(name: str, tokens: List[str]) -> tuple:
+    """(function, arguments, unrecognized tokens) for one command's tokens."""
+    func, description, args = COMMANDS[name]
+    usage = _usage(name, args)
+    flags = {flag: arg for arg in (_HELP, *args) if arg.is_flag for flag in arg.names}
+    positionals = [arg for arg in args if not arg.is_flag]
+    values = {arg.dest: arg.default for arg in args}
+    seen, extras = set(), []
+    try:
+        # as in argparse, every token is classified before any is used, and
+        # all tokens after the first "--" are values
+        kinds, rest = [], False
+        for token in tokens:
+            kinds.append(("A", token, None) if rest else ("--", token, None) if token == "--"
+                         else _classify(token, flags))
+            rest = rest or token == "--"
+        i = 0
+        while i < len(kinds):
+            kind, item, attached = kinds[i]
+            i += 1
+            if kind == "A" and positionals:
+                arg, text = positionals.pop(0), item
+            elif kind != "O":
+                if kind != "--":
+                    extras.append(item)
+                continue
+            elif item is _HELP:
+                raise _Exit(0, _help(usage, description, [
+                    ("positional arguments:", [a for a in args if not a.is_flag]),
+                    ("options:", [_HELP, *(a for a in args if a.is_flag)])]))
+            elif item.switch or attached is not None:
+                arg, text = item, attached
+            elif i < len(kinds) and kinds[i][0] == "A":
+                arg, text = item, kinds[i][1]
+                i += 1
+            else:
+                raise InvalidParameter(f"argument {item.label}: expected one argument")
+            values[arg.dest] = True if arg.switch else arg.value(text)
+            seen.add(arg)
+        missing = [arg.label for arg in args if arg.required and arg not in seen]
+        if missing:
+            raise InvalidParameter("the following arguments are required: " + ", ".join(missing))
+    except InvalidParameter as exc:
+        raise _Exit(2, f"{usage}\n{PROG} {name}: error: {exc}\n") from None
+    return func, SimpleNamespace(**values), extras
+
+
+def _parse(argv: List[str]) -> tuple:
+    """(function, arguments) for ``argv``; raises _Exit for help or a usage error.
+
+    Messages and exit codes are argparse's, for a parser with one
+    subparser per command: tokens before the command may only ask for help,
+    and unrecognized tokens are reported once the command has parsed.
+    """
+    usage = f"usage: {PROG} [-h] {_COMMAND.metavar} ..."
+    extras = []
+    try:
+        for i, token in enumerate(argv):
+            kind = _classify(token, _TOP_FLAGS)[0]
+            if kind == "O":
+                raise _Exit(0, _help(usage, DESCRIPTION, [
+                    ("commands:", [_Arg(name, help=c[1]) for name, c in COMMANDS.items()]),
+                    ("options:", [_HELP])]))
+            if kind == "A":
+                break
+            extras.append(token)
+        else:
+            raise InvalidParameter(f"the following arguments are required: {_COMMAND.label}")
+        name = _COMMAND.value(token)
+    except InvalidParameter as exc:
+        raise _Exit(2, f"{usage}\n{PROG}: error: {exc}\n") from None
+    func, args, more = _parse_command(name, argv[i + 1:])
+    if extras or more:
+        message = "unrecognized arguments: " + " ".join(extras + more)
+        raise _Exit(2, f"{usage}\n{PROG}: error: {message}\n")
+    return func, args
 
 
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        func, args = _parse(list(argv))
+    except _Exit as exc:
+        (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
+        return exc.code
     try:
-        return args.func(args)
+        return func(args)
     except (BudgetExceeded, HostTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

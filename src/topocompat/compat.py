@@ -17,7 +17,8 @@ the one place that chooses between those closed forms (a ``hypercube:s``
 spec, no graph built) and the graph functions (every other spec).
 
 Indexes are kept as exact rationals; display rounding is half-up to four
-decimal places with a dot separator.
+decimal places with a dot separator, done on integers (:func:`_half_up`), so
+printing a cell imports neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .topologies import (
     gray_code_cycle,
 )
 
-if TYPE_CHECKING:  # imported where an index is made, so other commands never load them
+if TYPE_CHECKING:  # imported only where a Fraction or Decimal is made
     from decimal import Decimal
     from fractions import Fraction
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "task,system,s_or_n,reach,n,p,c_exact_num,c_exact_den,c_rounded"
+INDEX_PLACES = 4
 
 
 def hypercube_star_potential(s: int, reach: int) -> int:
@@ -184,35 +186,90 @@ def potential(
 
 def compatibility_index(p: int, n: int) -> Fraction:
     """Exact index p/n; p = 0 (no task of the family fits) gives index 0."""
-    if n < 1:
-        raise InvalidPotential(f"system order must be positive, got {n}")
-    if p < 0 or p > n:
-        raise InvalidPotential(f"potential {p} outside 0..{n}")
+    _check_potential(p, n)
     from fractions import Fraction
 
     return Fraction(p, n)
 
 
-def round_half_up(value: Fraction, places: int = 4) -> Decimal:
+def _check_potential(p: int, n: int) -> None:
+    if n < 1:
+        raise InvalidPotential(f"system order must be positive, got {n}")
+    if p < 0 or p > n:
+        raise InvalidPotential(f"potential {p} outside 0..{n}")
+
+
+def _half_up(num: int, den: int, places: int) -> int:
+    """num/den (both >= 0, den > 0) times 10^places, rounded half up to an integer."""
+    q, r = divmod(num * 10**places, den)
+    return q + (2 * r >= den)
+
+
+def round_half_up(value: Fraction, places: int = INDEX_PLACES) -> Decimal:
     """Round a nonnegative rational half-up to the given decimal places."""
     from decimal import Decimal
 
-    scale = 10**places
-    q, r = divmod(value.numerator * scale, value.denominator)
-    if 2 * r >= value.denominator:
-        q += 1
-    return Decimal(q).scaleb(-places)
+    return Decimal(_half_up(value.numerator, value.denominator, places)).scaleb(-places)
+
+
+class _MadeOnRead:
+    """A field computed from the others the first time it is read.
+
+    The value is then kept in the instance ``__dict__``, which a non-data
+    descriptor like this one does not shadow, so later reads, equality,
+    hashing, repr, pickle and copy all see a plain field.  A value given to
+    the constructor goes to the same place and is never recomputed.  Two
+    threads reading first at once both compute it and store equal values,
+    so no lock is needed.
+    """
+
+    def __init__(self, make):
+        self.make, self.name, self.__doc__ = make, make.__name__, make.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.make(obj)
+        return value
 
 
 class CompatibilityReport(_FrozenRecord):
-    """One (system, task, reachability) cell: potential and index."""
+    """One (system, task, reachability) cell: potential and index.
+
+    ``index_exact`` (a Fraction) and ``index_rounded`` (a Decimal) are made
+    from p and n when first read, unless given, so a report that is only
+    printed never imports ``fractions`` or ``decimal``: the renderers and
+    the CLI use ``index_text`` and p and n instead.
+    """
 
     _fields = ("system", "task_kind", "reach", "order_n", "potential_p",
                "index_exact", "index_rounded")
 
     def __init__(self, system: TopologySpec, task_kind: str, reach: int, order_n: int,
-                 potential_p: int, index_exact: Fraction, index_rounded: Decimal):
-        super().__init__(system, task_kind, reach, order_n, potential_p, index_exact, index_rounded)
+                 potential_p: int, index_exact: Optional[Fraction] = None,
+                 index_rounded: Optional[Decimal] = None):
+        super().__init__(system, task_kind, reach, order_n, potential_p)
+        for name, value in (("index_exact", index_exact), ("index_rounded", index_rounded)):
+            if value is not None:
+                object.__setattr__(self, name, value)
+
+    @_MadeOnRead
+    def index_exact(self) -> Fraction:
+        """The exact index p/n."""
+        return compatibility_index(self.potential_p, self.order_n)
+
+    @_MadeOnRead
+    def index_rounded(self) -> Decimal:
+        """The index rounded half up to four decimal places."""
+        return round_half_up(self.index_exact)
+
+    @property
+    def index_text(self) -> str:
+        """p/n rounded half up to four places, as printed: ``str(index_rounded)``
+        made with integers alone."""
+        whole, frac = divmod(_half_up(self.potential_p, self.order_n, INDEX_PLACES),
+                             10**INDEX_PLACES)
+        return f"{whole}.{frac:0{INDEX_PLACES}d}"
 
     @property
     def size_label(self) -> int:
@@ -225,16 +282,8 @@ class CompatibilityReport(_FrozenRecord):
 def make_report(
     system: TopologySpec, task_kind: str, reach: int, order_n: int, potential_p: int
 ) -> CompatibilityReport:
-    index = compatibility_index(potential_p, order_n)
-    return CompatibilityReport(
-        system=system,
-        task_kind=task_kind,
-        reach=reach,
-        order_n=order_n,
-        potential_p=potential_p,
-        index_exact=index,
-        index_rounded=round_half_up(index),
-    )
+    _check_potential(potential_p, order_n)
+    return CompatibilityReport(system, task_kind, reach, order_n, potential_p)
 
 
 def compatibility_table(
@@ -267,10 +316,11 @@ def compatibility_table(
 def render_csv(reports: Sequence[CompatibilityReport]) -> str:
     lines = [CSV_HEADER]
     for r in reports:
+        # the exact index p/n in lowest terms, as Fraction would give it (0 is 0/1)
+        common = math.gcd(r.potential_p, r.order_n)
         lines.append(
             f"{r.task_kind},{r.system.kind},{r.size_label},{r.reach},{r.order_n},"
-            f"{r.potential_p},{r.index_exact.numerator},{r.index_exact.denominator},"
-            f"{r.index_rounded}"
+            f"{r.potential_p},{r.potential_p // common},{r.order_n // common},{r.index_text}"
         )
     return "\n".join(lines) + "\n"
 
@@ -280,7 +330,7 @@ def render_text(reports: Sequence[CompatibilityReport]) -> str:
     for r in reports:
         lines.append(
             f"task={r.task_kind} system={r.system} reach={r.reach} "
-            f"n={r.order_n} p={r.potential_p} c={r.index_rounded}"
+            f"n={r.order_n} p={r.potential_p} c={r.index_text}"
         )
     return "\n".join(lines) + "\n"
 
@@ -297,6 +347,6 @@ def render_markdown(reports: Sequence[CompatibilityReport]) -> str:
         "| n | " + " | ".join(str(cells[(reaches[0], s)].order_n) for s in ss) + " |",
     ]
     for reach in reaches:
-        row = [f"{cells[(reach, s)].potential_p}; {cells[(reach, s)].index_rounded}" for s in ss]
+        row = [f"{cells[(reach, s)].potential_p}; {cells[(reach, s)].index_text}" for s in ss]
         lines.append(f"| reach={reach} | " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"

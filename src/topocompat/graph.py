@@ -310,19 +310,26 @@ def _check_deadline(deadline: Optional[float], what: str) -> None:
 def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> List[int]:
     """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
 
-    Round d sets ball_d(v) = ball_{d-1}(v) | OR of ball_{d-1}(u) over u ~ v,
-    reading only the previous round's list, so at most two rounds of masks
-    are alive at once.  A round that changes nothing leaves every ball a
-    whole component, so later rounds are skipped.  Each round first checks
-    the optional monotonic ``deadline`` and raises BudgetExceeded, naming the
-    pass ``what``, past it.
+    Round 1 sets ball_1(v) = {v} | N(v).  Round d >= 2 sets ball_d(v) to
+    the OR of ball_{d-1}(u) over u ~ v, without v's own ball_{d-1}: that is
+    already inside the OR.  Proof: v lies in each ball_{d-1}(u), as
+    d - 1 >= 1; any other w in ball_{d-1}(v) has a shortest path from v
+    whose second vertex u ~ v is at distance <= d - 2 from w.  Isolated
+    vertices keep their ball {v}.  Each round reads only the previous
+    round's list, so at most two rounds of masks are alive at once.  A round
+    that changes nothing leaves every ball a whole component, so later
+    rounds are skipped.  Each round first checks the optional monotonic
+    ``deadline`` and raises BudgetExceeded, naming the pass ``what``, past it.
     """
     nbrs = g._neighbors
     balls = [1 << v for v in range(g.order)]
-    for _ in range(reach):
+    for d in range(1, reach + 1):
         _check_deadline(deadline, what)
         prev, get = balls, balls.__getitem__
-        balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
+        if d == 1:
+            balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
+        else:
+            balls = [reduce(or_, map(get, nb)) if nb else ball for ball, nb in zip(prev, nbrs)]
         if balls == prev:
             break
     return balls

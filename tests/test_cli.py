@@ -1,11 +1,11 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
-import argparse
 from pathlib import Path
 
 import pytest
 
-from topocompat import Graph, gray_code_cycle, graph_power, hypercube, parse_topology_spec
+from topocompat import (Graph, InvalidParameter, gray_code_cycle, graph_power, hypercube,
+                        parse_topology_spec)
 from topocompat import cli, compat, graph
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
@@ -23,7 +23,7 @@ class TestParseRange:
 
     @pytest.mark.parametrize("text", ["5..2", "a..b", "3..", "..4", "2.5"])
     def test_malformed(self, text):
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(InvalidParameter):
             parse_range(text)
 
 
@@ -407,6 +407,16 @@ class TestGenAndPower:
         assert run(["power", spec, "--reach", "1", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("reach", [1, 2, 3])
+    def test_stdout_is_the_output_file(self, spec, reach, tmp_path, capsys):
+        out = tmp_path / "g.edges"
+        for argv in (["gen", spec], ["power", spec, "--reach", str(reach)]):
+            assert run([*argv, "-o", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+            assert run(argv) == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_power_squares_the_graph(self, capsys):
         assert run(["power", "hypercube:2", "--reach", "2"]) == 0
         assert loads(capsys.readouterr().out) == graph_power(hypercube(2), 2)
@@ -441,3 +451,67 @@ class TestArgumentErrors:
     )
     def test_exit_two(self, argv, capsys):
         assert run(argv) == 2
+
+
+class TestCommandLineSurface:
+    """Help, the error shape and the accepted spellings of every command."""
+
+    FLAGS = {
+        "gen": ["-h", "-o"],
+        "power": ["-h", "--reach", "-o"],
+        "potential": ["-h", "--task", "--system", "--reach", "--witness", "--max-nodes",
+                      "--time-limit", "--max-host-order"],
+        "table": ["-h", "--task", "--s", "--reach", "--format"],
+        "embed": ["-h", "--task", "--system", "--reach", "--witness", "--max-nodes",
+                  "--time-limit", "--max-host-order"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_flag(self, command, flag, capsys):
+        assert run([command, flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith(f"usage: topo-compat {command} ")
+        usage = out.split("\n\n")[0]
+        assert set(self.FLAGS[command]) <= {token.strip("[]") for token in usage.split()}
+        assert "--help" in out and ("--output" in out) == (command in ("gen", "power"))
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                         "(choose from 'gen', 'power', 'potential', 'table', 'embed')"),
+        (["power", "ring:5"], "the following arguments are required: --reach"),
+        (["potential", "--task", "mesh", "--system", "ring:5", "--reach", "1"],
+         "argument --task: invalid choice: 'mesh' (choose from 'star', 'ring')"),
+        (["potential", "--task", "star", "--system", "ring:5", "--reach", "-1"],
+         "argument --reach: expected a positive integer, got -1"),
+        (["gen", "ring:5", "-o"], "argument -o/--output: expected one argument"),
+        (["gen", "ring:5", "extra"], "unrecognized arguments: extra"),
+        (["gen", "ring:5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["potential", "--task", "star", "--system", "ring:5", "--reach", "1", "--max", "5"],
+         "ambiguous option: --max could match --max-nodes, --max-host-order"),
+    ])
+    def test_errors_exit_two_with_usage_and_message(self, argv, message, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: topo-compat")
+        assert lines[-1].startswith("topo-compat") and ": error: " in lines[-1]
+        assert lines[-1].endswith(message)
+
+    @pytest.mark.parametrize("short,long", [
+        (["potential", "--task", "ring", "--system", "ring:6", "--reach=1", "--wit"],
+         ["potential", "--task", "ring", "--system", "ring:6", "--reach", "1", "--witness"]),
+        (["potential", "--task=star", "--sys=ring:9", "--rea=3", "--wit"],
+         ["potential", "--task", "star", "--system", "ring:9", "--reach", "3", "--witness"]),
+        (["embed", "--task=ring:4", "--system", "hypercube:2", "--reach=1", "--wit"],
+         ["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1", "--witness"]),
+    ])
+    def test_equals_form_and_prefixes_match_the_long_forms(self, short, long, capsys):
+        assert run(short) == 0
+        first = capsys.readouterr()
+        assert run(long) == 0
+        assert capsys.readouterr() == first
+        assert first.out and first.err == ""

@@ -24,6 +24,7 @@ from topocompat import (
     star_potential,
 )
 from topocompat.compat import (
+    CompatibilityReport,
     hypercube_ring_potential,
     hypercube_star_witness,
     make_report,
@@ -321,6 +322,25 @@ class TestCompatibilityIndex:
     )
     def test_half_up_rendering(self, fraction, expected):
         assert str(round_half_up(fraction)) == expected
+
+    def test_printed_index_is_the_rounded_decimal(self):
+        # the renderers print index_text, made with integers; it must be the
+        # Decimal's text for every p/n, including the half-up ties
+        spec = TopologySpec("ring", 1)
+        for n in [*range(1, 130), 160, 1 << 12, 80000, 1 << 20]:
+            for p in {*range(min(n, 129) + 1), n // 3, n // 2, n - 1, n}:
+                report = make_report(spec, "star", 1, n, p)
+                assert report.index_text == str(round_half_up(Fraction(p, n))), (p, n)
+                assert report.index_exact == Fraction(p, n)
+                assert str(report.index_rounded) == report.index_text
+
+    def test_given_index_fields_are_kept(self):
+        report = CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3,
+                                     Fraction(3, 8), Decimal("0.4"))
+        assert str(report.index_rounded) == "0.4"
+        assert report == CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3,
+                                             index_rounded=Decimal("0.4"))
+        assert report != make_report(TopologySpec("ring", 8), "star", 1, 8, 3)
 
 
 class TestCompatibilityTable:

@@ -269,6 +269,22 @@ class TestGraphPowerAgainstReferenceAboveCap(TestGraphPowerAgainstReference):
         monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
 
 
+class TestBallMasks:
+    """Each mask ball is the BFS ball: from round 2 on a vertex's own previous
+    ball is left out of the OR, so vertices with and without neighbours both count."""
+
+    @pytest.mark.parametrize("g", POWER_SAMPLES + [
+        from_edge_list(6, [(0, 1), (1, 2), (4, 5)]),  # 3 isolated, a path and an edge
+        from_edge_list(4, []),
+    ])
+    def test_balls_match_bfs(self, g):
+        for reach in range(1, 5):
+            balls = graph._ball_masks(g, reach, None, "test")
+            expected = [sum(1 << u for u in graph._bfs_levels(g, v, cutoff=reach))
+                        for v in range(g.order)]
+            assert balls == expected, reach
+
+
 class TestPowerPathSelection:
     @pytest.mark.parametrize("order,masks", [(4096, True), (4097, False)])
     def test_cap_selects_the_path(self, order, masks, monkeypatch):

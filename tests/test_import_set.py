@@ -2,8 +2,10 @@
 
 Every query is one process, so whatever ``import topocompat.cli`` loads is
 paid on each of them.  ``dataclasses`` pulls in ``inspect`` (and with it
-``ast``, ``dis`` and ``tokenize``); ``fractions`` and ``decimal`` are needed
-only where a compatibility index is made.  Each check runs in a fresh
+``ast``, ``dis`` and ``tokenize``); ``argparse`` pulls in ``gettext``, and
+``locale`` once a parser is built; ``fractions`` and ``decimal`` are needed
+only where a library caller reads a report's exact or rounded index, never
+to print one.  Each check runs in a fresh
 interpreter without ``site``, so nothing but the package decides what is
 loaded, and asserts module names only, never timings.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal")
 
 PROBE = """
 import contextlib, io, json, sys
@@ -48,7 +50,7 @@ def test_cli_import_loads_none_of_the_heavy_modules():
     assert seen["import"] == []
 
 
-def test_gen_power_and_embed_never_load_fractions_or_decimal():
+def test_gen_power_and_embed_load_none_of_them():
     embed = ["embed", "--task", "ring:4", "--system", "hypercube:3", "--reach", "1", "--witness"]
     gen = ["gen", "ring:5"]
     power = ["power", "star:4", "--reach", "2"]
@@ -61,8 +63,54 @@ def test_gen_power_and_embed_never_load_fractions_or_decimal():
     assert (rc, out.splitlines()[0], loaded) == (0, "4 6", [])
 
 
-def test_a_potential_loads_them_where_the_index_is_made():
-    potential = ["potential", "--task", "star", "--system", "ring:8", "--reach", "1"]
-    rc, out, loaded = _probe(potential)[" ".join(potential)]
-    assert (rc, out) == (0, "p=3 c=0.3750\n")
-    assert loaded == ["fractions", "decimal"]
+def test_potential_and_table_load_none_of_them(tmp_path):
+    system = tmp_path / "h3.edges"
+    system.write_text("8 12\n0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n")
+    table = ["table", "--task", "star", "--s", "2..3", "--reach", "1..2", "--format"]
+    cases = {
+        ("potential", "--task", "star", "--system", "ring:8", "--reach", "1"): "p=3 c=0.3750\n",
+        ("potential", "--task", "ring", "--system", f"file:{system}", "--reach", "1",
+         "--witness"): "p=8 c=1.0000\ncycle: 0 1 3 2 6 7 5 4\n",
+        ("potential", "--task", "star", "--system", "hypercube:5", "--reach", "2"):
+            "p=16 c=0.5000\n",
+        (*table, "text"): "task=star system=hypercube:2 reach=1 n=4 p=3 c=0.7500\n"
+                          "task=star system=hypercube:3 reach=1 n=8 p=4 c=0.5000\n"
+                          "task=star system=hypercube:2 reach=2 n=4 p=4 c=1.0000\n"
+                          "task=star system=hypercube:3 reach=2 n=8 p=7 c=0.8750\n",
+        (*table, "csv"): "task,system,s_or_n,reach,n,p,c_exact_num,c_exact_den,c_rounded\n"
+                         "star,hypercube,2,1,4,3,3,4,0.7500\n"
+                         "star,hypercube,3,1,8,4,1,2,0.5000\n"
+                         "star,hypercube,2,2,4,4,1,1,1.0000\n"
+                         "star,hypercube,3,2,8,7,7,8,0.8750\n",
+        (*table, "markdown"): "| task=star | s=2 | s=3 |\n| --- | --- | --- |\n| n | 4 | 8 |\n"
+                              "| reach=1 | 3; 0.7500 | 4; 0.5000 |\n"
+                              "| reach=2 | 4; 1.0000 | 7; 0.8750 |\n",
+    }
+    seen = _probe(*(list(argv) for argv in cases))
+    for argv, expected in cases.items():
+        assert seen[" ".join(argv)] == [0, expected, []], argv
+
+
+LIBRARY_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from topocompat.compat import make_report
+from topocompat.topologies import TopologySpec
+report = make_report(TopologySpec("ring", 8), "star", 1, 8, 3)
+seen = {{"made": sorted(m for m in ("fractions", "decimal") if m in sys.modules)}}
+exact, rounded = report.index_exact, report.index_rounded
+seen["after read"] = sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+from decimal import Decimal
+from fractions import Fraction
+seen["read"] = [exact == Fraction(3, 8), type(exact) is Fraction,
+                rounded == Decimal("0.3750"), str(rounded)]
+sys.stdout.write(json.dumps(seen))
+"""
+
+
+def test_a_report_makes_its_fraction_and_decimal_when_read():
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", LIBRARY_PROBE.format(src=str(SRC))],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"made": [], "after read": ["decimal", "fractions"],
+                                       "read": [True, True, True, "0.3750"]}
