@@ -2,15 +2,19 @@
 
     python benchmarks/bench_startup.py [--rounds N] [--src PATH]
 
-Each query is one process, so its start-up is paid on every query.  A round
-runs, one fresh process each: a bare interpreter (``python -c pass``),
+Each query is one process, so its start-up and its exit are paid on every
+query.  A round runs, one fresh process each: a bare interpreter (``python
+-c pass``), a bare interpreter that skips the interpreter's teardown as
+``topocompat.cli.main`` does (``python -c "import os; os._exit(0)"``),
 ``python -c "import topocompat.cli"``, and one small ``python -m
-topocompat.cli`` query per command.  The rows take turns within every round,
-so a slow stretch of a shared host falls on all of them alike.  The tree's
-``src`` is copied and byte-compiled first, as an install would be, so no
-row pays for compiling; each process gets the copy on ``PYTHONPATH`` and
-the pure kernels (``TOPO_COMPAT_PURE=1``).  The table gives each row's
-median wall time and quartiles in milliseconds.
+topocompat.cli`` query per command; then all of these again under ``python
+-S``, which skips ``site`` and so the ``.pth`` files of site-packages that
+may import modules the program would otherwise be charged for.  The rows
+take turns within every round, so a slow stretch of a shared host falls on
+all of them alike.  The tree's ``src`` is copied and byte-compiled first,
+as an install would be, so no row pays for compiling; each process gets
+the copy on ``PYTHONPATH`` and the pure kernels (``TOPO_COMPAT_PURE=1``).
+The table gives each row's median wall time and quartiles in milliseconds.
 
 Then, for each command, a probe process imports the CLI, runs the same query
 with its output discarded, and lists the modules it loaded beyond what a bare
@@ -71,9 +75,12 @@ def main() -> int:
         for name in ("TOPO_COMPAT_TIME_LIMIT", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
             env.pop(name, None)
         queries = {name: [a.format(out=out) for a in argv] for name, argv in QUERIES.items()}
-        rows = {"python -c pass": [py, "-c", "pass"],
-                "import topocompat.cli": [py, "-c", "import topocompat.cli"]}
-        rows.update((name, [py, "-m", "topocompat.cli", *argv]) for name, argv in queries.items())
+        base = {"python -c pass": ["-c", "pass"],
+                "python -c os._exit(0)": ["-c", "import os; os._exit(0)"],
+                "import topocompat.cli": ["-c", "import topocompat.cli"]}
+        base.update((name, ["-m", "topocompat.cli", *argv]) for name, argv in queries.items())
+        rows = {f"{flag} {row}".lstrip(): [py, *flag.split(), *argv]
+                for flag in ("", "-S") for row, argv in base.items()}
         for argv in rows.values():  # warm the file cache once
             timed(argv, env)
         samples = {row: [] for row in rows}
@@ -82,10 +89,10 @@ def main() -> int:
                 samples[row].append(timed(argv, env))
         print(f"{py} ({sys.version.split()[0]}), {args.rounds} rounds, "
               f"{os.cpu_count()} CPUs; wall ms per process")
-        print(f"{'row':<24}{'median':>9}{'q1':>9}{'q3':>9}")
+        print(f"{'row':<28}{'median':>9}{'q1':>9}{'q3':>9}")
         for row, times in samples.items():
             q1, med, q3 = statistics.quantiles(times, n=4)
-            print(f"{row:<24}{med:>9.1f}{q1:>9.1f}{q3:>9.1f}")
+            print(f"{row:<28}{med:>9.1f}{q1:>9.1f}{q3:>9.1f}")
         print("\nmodules loaded beyond a bare interpreter:")
         for name, argv in queries.items():
             proc = subprocess.run([py, "-c", PROBE, *argv], env=env, capture_output=True,

@@ -22,7 +22,8 @@ vertex gets its own BFS and its ball minus the vertex becomes its neighbor
 tuple, because all masks at once would take n^2/8 bytes (512 MB at order
 65536), which loses to the BFS on sparse graphs.  A power with more edges
 than H_20 is refused: on the mask path by popcount, on the BFS path first by
-a lower bound from the component orders and then as its rows are counted.
+a lower bound from the component orders and neighbour degrees, then as its
+rows are counted.
 
 :func:`largest_ball` (the star potential) brackets first: no ball is larger
 than the Moore bound of the maximum degree, nor than the largest component,
@@ -279,19 +280,38 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
 
 def _power_entries_floor(g: Graph, reach: int) -> int:
     """A lower bound on the row entries (twice the edges) of g's reach-th
-    power, in O(n + m): the sum over components of order c of
-    c * (min(c, reach + 1) - 1).
+    power, in O(n + m): the sum over vertices v of the larger of two floors
+    on v's row, which is v's ball minus v.
 
-    Proof: let v lie in a component of order c, at eccentricity e <= c - 1.
-    BFS layers 0..e from v are all non-empty, so v's ball of radius reach
-    holds at least reach + 1 vertices when reach < e, and the whole
-    component when reach >= e: at least min(c, reach + 1) either way.  v's
-    row in the power is its ball minus v.  The bound is exact when no
-    component has more than reach + 1 vertices, since every ball is then its
-    whole component, and loose otherwise: a ring's rows hold 2 * reach
-    entries against reach, and the squared H_s's s(s + 1)/2 against 2.
+    Component floor: min(c, reach + 1) - 1, for v in a component of order
+    c.  Proof: let v have eccentricity e <= c - 1.  BFS layers 0..e from v
+    are all non-empty, so v's ball of radius reach holds at least reach + 1
+    vertices when reach < e, and the whole component when reach >= e.
+
+    Neighbour floor, at reach >= 2 in a bipartite component:
+    deg(v) + deg(u) - 1 for v's neighbour u of largest degree.  Proof: the
+    ball holds N(v) and N(u) - {v}, at distances 1 and 2; a bipartite
+    graph has no triangle, so they share no vertex, and neither holds v.
+
+    The sum is exact when no component has more than reach + 1 vertices,
+    since every ball is then its whole component, and loose otherwise: at
+    reach r >= 2 a long even ring's rows hold 2r entries against max(r, 3),
+    and at r = 2 those of H_s hold s(s + 1)/2 against 2s - 1.
     """
-    return sum(c * (min(c, reach + 1) - 1) for c, _ in component_color_classes(g))
+    color, components = _colored_components(g)
+    floors = [min(c, reach + 1) - 1 for c, _ in components]
+    # the neighbour floor holds in bipartite components at reach >= 2
+    sharp = [reach >= 2 and classes is not None for _, classes in components]
+    nbrs = g._neighbors
+    degree = list(map(len, nbrs))
+    total = 0
+    for v, nb in enumerate(nbrs):
+        k = color[v] >> 1
+        if sharp[k] and nb:
+            total += max(floors[k], degree[v] + max(map(degree.__getitem__, nb)) - 1)
+        else:
+            total += floors[k]
+    return total
 
 
 def _check_power_entries(entries: int, reach: int) -> None:
@@ -355,14 +375,24 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
     cycle.  A connected component's 2-coloring is unique up to swapping the
     two classes, so the sorted pair is well defined.
     """
+    return _colored_components(g)[1]
+
+
+def _colored_components(g: Graph) -> Tuple[List[int], list]:
+    """Each vertex's colour, and ``component_color_classes(g)``.
+
+    In the k-th component (in the order of their smallest vertices) the
+    colours are 2k and 2k + 1, by the parity of the BFS depth, so
+    ``colour >> 1`` is the component.
+    """
     nbrs = g._neighbors
     color = [-1] * g.order
-    out = []
+    counts, out = [], []
     for root in range(g.order):
         if color[root] != -1:
             continue
-        color[root] = 0
-        counts = [1, 0]
+        color[root] = base = len(counts)
+        counts += (1, 0)
         odd = False
         queue = deque([root])
         while queue:
@@ -374,9 +404,9 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
                     queue.append(w)
                 elif color[w] == color[u]:
                     odd = True
-        a, b = max(counts), min(counts)
+        a, b = max(counts[base:]), min(counts[base:])
         out.append((a + b, None if odd else (a, b)))
-    return out
+    return color, out
 
 
 def is_bipartite(g: Graph) -> bool:

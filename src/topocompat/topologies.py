@@ -35,11 +35,22 @@ def check_hypercube_dim(s: int) -> None:
 
 
 def hypercube(s: int) -> Graph:
-    """The s-dimensional hypercube H_s on 2^s bit-string vertices."""
+    """The s-dimensional hypercube H_s on 2^s bit-string vertices.
+
+    The rows double s times: in H_{k+1}, vertex i < 2^k keeps its H_k row
+    and gains i + 2^k, which is above the row; vertex i + 2^k has i, below
+    its row, then i's H_k row shifted up by 2^k.  So each row comes out
+    sorted, and every entry is the one shared int of its vertex id.
+    """
     check_hypercube_dim(s)
-    n = 1 << s
-    edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(s) if i < i ^ (1 << b)]
-    return Graph(n, edges)
+    ids = tuple(range(1 << s))
+    rows = [()]
+    for k in range(s):
+        h = 1 << k
+        up = ids[h:]
+        rows = ([row + (ids[i + h],) for i, row in enumerate(rows)]
+                + [(ids[i],) + tuple(map(up.__getitem__, row)) for i, row in enumerate(rows)])
+    return Graph._from_neighbors(tuple(rows))
 
 
 def _check_order_cap(kind: str, n: int) -> None:
@@ -52,7 +63,9 @@ def ring(p: int) -> Graph:
     if p < 3:
         raise InvalidParameter(f"ring order must be >= 3, got {p}")
     _check_order_cap("ring", p)
-    return Graph(p, [(i, (i + 1) % p) for i in range(p)])
+    ids = tuple(range(p))
+    inner = [(ids[i - 1], ids[i + 1]) for i in range(1, p - 1)]
+    return Graph._from_neighbors(((1, ids[-1]), *inner, (0, ids[-2])))
 
 
 def star(p: int) -> Graph:
@@ -60,7 +73,7 @@ def star(p: int) -> Graph:
     if p < 2:
         raise InvalidParameter(f"star order must be >= 2, got {p}")
     _check_order_cap("star", p)
-    return Graph(p, [(0, i) for i in range(1, p)])
+    return Graph._from_neighbors((tuple(range(1, p)),) + ((0,),) * (p - 1))
 
 
 def complete(n: int) -> Graph:
@@ -72,7 +85,8 @@ def complete(n: int) -> Graph:
         raise InvalidParameter(
             f"complete graph K_{n} has {m} edges, above the cap {cap} (the edges of H_{MAX_HYPERCUBE_DIM})"
         )
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    ids = tuple(range(n))
+    return Graph._from_neighbors(tuple([ids[:v] + ids[v + 1:] for v in range(n)]))
 
 
 def gray_code_cycle(s: int) -> Tuple[int, ...]:

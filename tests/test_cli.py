@@ -239,7 +239,7 @@ class TestOneCellWhateverTheRoute:
         monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", cap)
         assert run(["power", "ring:8", "--reach", "2"]) == 0
         assert capsys.readouterr().out.startswith("8 16\n")
-        assert graphs_built == ["__init__", constructor]
+        assert graphs_built == ["_from_neighbors", constructor]
 
 
 class TestTableCommand:

@@ -461,6 +461,29 @@ class TestPowerEntriesFloor:
             graph_power(ring(65536), 32768)
         assert calls == []
 
+    def test_neighbour_degrees_refuse_what_component_orders_do_not(self, monkeypatch):
+        monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 50)
+        calls = _counting_bfs(monkeypatch)
+        # H_4 at reach 2: component floor 16 * 2 = 32, neighbour floor
+        # 16 * (4 + 4 - 1) = 112, true 16 * 10 = 160, against 2 * 50
+        assert graph._power_entries_floor(hypercube(4), 2) == 112
+        with pytest.raises(InvalidParameter, match="^the reach-2 transform has more than 50 edges"):
+            graph_power(hypercube(4), 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("g,reach,floor", [
+        (hypercube(4), 1, 16),  # reach 1: the component floor only
+        (hypercube(4), 3, 16 * 7),  # the neighbour floor beats 16 * 3
+        (ring(12), 2, 12 * 3),  # even ring: 2 + 2 - 1 beats 2
+        (ring(11), 2, 11 * 2),  # odd ring: the component floor only
+        (ring(12), 5, 12 * 5),  # the component floor beats 3
+        # a path 0-1-2-3 (rows 2, 3, 3, 2), a triangle (2 each), a vertex
+        (from_edge_list(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)]), 2, 16),
+    ])
+    def test_the_larger_floor_per_vertex(self, g, reach, floor):
+        assert graph._power_entries_floor(g, reach) == floor
+
     @pytest.mark.parametrize("g", POWER_SAMPLES)
     def test_never_above_the_entries(self, g):
         largest = max(c for c, _ in component_color_classes(g))

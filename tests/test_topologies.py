@@ -3,6 +3,7 @@
 import pytest
 
 from topocompat import (
+    Graph,
     InvalidParameter,
     complete,
     diameter,
@@ -102,6 +103,28 @@ class TestComplete:
 
     def test_saturated_hypercube_power(self):
         assert graph_power(hypercube(3), 3) == complete(8)
+
+
+class TestRowsMatchTheEdgeList:
+    """The generators write their sorted rows directly; each is the graph the
+    constructor makes from the same edges, at orders up to 256."""
+
+    def test_hypercube(self):
+        for s in range(1, 9):
+            n = 1 << s
+            assert hypercube(s) == Graph(n, [(i, i ^ (1 << b)) for i in range(n) for b in range(s)])
+
+    def test_ring(self):
+        for p in range(3, 257):
+            assert ring(p) == Graph(p, [(i, (i + 1) % p) for i in range(p)])
+
+    def test_star(self):
+        for p in range(2, 257):
+            assert star(p) == Graph(p, [(0, i) for i in range(1, p)])
+
+    def test_complete(self):
+        for n in [*range(1, 65), 127, 128, 255, 256]:
+            assert complete(n) == Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 class TestGrayCodeCycle:
