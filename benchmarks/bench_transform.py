@@ -1,20 +1,26 @@
-"""Time the reachability transform on both sides of the bitset cap.
+"""Time the reachability transform on each of its three routes.
 
     python benchmarks/bench_transform.py
 
 Up to order 4096 (``graph._BALL_MASK_MAX_ORDER``) ``graph_power`` and
-``star_potential`` grow every ball at once as bitmasks; above it they run a
-BFS per vertex.  Each case is timed on the path its order selects.  Where the
-other path is affordable it is timed too, and both graphs must be equal.
+``star_potential`` make every ball at once as a bitmask: by the arc route
+(prefix ORs along each path or cycle, O(n) big-int operations) when no
+vertex has degree above 2, else by mask rounds (one per unit of reach).
+Above order 4096 they run a BFS per vertex.  The ``route`` column names the
+route each case's graph and order select, and that route is timed.  Where
+the other side of the order cap is affordable it is timed too (the BFS for
+a case up to order 4096, the masks above), and both graphs must be equal.
 The ``write`` column times ``edgelist.dumps`` of the built power: a power
-from the mask path holds only its masks, and the writer decodes the bits
-above each vertex straight from them; one from the BFS path slices its
-neighbour tuples.  Where both paths are timed, the two texts must be
-byte-equal too.  The ``bound`` column says whether one BFS against the
-degree or component bound (``graph._ball_by_bound``) decides the star
-potential, so that no path runs at all.
+from the masks holds only its masks, and the writer decodes the bits above
+each vertex straight from them; one from the BFS slices its neighbour
+tuples.  Where both sides are timed, the two texts must be byte-equal too.
+The ``bound`` column says whether one BFS against the degree or component
+bound (``graph._ball_by_bound``) decides the star potential, so that no
+route runs at all.  The relabelled cases shuffle the vertex ids with a
+fixed seed, so that no ball is a run of consecutive bits.
 """
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -36,13 +42,25 @@ def chord_ring(n: int):
     return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
 
 
-# (system, reach, whether to build the power, whether to run the other path too)
+def relabelled(n: int, edges):
+    """The graph on 0..n-1 with its vertex ids shuffled by a fixed seed."""
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+# (system, reach, whether to build the power, whether to run the other side too)
 CASES = [
-    ("complete:1000", 2, True, False),  # dense: the BFS path takes about a minute
-    ("star:4000", 2, False, False),  # the power is K_4000, 16M entries on either path
+    ("complete:1000", 2, True, False),  # dense: the BFS takes about a minute
+    ("star:4000", 2, False, False),  # the power is K_4000, 16M entries on either side
     ("hypercube:12", 3, True, True),
-    ("ring:4096", 8, True, True),  # sparse and low reach: the BFS path is faster
-    ("chord-ring:4096", 32, True, False),
+    ("ring:4096", 8, True, True),
+    ("relabelled-ring:4096", 64, True, True),
+    ("relabelled-ring:4096", 2047, True, False),  # 8.4M edges: the BFS rows take GBs
+    ("relabelled-path:4096", 64, True, True),
+    ("path:4096", 3000, False, False),  # the probe 0 is an end, so the star pass runs
+    ("cycles:64x64", 16, True, True),
+    ("chord-ring:4096", 32, True, False),  # one vertex of degree 3: mask rounds
     ("hypercube:13", 2, True, True),
     ("ring:65536", 2, True, False),  # the masks would take 512 MB
     ("ring:16384", 8192, False, False),  # the power is K_16384, above the edge cap
@@ -50,9 +68,28 @@ CASES = [
 
 
 def build(spec: str):
-    if spec.startswith("chord-ring:"):
-        return chord_ring(int(spec.split(":")[1]))
+    kind, _, arg = spec.partition(":")
+    if kind == "chord-ring":
+        return chord_ring(int(arg))
+    if kind == "relabelled-ring":
+        n = int(arg)
+        return relabelled(n, [(v, (v + 1) % n) for v in range(n)])
+    if kind in ("path", "relabelled-path"):
+        n = int(arg)
+        edges = [(v, v + 1) for v in range(n - 1)]
+        return from_edge_list(n, edges) if kind == "path" else relabelled(n, edges)
+    if kind == "cycles":  # "kxL": k disjoint cycles of order L
+        k, order = map(int, arg.split("x"))
+        return relabelled(k * order, [(c * order + v, c * order + (v + 1) % order)
+                                      for c in range(k) for v in range(order)])
     return parse_topology_spec(spec).build()
+
+
+def route(g) -> str:
+    """The route that makes g's balls: arcs, mask rounds or a BFS per vertex."""
+    if g.order > graph._BALL_MASK_MAX_ORDER:
+        return "bfs"
+    return "arcs" if g.max_degree() <= 2 else "masks"
 
 
 def on_path(masks: bool, fn, *args):
@@ -72,8 +109,8 @@ def timed(fn, *args):
 
 
 def main() -> int:
-    print(f"{'case':<28} {'path':<5} {'power':>9} {'write':>9} {'star':>9} {'bound':>5} "
-          f"{'other path':>11} {'its write':>9}  equal")
+    print(f"{'case':<34} {'route':<5} {'power':>9} {'write':>9} {'star':>9} {'bound':>5} "
+          f"{'other side':>11} {'its write':>9}  equal")
     mismatches = 0
     for spec, reach, make_power, cross in CASES:
         g = build(spec)
@@ -93,7 +130,7 @@ def main() -> int:
             same = power2 == power and text2 == text
             equal = str(same)
             mismatches += not same
-        print(f"{spec + ' reach ' + str(reach):<28} {'masks' if masks else 'bfs':<5} "
+        print(f"{spec + ' reach ' + str(reach):<34} {route(g):<5} "
               f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {bound:>5} {other:>11} "
               f"{other_write:>9}  {equal}")
     return 1 if mismatches else 0

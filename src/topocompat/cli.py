@@ -27,6 +27,7 @@ first use) and building its parsers cost about 7 ms of every process
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -35,8 +36,8 @@ from typing import List, Optional, Sequence
 from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, TopoCompatError
-from .graph import Graph, graph_power
-from .topologies import parse_topology_spec
+from .graph import Graph, _check_power_entries, graph_power
+from .topologies import check_hypercube_dim, parse_topology_spec
 
 __all__ = ["run", "main", "parse_range"]
 
@@ -100,7 +101,14 @@ def _cmd_gen(args: SimpleNamespace) -> int:
 
 
 def _cmd_power(args: SimpleNamespace) -> int:
-    _emit_graph(graph_power(args.spec.build(), args.reach), args.output)
+    spec, reach = args.spec, args.reach
+    if spec.kind == "hypercube":
+        # each of the 2^s rows of H_s's power is a Hamming ball minus its
+        # centre, so an oversized power is refused before H_s is built
+        s = spec.parameter
+        check_hypercube_dim(s)
+        _check_power_entries(sum(math.comb(s, i) for i in range(1, min(reach, s) + 1)) << s, reach)
+    _emit_graph(graph_power(spec.build(), reach), args.output)
     return 0
 
 

@@ -130,15 +130,15 @@ def ring_potential_certificate(
     host is acyclic (no ring task of any order fits), as every system of
     order below 3 is.  Canonically labeled hypercubes skip the search: the
     Gray cycle is Hamiltonian in H_s and stays one in every power, so the
-    potential is the full order 2^s.  Building the power honours the
-    budget's time limit, and the search then takes a time limit of its own,
-    so the whole can run for up to about twice the limit.
+    potential is the full order 2^s.  Building the power and the search
+    share one deadline, the budget's time limit from the call.
     """
     _check_reach(reach)
     s = canonical_hypercube_dim(system)
     if s is not None and s >= 2:
         return system.order, gray_code_cycle(s)
-    return longest_cycle(graph_power(system, reach, budget.deadline()), budget)
+    deadline = budget.deadline()
+    return longest_cycle(graph_power(system, reach, deadline), budget, deadline)
 
 
 def ring_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:

@@ -259,15 +259,18 @@ def _anchor_order(g: Graph) -> Tuple[list, Tuple[int, ...]]:
 
 
 def longest_cycle(
-    g: Graph, budget: SearchBudget = DEFAULT_BUDGET
+    g: Graph, budget: SearchBudget = DEFAULT_BUDGET, deadline: Optional[float] = None
 ) -> Tuple[int, Optional[Tuple[int, ...]]]:
     """Length of the longest simple cycle plus a witness (0, None if acyclic).
 
-    The search runs on the low-degree-first labels of :func:`_anchor_order`
-    and the witness is mapped back to g's."""
+    The search stops at the monotonic ``deadline`` when one is given, else
+    at ``budget.deadline()``.  It runs on the low-degree-first labels of
+    :func:`_anchor_order` and the witness is mapped back to g's."""
+    if deadline is None:
+        deadline = budget.deadline()
     order, masks = _anchor_order(g)
     status, length, witness, _ = _kernels.kernels_for(g.order).longest_cycle(
-        g.order, masks, budget.max_nodes, budget.deadline()
+        g.order, masks, budget.max_nodes, deadline
     )
     if status == _kernels.BUDGET_EXCEEDED:
         raise BudgetExceeded("longest-cycle search ran out of node or time budget")

@@ -14,21 +14,31 @@ edges read whichever view is there.
 
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
-Up to order 4096 all balls are grown at once as bitmasks, one round per unit
-of reach, and each ball minus its centre becomes the vertex's adjacency mask
-as it is: writing the power (``edgelist.write_edge_list``) makes no tuple,
-and the search kernels get the masks with no re-encode.  Above it every
-vertex gets its own BFS and its ball minus the vertex becomes its neighbor
-tuple, because all masks at once would take n^2/8 bytes (512 MB at order
-65536), which loses to the BFS on sparse graphs.  A power with more edges
-than H_20 is refused: on the mask path by popcount, on the BFS path first by
-a lower bound from the component orders and neighbour degrees, then as its
-rows are counted.
+Its closed balls come by one of three routes:
+
+- arcs (order <= 4096, maximum degree <= 2): every component is a path or a
+  cycle, and each ball is one or two spans of a walk along it, read off
+  prefix ORs of the walk (:func:`_arc_balls`): O(n) big-int operations at
+  any reach;
+- mask rounds (order <= 4096, some degree >= 3): all balls grow at once as
+  bitmasks, one round per unit of reach (:func:`_round_balls`), O(reach * m)
+  big-int operations, with an early stop once a round changes nothing;
+- BFS (order > 4096): one cutoff BFS per vertex, O(n * ball) steps, because
+  all masks at once would take n^2/8 bytes (512 MB at order 65536), which
+  loses to the BFS on sparse graphs.
+
+On the first two, each ball minus its centre becomes the vertex's adjacency
+mask as it is: writing the power (``edgelist.write_edge_list``) makes no
+tuple, and the search kernels get the masks with no re-encode.  On the BFS
+route each ball minus its vertex becomes its neighbor tuple.  A power with
+more edges than H_20 is refused: up to order 4096 by popcount, on the BFS
+route first by a lower bound from the component orders and neighbour
+degrees, then as its rows are counted.
 
 :func:`largest_ball` (the star potential) brackets first: no ball is larger
 than the Moore bound of the maximum degree, nor than the largest component,
 and one BFS that meets the smaller of the two bounds is the answer.  Only
-otherwise does it size every ball, on the same two paths, against a
+otherwise does it size every ball, by the same three routes, against a
 deadline.
 """
 
@@ -40,6 +50,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -242,17 +253,20 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     transform has no use downstream and would leak degenerate cases into the
     embedding engine.
 
-    Up to order 4096 every ball is grown at once as a bitmask
-    (:func:`_ball_masks`), and each ball with its centre bit cleared is the
-    power's adjacency mask for that vertex: the result holds those masks and
-    makes no neighbor tuple until one is read.  Above it each row comes from
-    one BFS per vertex, because all the masks would take n^2/8 bytes.  The
-    result is the same either way.  A power with more than
-    ``_POWER_MAX_EDGES`` edges raises InvalidParameter: the mask path counts
-    them by popcount before any mask is handed on; the BFS path first checks
-    :func:`_power_entries_floor`, before any BFS, then counts as each row is
-    made.  Each mask round or BFS checks the optional monotonic ``deadline``
-    and raises BudgetExceeded past it.
+    Up to order 4096 every ball is a bitmask (:func:`_ball_masks`): read
+    off prefix ORs along each path or cycle when no vertex has degree above
+    2 (the arc route, O(n) big-int operations), else grown in one mask round
+    per unit of reach.  Each ball with its centre bit cleared is the power's
+    adjacency mask for that vertex: the result holds those masks and makes
+    no neighbor tuple until one is read.  Above order 4096 each row comes
+    from one BFS per vertex, because all the masks would take n^2/8 bytes.
+    The result is the same on every route.  A power with more than
+    ``_POWER_MAX_EDGES`` edges raises InvalidParameter: up to order 4096 it
+    is counted by popcount before any mask is handed on; the BFS route first
+    checks :func:`_power_entries_floor`, before any BFS, then counts as each
+    row is made.  The optional monotonic ``deadline`` is checked once on the
+    arc route and once per mask round or BFS on the others, and
+    BudgetExceeded is raised past it.
     """
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
@@ -330,6 +344,81 @@ def _check_deadline(deadline: Optional[float], what: str) -> None:
 def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> List[int]:
     """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
 
+    When no vertex has degree above 2 the balls are arcs (:func:`_arc_balls`:
+    one walk and O(n) big-int operations, the deadline checked once);
+    otherwise they grow in mask rounds (:func:`_round_balls`: one round per
+    unit of reach, O(reach * m) operations, the deadline checked each
+    round).  Past the optional monotonic ``deadline`` either raises
+    BudgetExceeded naming the pass ``what``.
+    """
+    nbrs = g._neighbors
+    if max(map(len, nbrs)) <= 2:
+        _check_deadline(deadline, what)
+        return _arc_balls(nbrs, reach)
+    return _round_balls(nbrs, reach, deadline, what)
+
+
+def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int) -> List[int]:
+    """The closed reach-balls of a graph of maximum degree <= 2, from prefix
+    ORs along one walk of each component.
+
+    Every component is then a path or a cycle.  A path is walked from one
+    end (an isolated vertex is a path of one), then each vertex left over
+    lies on a cycle and is walked from there, so each component is a run
+    w_0..w_{L-1} of the walk with w_i ~ w_{i+1}, plus w_{L-1} ~ w_0 on a
+    cycle.  On a path dist(w_i, w_j) = |i - j|, so the ball of w_i is the
+    span of positions i - reach..i + reach clipped to 0..L-1.  On a cycle
+    dist(w_i, w_j) = min(|i - j|, L - |i - j|), so the ball is the arc
+    i - reach..i + reach taken mod L: the span clipped to 0..L-1, OR the
+    span that wraps past one end (2 * reach + 1 < L, so it wraps past at
+    most one).  Once reach is at least every vertex's eccentricity (L // 2
+    on a cycle, L - 1 on a path) every ball is the whole component.  With
+    P[k] the OR of the bits of the first k walk positions, the span of
+    positions a..b - 1 is P[b] ^ P[a], as the prefixes are nested.
+    """
+    n = len(nbrs)
+    seen = bytearray(n)
+    walk, parts = [], []  # vertices run by run; (first position, order, is a cycle)
+    for first in [v for v, nb in enumerate(nbrs) if len(nb) < 2] + list(range(n)):
+        if seen[first]:
+            continue
+        start, v = len(walk), first
+        seen[v] = 1
+        while v >= 0:
+            walk.append(v)
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    v = w
+                    break
+            else:
+                v = -1
+        parts.append((start, len(walk) - start, len(nbrs[first]) == 2))
+    prefix = list(accumulate([1 << v for v in walk], or_, initial=0))
+    balls = [0] * n
+    for start, size, cycle in parts:
+        end = start + size
+        if reach >= (size // 2 if cycle else size - 1):
+            whole = prefix[end] ^ prefix[start]
+            for v in walk[start:end]:
+                balls[v] = whole
+            continue
+        for i in range(start, end):
+            lo, hi = i - reach, i + reach + 1
+            ball = prefix[min(hi, end)] ^ prefix[max(lo, start)]
+            if cycle and lo < start:
+                ball |= prefix[end] ^ prefix[lo + size]
+            elif cycle and hi > end:
+                ball |= prefix[hi - size] ^ prefix[start]
+            balls[walk[i]] = ball
+    return balls
+
+
+def _round_balls(
+    nbrs: Sequence[Tuple[int, ...]], reach: int, deadline: Optional[float], what: str
+) -> List[int]:
+    """Every vertex's closed reach-ball as a bitmask, one round per unit of reach.
+
     Round 1 sets ball_1(v) = {v} | N(v).  Round d >= 2 sets ball_d(v) to
     the OR of ball_{d-1}(u) over u ~ v, without v's own ball_{d-1}: that is
     already inside the OR.  Proof: v lies in each ball_{d-1}(u), as
@@ -341,8 +430,7 @@ def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> L
     rounds are skipped.  Each round first checks the optional monotonic
     ``deadline`` and raises BudgetExceeded, naming the pass ``what``, past it.
     """
-    nbrs = g._neighbors
-    balls = [1 << v for v in range(g.order)]
+    balls = [1 << v for v in range(len(nbrs))]
     for d in range(1, reach + 1):
         _check_deadline(deadline, what)
         prev, get = balls, balls.__getitem__
@@ -423,10 +511,10 @@ def largest_ball(
     These are the first vertex of maximum degree in the reach-th power and
     its neighbours there.  One BFS that meets the bound of
     :func:`_ball_by_bound` decides it; otherwise the ball sizes come from the
-    same size-selected path as :func:`graph_power` (a popcount over the ball
+    same route as :func:`graph_power` (a popcount over the arc or round ball
     masks up to order 4096, a BFS per vertex above), then one more BFS lists
-    the ball.  That pass checks the optional monotonic ``deadline`` once per
-    mask round or once per BFS, and raises BudgetExceeded past it.
+    the ball.  That pass checks the optional monotonic ``deadline`` as the
+    transform does, and raises BudgetExceeded past it.
     """
     if reach < 0:
         raise InvalidReachability(f"reachability must be >= 0, got {reach}")

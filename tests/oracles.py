@@ -116,6 +116,31 @@ def all_pairs_distances(g: Graph) -> Distances:
     return Distances(rows)
 
 
+def largest_ball_reference(g: Graph, reach: int) -> Tuple[int, Tuple[int, ...]]:
+    """The first center of a largest reach-ball and its other vertices in
+    ascending order, from all-pairs distances."""
+    dist = all_pairs_distances(g)
+    balls = [[u for u, d in enumerate(dist.row(v)) if d is not None and d <= reach]
+             for v in range(g.order)]
+    center = max(range(g.order), key=lambda v: len(balls[v]))  # the first of the largest
+    return center, tuple(u for u in balls[center] if u != center)
+
+
+def path_cycle_union(parts: Sequence[Tuple[int, bool]], rng: random.Random) -> Graph:
+    """Disjoint paths and cycles, one per (order, is a cycle) part, with the
+    vertices relabelled by a random permutation from rng."""
+    n = sum(k for k, _ in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, start = [], 0
+    for k, cycle in parts:
+        edges += [(perm[start + i], perm[start + i + 1]) for i in range(k - 1)]
+        if cycle:
+            edges.append((perm[start + k - 1], perm[start]))
+        start += k
+    return from_edge_list(n, edges)
+
+
 def is_valid_cycle(g: Graph, seq: Sequence[int]) -> bool:
     """True iff seq is a simple cycle of g (distinct vertices, closed walk)."""
     k = len(seq)

@@ -6,7 +6,7 @@ import pytest
 
 from topocompat import (Graph, InvalidParameter, gray_code_cycle, graph_power, hypercube,
                         parse_topology_spec)
-from topocompat import cli, compat, graph
+from topocompat import cli, compat, graph, topologies
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
 from oracles import chord_ring
@@ -423,6 +423,43 @@ class TestGenAndPower:
 
     def test_power_reach_zero_exits_two(self, capsys):
         assert run(["power", "ring:5", "--reach", "0"]) == 2
+
+    @pytest.fixture
+    def hypercube_builds(self, monkeypatch):
+        calls = []
+        build = topologies.hypercube
+
+        def counting(s):
+            calls.append(s)
+            return build(s)
+
+        monkeypatch.setattr(topologies, "hypercube", counting)
+        return calls
+
+    @pytest.mark.parametrize("s,reach", [(20, 2), (20, 10**12), (16, 5)])
+    def test_oversized_hypercube_power_is_refused_from_the_spec(self, s, reach, capsys,
+                                                                  hypercube_builds):
+        assert run(["power", f"hypercube:{s}", "--reach", str(reach)]) == 2
+        assert capsys.readouterr() == ("", f"error: the reach-{reach} transform has more than "
+                                           "10485760 edges, the cap (the edges of H_20)\n")
+        assert hypercube_builds == []
+
+    @pytest.mark.parametrize("s", [0, -1, 21, 10**14])
+    def test_hypercube_power_dimension_is_checked_first(self, s, capsys):
+        assert run(["power", f"hypercube:{s}", "--reach", "2"]) == 2
+        assert capsys.readouterr().err == f"error: hypercube dimension must be in 1..20, got {s}\n"
+
+    def test_hypercube_power_at_the_cap_is_built(self, capsys, monkeypatch, hypercube_builds):
+        # H_4 at reach 2: 16 rows of C(4, 1) + C(4, 2) = 10 entries, 80 edges
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 80)
+        assert run(["power", "hypercube:4", "--reach", "2"]) == 0
+        assert loads(capsys.readouterr().out) == graph_power(hypercube(4), 2)
+        assert run(["power", "hypercube:4", "--reach", "1000"]) == 2
+        assert capsys.readouterr().err.startswith("error: the reach-1000 transform has more than 80 ")
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 79)
+        assert run(["power", "hypercube:4", "--reach", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: the reach-2 transform has more than 79 ")
+        assert hypercube_builds == [4]
 
     def test_missing_input_file_exits_two(self, capsys):
         assert run(["gen", "file:/nonexistent/g.edges"]) == 2

@@ -35,7 +35,7 @@ from topocompat.compat import (
     round_half_up,
     star_potential_certificate,
 )
-from topocompat import graph
+from topocompat import compat, graph
 from topocompat.topologies import TopologySpec
 from oracles import chord_ring
 
@@ -214,6 +214,30 @@ class TestRingPotentialBudget:
         assert ring_potential(g, 2) == 64
         with pytest.raises(BudgetExceeded, match="^reachability transform ran out of time budget$"):
             ring_potential_certificate(g, 2, self.TINY)
+
+    def test_transform_and_search_share_one_deadline(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from topocompat import _kernels
+
+        seen = {}
+        power, kernels_for = compat.graph_power, _kernels.kernels_for
+
+        def spy_power(g, reach, deadline=None):
+            seen["transform"] = deadline
+            return power(g, reach, deadline)
+
+        def spy_kernels(order):
+            def longest_cycle(n, masks, max_nodes, deadline):
+                seen["kernel"] = deadline
+                return kernels_for(order).longest_cycle(n, masks, max_nodes, deadline)
+
+            return SimpleNamespace(longest_cycle=longest_cycle)
+
+        monkeypatch.setattr(compat, "graph_power", spy_power)
+        monkeypatch.setattr(_kernels, "kernels_for", spy_kernels)
+        assert ring_potential_certificate(chord_ring(64), 2)[0] == 64
+        assert seen["kernel"] == seen["transform"] is not None
 
     def test_reach_one_transform_takes_no_deadline(self):
         import time

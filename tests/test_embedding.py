@@ -193,6 +193,29 @@ class TestLongestCycle:
         assert length == 3
         assert is_valid_cycle(g, witness)
 
+    def test_deadline_given_or_from_the_budget(self, monkeypatch):
+        import time
+        from types import SimpleNamespace
+
+        from topocompat import SearchBudget, _kernels
+
+        seen = []
+        kernels_for = _kernels.kernels_for
+
+        def spy_kernels(order):
+            def longest_cycle(n, masks, max_nodes, deadline):
+                seen.append(deadline)
+                return kernels_for(order).longest_cycle(n, masks, max_nodes, deadline)
+
+            return SimpleNamespace(longest_cycle=longest_cycle)
+
+        monkeypatch.setattr(_kernels, "kernels_for", spy_kernels)
+        budget = SearchBudget(time_limit=100.0)
+        assert longest_cycle(hypercube(3), budget, deadline=12.5)[0] == 8
+        before = time.monotonic()
+        assert longest_cycle(hypercube(3), budget)[0] == 8
+        assert seen[0] == 12.5 and before + 100 <= seen[1] <= time.monotonic() + 100
+
     def test_bipartite_hosts_have_even_longest_cycle(self):
         from oracles import generated_topologies
 
