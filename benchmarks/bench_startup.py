@@ -6,8 +6,11 @@ Each query is one process, so its start-up and its exit are paid on every
 query.  A round runs, one fresh process each: a bare interpreter (``python
 -c pass``), a bare interpreter that skips the interpreter's teardown as
 ``topocompat.cli.main`` does (``python -c "import os; os._exit(0)"``),
-``python -c "import topocompat.cli"``, and one small ``python -m
-topocompat.cli`` query per command; then all of these again under ``python
+``python -c "import topocompat.cli"``, one small ``python -m
+topocompat.cli`` query per command, and two command lines that the CLI
+leaves to argparse (a query with ``--rea=1`` for ``--reach 1``, and
+``potential -h``), so the cost of a line not spelled out in full is a
+number too; then all of these again under ``python
 -S``, which skips ``site`` and so the ``.pth`` files of site-packages that
 may import modules the program would otherwise be charged for.  The rows
 take turns within every round, so a slow stretch of a shared host falls on
@@ -19,7 +22,7 @@ The table gives each row's median wall time and quartiles in milliseconds.
 Then, for each command, a probe process imports the CLI, runs the same query
 with its output discarded, and lists the modules it loaded beyond what a bare
 interpreter had loaded; ``HEAVY`` names the standard-library modules that no
-query should load.
+query spelled out in full should load.
 """
 
 import argparse
@@ -43,6 +46,9 @@ QUERIES = {
     "table": ["table", "--task", "star", "--s", "1..8", "--reach", "1..3", "--format", "csv"],
     "embed": ["embed", "--task", "ring:4", "--system", "hypercube:3", "--reach", "1",
               "--witness"],
+    # not spelled out in full, so read by argparse
+    "potential --rea=1": ["potential", "--task", "star", "--system", "ring:8", "--rea=1"],
+    "potential -h": ["potential", "-h"],
 }
 PROBE = """
 import sys

@@ -15,13 +15,16 @@ input.  ``TOPO_COMPAT_TIME_LIMIT`` (seconds) overrides the default time
 budget; ``--max-nodes``, ``--time-limit``, and ``--max-host-order`` override
 per invocation.
 
-Every command, positional and flag is one entry of ``COMMANDS``, read by
-argparse's rules: ``--flag=value``, unambiguous prefixes of long flags,
-``-h``/``--help`` per command, and usage errors in argparse's shape and
-wording (usage line, ``topo-compat[ CMD]: error: ...``, exit 2).  argparse
-itself is not imported: importing it (with ``gettext``, and ``locale`` on
-first use) and building its parsers cost about 7 ms of every process
-(2-vCPU Xeon, Python 3.11).
+Every command, positional and flag is one entry of ``COMMANDS``, read one
+of two ways.  A command line spelled out in full (the command, its
+positionals, exact flag names, each value in its own token not starting
+with ``-``) is read straight from the table by ``_parse_exact``, without
+importing argparse: that import (with ``gettext``, and ``locale`` once a
+parser is built) would cost such a process about 7 ms (2-vCPU Xeon,
+Python 3.11).  Every other command line goes to an argparse parser built
+from the same table: ``-h``/``--help``, unambiguous prefixes of long flags,
+``--flag=value``, ``-ovalue``, ``--``, and every usage error, in argparse's
+own words (exit 2).
 """
 
 from __future__ import annotations
@@ -137,10 +140,14 @@ def _cmd_table(args: SimpleNamespace) -> int:
 
 def _cmd_embed(args: SimpleNamespace) -> int:
     task = args.task.build()
-    system = args.system.build()
+    # the transform keeps the order, and a generated system's order is known
+    # from its spec, so a host too large is refused before either is built
+    order = args.system.order()
+    system = args.system.build() if order is None else None
     budget = _budget_from(args)
-    # the transform keeps the order, so a host too large is known before it is built
-    budget.check_host_order(system.order)
+    budget.check_host_order(system.order if order is None else order)
+    if system is None:
+        system = args.system.build()
     emb = find_embedding(task, graph_power(system, args.reach), budget)
     if emb is None:
         print("no embedding")
@@ -152,47 +159,27 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     return 0
 
 
-# -- parsing: one table of commands, read by argparse's rules -------------------------
+# -- parsing: one table of commands, read exactly or by argparse ---------------------
 
 class _Arg:
     """A positional (one bare name) or a flag (its names) of a command.
 
     ``convert`` turns the text into the value and raises TopoCompatError for
     a bad one; ``choices`` lists the texts allowed.  A ``switch`` takes no
-    value and sets True.  The value lands in the last name without dashes.
-    ``label`` names it in messages (``-o/--output``, ``spec``), ``usage``
-    in the usage line (``-o OUTPUT``) and ``heading`` in help
-    (``-o OUTPUT, --output OUTPUT``).
+    value and sets True.  The value lands in ``dest``, the last name without
+    dashes, where argparse puts it too.
     """
 
     def __init__(self, *names, convert=str, choices=(), default=None, required=False,
-                 switch=False, metavar="", help=""):
-        self.names, self.convert, self.choices, self.switch, self.help = (
-            names, convert, choices, switch, help)
+                 switch=False, metavar=None, help=""):
+        self.names, self.convert, self.choices, self.switch, self.metavar, self.help = (
+            names, convert, choices, switch, metavar, help)
         self.is_flag = names[0].startswith("-")
         self.dest = names[-1].lstrip("-").replace("-", "_")
         self.default = False if switch else default
         self.required = required or not self.is_flag
-        if choices:
-            metavar = "{" + ",".join(choices) + "}"
-        self.metavar = metavar or (self.dest.upper() if self.is_flag else self.dest)
-        self.label = "/".join(names) if self.is_flag else self.dest
-        self.usage = (self.metavar if not self.is_flag else names[0] if switch
-                      else f"{names[0]} {self.metavar}")
-        self.heading = ", ".join(
-            names if switch or not self.is_flag else [f"{n} {self.metavar}" for n in names])
-
-    def value(self, text: str):
-        try:
-            if self.choices and text not in self.choices:
-                choices = ", ".join(map(repr, self.choices))
-                raise InvalidParameter(f"invalid choice: {text!r} (choose from {choices})")
-            return self.convert(text)
-        except TopoCompatError as exc:
-            raise InvalidParameter(f"argument {self.label}: {exc}") from None
 
 
-_HELP = _Arg("-h", "--help", switch=True, help="show this help message and exit")
 _SPEC_HELP = "hypercube:s | ring:p | star:p | complete:n | file:PATH"
 _TASK_KIND = _Arg("--task", choices=("star", "ring"), required=True, help="task family")
 _REACH = _Arg("--reach", convert=_positive_int, required=True,
@@ -245,160 +232,84 @@ COMMANDS = {
         *_BUDGET,
     )),
 }
-_COMMAND = _Arg("command", choices=tuple(COMMANDS))
-_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 
-class _Exit(Exception):
-    """Parsing ends early: help (code 0, for stdout) or a usage error (code 2, stderr)."""
+def _parse_exact(argv: List[str]) -> Optional[tuple]:
+    """(function, arguments) for a command line spelled out in full, else None.
 
-    def __init__(self, code: int, text: str):
-        super().__init__(text)
-        self.code, self.text = code, text
-
-
-def _classify(token: str, flags: dict) -> tuple:
-    """(kind, item, attached value) of a token, by argparse's rules, given
-    the flag names in use: kind "O" is a flag (item: its _Arg), "A" a value
-    and "?" an unknown flag (item: the token).
-
-    A long flag may be given as any unambiguous prefix of its name, and a
-    value may be attached as ``--name=value``, ``-o=value`` or ``-ovalue``;
-    one attached to a switch is an error.  ``-``, ``--``, negative numbers
-    and tokens with a space in them are values.
+    Spelled out in full: the command's name, then its positionals and flags
+    in any order, each flag by one of its own names with its value in the
+    next token, no value starting with ``-``, every value converting and
+    every required argument given.  argparse reads such a line the same way,
+    a repeated flag's last value included; anything else is left to it.
     """
-    if not token.startswith("-") or token in ("-", "--"):
-        return "A", token, None
-    name, eq, attached = token.partition("=")
-    if token in flags or not eq:
-        name, attached = token, None
-    if name in flags:
-        hits = [name]
-    elif name.startswith("--"):
-        hits = [f for f in flags if f.startswith(name)]
-    elif name[:2] in flags:
-        hits, attached = [name[:2]], token[2:]
-    else:
-        hits = []
-    if len(hits) > 1:
-        raise InvalidParameter(f"ambiguous option: {token} could match {', '.join(hits)}")
-    if hits:
-        arg = flags[hits[0]]
-        if arg.switch and attached is not None:
-            raise InvalidParameter(f"argument {arg.label}: ignored explicit argument "
-                                   f"{attached!r}")
-        return "O", arg, attached
-    digits = token[1:]  # argparse's negative number: -N, -N.N or -.N
-    if digits.replace(".", "", 1).isdecimal() and not digits.endswith(".") or " " in token:
-        return "A", token, None
-    return "?", token, None
-
-
-def _help(usage: str, description: str, sections: list) -> str:
-    """Help text; ``sections`` are (title, [_Arg]), help text from column 24."""
-    lines = [usage, "", description]
-    for title, args in sections:
-        if args:
-            lines += ["", title]
-        for arg in args:
-            if len(arg.heading) <= 20:
-                lines.append(f"  {arg.heading:<22}{arg.help}")
-            else:
-                lines += ["  " + arg.heading, " " * 24 + arg.help]
-    return "\n".join(lines) + "\n"
-
-
-def _usage(name: str, args: Sequence[_Arg]) -> str:
-    """argparse's usage line: flags in table order, then positionals."""
-    parts = [a.usage if a.required else f"[{a.usage}]"
-             for a in sorted(args, key=lambda a: not a.is_flag)]
-    return f"usage: {PROG} {name} [-h] " + " ".join(parts)
-
-
-def _parse_command(name: str, tokens: List[str]) -> tuple:
-    """(function, arguments, unrecognized tokens) for one command's tokens."""
-    func, description, args = COMMANDS[name]
-    usage = _usage(name, args)
-    flags = {flag: arg for arg in (_HELP, *args) if arg.is_flag for flag in arg.names}
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, args = COMMANDS[argv[0]]
+    flags = {name: arg for arg in args if arg.is_flag for name in arg.names}
     positionals = [arg for arg in args if not arg.is_flag]
     values = {arg.dest: arg.default for arg in args}
-    seen, extras = set(), []
-    try:
-        # as in argparse, every token is classified before any is used, and
-        # all tokens after the first "--" are values
-        kinds, rest = [], False
-        for token in tokens:
-            kinds.append(("A", token, None) if rest else ("--", token, None) if token == "--"
-                         else _classify(token, flags))
-            rest = rest or token == "--"
-        i = 0
-        while i < len(kinds):
-            kind, item, attached = kinds[i]
-            i += 1
-            if kind == "A" and positionals:
-                arg, text = positionals.pop(0), item
-            elif kind != "O":
-                if kind != "--":
-                    extras.append(item)
-                continue
-            elif item is _HELP:
-                raise _Exit(0, _help(usage, description, [
-                    ("positional arguments:", [a for a in args if not a.is_flag]),
-                    ("options:", [_HELP, *(a for a in args if a.is_flag)])]))
-            elif item.switch or attached is not None:
-                arg, text = item, attached
-            elif i < len(kinds) and kinds[i][0] == "A":
-                arg, text = item, kinds[i][1]
-                i += 1
-            else:
-                raise InvalidParameter(f"argument {item.label}: expected one argument")
-            values[arg.dest] = True if arg.switch else arg.value(text)
-            seen.add(arg)
-        missing = [arg.label for arg in args if arg.required and arg not in seen]
-        if missing:
-            raise InvalidParameter("the following arguments are required: " + ", ".join(missing))
-    except InvalidParameter as exc:
-        raise _Exit(2, f"{usage}\n{PROG} {name}: error: {exc}\n") from None
-    return func, SimpleNamespace(**values), extras
-
-
-def _parse(argv: List[str]) -> tuple:
-    """(function, arguments) for ``argv``; raises _Exit for help or a usage error.
-
-    Messages and exit codes are argparse's, for a parser with one
-    subparser per command: tokens before the command may only ask for help,
-    and unrecognized tokens are reported once the command has parsed.
-    """
-    usage = f"usage: {PROG} [-h] {_COMMAND.metavar} ..."
-    extras = []
-    try:
-        for i, token in enumerate(argv):
-            kind = _classify(token, _TOP_FLAGS)[0]
-            if kind == "O":
-                raise _Exit(0, _help(usage, DESCRIPTION, [
-                    ("commands:", [_Arg(name, help=c[1]) for name, c in COMMANDS.items()]),
-                    ("options:", [_HELP])]))
-            if kind == "A":
-                break
-            extras.append(token)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            arg = flags.get(token)
         else:
-            raise InvalidParameter(f"the following arguments are required: {_COMMAND.label}")
-        name = _COMMAND.value(token)
-    except InvalidParameter as exc:
-        raise _Exit(2, f"{usage}\n{PROG}: error: {exc}\n") from None
-    func, args, more = _parse_command(name, argv[i + 1:])
-    if extras or more:
-        message = "unrecognized arguments: " + " ".join(extras + more)
-        raise _Exit(2, f"{usage}\n{PROG}: error: {message}\n")
-    return func, args
+            arg = positionals.pop(0) if positionals else None
+        if arg is None:
+            return None
+        if arg.switch:
+            values[arg.dest] = True
+            continue
+        text = next(tokens, "-") if arg.is_flag else token
+        if text.startswith("-") or arg.choices and text not in arg.choices:
+            return None
+        try:
+            values[arg.dest] = arg.convert(text)
+        except TopoCompatError:
+            return None
+        given.add(arg)
+    if any(arg.required and arg not in given for arg in args):
+        return None
+    return func, SimpleNamespace(**values)
+
+
+def _parse_argparse(argv: List[str]) -> tuple:
+    """(function, arguments) for any command line, by an argparse parser built
+    from ``COMMANDS``; help and usage errors end in argparse's SystemExit."""
+    import argparse
+
+    def typed(convert):
+        def text_value(text):
+            try:
+                return convert(text)
+            except TopoCompatError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return text_value
+
+    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (func, summary, args) in COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary)
+        sub.set_defaults(func=func)
+        for arg in args:
+            if arg.switch:
+                sub.add_argument(*arg.names, action="store_true", help=arg.help)
+                continue
+            flag = dict(default=arg.default, required=arg.required) if arg.is_flag else {}
+            sub.add_argument(*arg.names, type=typed(arg.convert), choices=arg.choices or None,
+                             metavar=arg.metavar, help=arg.help, **flag)
+    values = vars(parser.parse_args(argv))
+    del values["command"]
+    return values.pop("func"), SimpleNamespace(**values)
 
 
 def run(argv: Sequence[str]) -> int:
     """Parse and execute one invocation; returns the process exit code."""
+    argv = list(argv)
     try:
-        func, args = _parse(list(argv))
-    except _Exit as exc:
-        (sys.stdout if exc.code == 0 else sys.stderr).write(exc.text)
+        func, args = _parse_exact(argv) or _parse_argparse(argv)
+    except SystemExit as exc:  # argparse printed help (0) or a usage error (2)
         return exc.code
     try:
         return func(args)

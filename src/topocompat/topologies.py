@@ -53,16 +53,31 @@ def hypercube(s: int) -> Graph:
     return Graph._from_neighbors(tuple(rows))
 
 
-def _check_order_cap(kind: str, n: int) -> None:
-    if n > 1 << MAX_HYPERCUBE_DIM:  # refused before any edge is listed
-        raise InvalidParameter(f"{kind} order {n} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
+def _generated_order(kind: str, k: int) -> int:
+    """The order of the generated ``kind:k`` (kind hypercube, ring, star or
+    complete), once ``k`` is checked; InvalidParameter, before any edge is
+    listed, for a ``k`` the generator refuses.  The generators and
+    ``TopologySpec.order`` both check here."""
+    if kind == "hypercube":
+        check_hypercube_dim(k)
+        return 1 << k
+    name, least = {"ring": ("ring", 3), "star": ("star", 2),
+                   "complete": ("complete-graph", 1)}[kind]
+    if k < least:
+        raise InvalidParameter(f"{name} order must be >= {least}, got {k}")
+    if kind == "complete":
+        m, cap = k * (k - 1) // 2, MAX_HYPERCUBE_DIM << (MAX_HYPERCUBE_DIM - 1)
+        if m > cap:
+            raise InvalidParameter(f"complete graph K_{k} has {m} edges, above the cap {cap} "
+                                   f"(the edges of H_{MAX_HYPERCUBE_DIM})")
+    elif k > 1 << MAX_HYPERCUBE_DIM:
+        raise InvalidParameter(f"{kind} order {k} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
+    return k
 
 
 def ring(p: int) -> Graph:
     """The cycle graph C_p: vertex i adjacent to (i +- 1) mod p; p <= 2^20."""
-    if p < 3:
-        raise InvalidParameter(f"ring order must be >= 3, got {p}")
-    _check_order_cap("ring", p)
+    _generated_order("ring", p)
     ids = tuple(range(p))
     inner = [(ids[i - 1], ids[i + 1]) for i in range(1, p - 1)]
     return Graph._from_neighbors(((1, ids[-1]), *inner, (0, ids[-2])))
@@ -70,21 +85,13 @@ def ring(p: int) -> Graph:
 
 def star(p: int) -> Graph:
     """The star K_{1,p-1}: center vertex 0 adjacent to vertices 1..p-1; p <= 2^20."""
-    if p < 2:
-        raise InvalidParameter(f"star order must be >= 2, got {p}")
-    _check_order_cap("star", p)
+    _generated_order("star", p)
     return Graph._from_neighbors((tuple(range(1, p)),) + ((0,),) * (p - 1))
 
 
 def complete(n: int) -> Graph:
     """The complete graph K_n, with at most as many edges as H_20 (n <= 4579)."""
-    if n < 1:
-        raise InvalidParameter(f"complete-graph order must be >= 1, got {n}")
-    m, cap = n * (n - 1) // 2, MAX_HYPERCUBE_DIM << (MAX_HYPERCUBE_DIM - 1)
-    if m > cap:
-        raise InvalidParameter(
-            f"complete graph K_{n} has {m} edges, above the cap {cap} (the edges of H_{MAX_HYPERCUBE_DIM})"
-        )
+    _generated_order("complete", n)
     ids = tuple(range(n))
     return Graph._from_neighbors(tuple([ids[:v] + ids[v + 1:] for v in range(n)]))
 
@@ -125,6 +132,14 @@ class TopologySpec(_FrozenRecord):
 
     def __init__(self, kind: str, parameter: Optional[int] = None, path: Optional[str] = None):
         super().__init__(kind, parameter, path)
+
+    def order(self) -> Optional[int]:
+        """The order of a generated topology, its parameter checked as
+        ``build()`` checks it; None for a file or an unknown kind, whose
+        order ``build()`` finds or refuses."""
+        if self.kind in ("hypercube", "ring", "star", "complete"):
+            return _generated_order(self.kind, self.parameter)
+        return None
 
     def build(self) -> Graph:
         if self.kind == "hypercube":

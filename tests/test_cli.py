@@ -345,6 +345,52 @@ class TestEmbedCommand:
         assert capsys.readouterr().err == "error: host order 8192 exceeds budget cap 64\n"
         assert calls == []
 
+    @pytest.fixture
+    def generators_called(self, monkeypatch):
+        calls = []
+        for name in ("hypercube", "ring", "star", "complete"):
+            def counting(k, name=name, build=getattr(topologies, name)):
+                calls.append(name)
+                return build(k)
+            monkeypatch.setattr(topologies, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("spec,order", [
+        ("hypercube:20", 1 << 20), ("hypercube:17", 1 << 17), ("ring:1048576", 1 << 20),
+        ("star:65", 65), ("complete:4579", 4579),
+    ])
+    def test_oversized_generated_system_is_refused_from_the_spec(self, spec, order, capsys,
+                                                                  generators_called):
+        assert run(["embed", "--task", "ring:4", "--system", spec, "--reach", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: host order {order} exceeds budget cap 64\n")
+        assert generators_called == ["ring"]  # the task's, not the system's
+
+    def test_oversized_file_system_is_refused_once_read(self, tmp_path, capsys):
+        path = tmp_path / "ring65.edges"
+        write_edge_list_path(topologies.ring(65), path)
+        assert run(["embed", "--task", "ring:4", "--system", f"file:{path}", "--reach", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: host order 65 exceeds budget cap 64\n")
+
+    @pytest.mark.parametrize("spec", ["hypercube:25", "hypercube:-1", "ring:2",
+                                      "ring:99999999999999999999", "star:1", "complete:5000",
+                                      "complete:0"])
+    def test_invalid_generated_system_keeps_its_exit_and_message(self, spec, capsys):
+        with pytest.raises(InvalidParameter) as refused:
+            parse_topology_spec(spec).build()
+        assert run(["embed", "--task", "ring:4", "--system", spec, "--reach", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+
+    def test_the_task_and_the_system_are_checked_before_the_budget(self, capsys, monkeypatch,
+                                                                   generators_called):
+        assert run(["embed", "--task", "ring:2", "--system", "hypercube:20", "--reach", "1"]) == 2
+        assert capsys.readouterr().err == "error: ring order must be >= 3, got 2\n"
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "soon")
+        assert run(["embed", "--task", "ring:4", "--system", "hypercube:21", "--reach", "1"]) == 2
+        assert capsys.readouterr().err == "error: hypercube dimension must be in 1..20, got 21\n"
+        assert run(["embed", "--task", "ring:4", "--system", "hypercube:20", "--reach", "1"]) == 2
+        assert capsys.readouterr().err == "error: TOPO_COMPAT_TIME_LIMIT is not a number: 'soon'\n"
+        assert generators_called == ["ring", "ring", "ring"]
+
     def test_time_limit_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
         code = run(["embed", "--task", "complete:7", "--system", "hypercube:5", "--reach", "2"])

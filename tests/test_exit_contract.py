@@ -1,0 +1,202 @@
+"""Seeded fuzzing of the exit contract: every command line ends in 0, 1 or 2.
+
+Command lines are drawn from ``cli.COMMANDS``: each command's arguments with
+values from pools of valid, malformed, huge and negative texts, small
+``file:`` systems (some of them malformed files), and then now and then a
+change: a flag cut to a prefix, a value joined by ``=`` or attached to
+``-o``, ``--``, ``-h``, a dropped or a stray token, an unknown command.
+Each runs in-process through ``cli.run()`` with a small time budget.
+
+Every case must return 0, 1 or 2 and raise nothing.  Exit 0 writes nothing
+to standard error; exits 1 and 2 end standard error with its one line that
+says ``error:``.  Every exit-0 ``potential`` on a ``file:`` system of order
+at most 8 must give the potential that the brute-force oracles give.
+"""
+
+import random
+import time
+
+import pytest
+
+from topocompat import cli, from_edge_list
+from topocompat.edgelist import write_edge_list_path
+from oracles import (brute_force_cycle_orders, largest_ball_reference, power_reference,
+                     random_graph)
+
+SEEDS = range(8)
+CASES = 150
+TIME_LIMIT = "0.05"  # seconds, through TOPO_COMPAT_TIME_LIMIT
+SLOWEST_CASE_S = 2  # a hundred times the slowest case; one past it did unbounded work
+
+# per converter: texts it accepts, and texts it refuses or the command then refuses
+VALID = {
+    cli.parse_topology_spec: ["hypercube:1", "hypercube:3", "hypercube:4", "ring:3", "ring:8",
+                              "star:2", "star:6", "complete:1", "complete:3", "complete:6"],
+    cli._positive_int: ["1", "2", "3", "1000000000000", "٣"],
+    cli._seconds: ["0.05", "0.000001", "1e-9", "2"],
+    cli.parse_range: ["1..4", "3", "2..8", "1..20"],
+}
+INVALID = {
+    cli.parse_topology_spec: [
+        "", "ring", "ring:", "ring:x", "mesh:3", ":5", "file:", "hypercube:2.5", "RING:5",
+        "hypercube:0", "hypercube:-1", "hypercube:21", "hypercube:99999999999999999999",
+        "ring:-5", "ring:2", "ring:1048577", "ring:99999999999999999999", "star:1",
+        "star:1048577", "complete:0", "complete:-2", "complete:4580"],
+    cli._positive_int: ["0", "-1", "x", "2.5", ""],
+    cli._seconds: ["nan", "inf", "-1", "x", "0"],
+    cli.parse_range: ["5..2", "x..y", "0..3", "1..100000", "1..99999999999999999999", "-3..2",
+                      ""],
+}
+# valid systems too large to build cheaply, which embed refuses from the spec
+HOSTS_TOO_LARGE = ["hypercube:20", "ring:1048576", "complete:4579"]
+MALFORMED_FILES = {
+    "empty.edges": b"",
+    "header.edges": b"3\n",
+    "words.edges": b"a b\n",
+    "short.edges": b"3 2\n0 1\n",
+    "long.edges": b"3 1\n0 1\n1 2\n",
+    "loop.edges": b"3 1\n1 1\n",
+    "range.edges": b"3 1\n0 7\n",
+    "negative.edges": b"3 1\n0 -1\n",
+    "order.edges": b"-3 0\n",
+    "zero.edges": b"0 0\n",
+    "huge.edges": b"99999999999999999999 0\n",
+    "bytes.edges": b"\xff\xfe",
+}
+
+
+@pytest.fixture(scope="module")
+def systems(tmp_path_factory):
+    """``file:`` spec -> its graph, or None for a malformed or missing file."""
+    root = tmp_path_factory.mktemp("systems")
+    rng = random.Random(7)
+    files = {}
+    for i, n in enumerate((1, 2, 3, 4, 5, 6, 7, 8, 8, 12)):
+        g = random_graph(rng, n, 0.5)
+        write_edge_list_path(g, root / f"g{i}.edges")
+        files[f"file:{root / f'g{i}.edges'}"] = g
+    for name, data in MALFORMED_FILES.items():
+        (root / name).write_bytes(data)
+        files[f"file:{root / name}"] = None
+    files[f"file:{root / 'missing.edges'}"] = None
+    files[f"file:{root}"] = None  # a directory
+    return files
+
+
+def text(rng, command, arg, systems, out):
+    """A value for arg of command: most often a valid one."""
+    valid = rng.random() < 0.85
+    if arg.choices:
+        return rng.choice(arg.choices if valid else ("mesh", "html", ""))
+    if arg.convert is str:  # an output path; "" is standard output
+        return rng.choice([str(out / "g.edges"), ""] if valid
+                          else [str(out), str(out / "no" / "g.edges")])
+    if arg.convert is not cli.parse_topology_spec:
+        return rng.choice((VALID if valid else INVALID)[arg.convert])
+    if not valid:
+        return rng.choice(INVALID[arg.convert] + [s for s, g in systems.items() if g is None])
+    files = [s for s, g in systems.items() if g is not None]
+    large = HOSTS_TOO_LARGE if (command, arg.dest) == ("embed", "system") else []
+    return rng.choice(VALID[arg.convert] + files * 2 + large)
+
+
+def draw(rng, systems, out):
+    """One command line spelled out from COMMANDS, then perhaps changed."""
+    command = rng.choice(sorted(cli.COMMANDS))
+    groups = []
+    for arg in cli.COMMANDS[command][2]:
+        if arg.required and rng.random() < 0.97 or rng.random() < 0.3:
+            value = [] if arg.switch else [text(rng, command, arg, systems, out)]
+            groups.append([rng.choice(arg.names), *value] if arg.is_flag else value)
+    rng.shuffle(groups)
+    argv = [command, *(token for group in groups for token in group)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        argv = change(rng, argv)
+    return argv
+
+
+def change(rng, argv):
+    i = rng.randrange(len(argv) + 1)
+    kind = rng.randrange(8)
+    flags = [j for j, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+    if kind == 0 and flags:  # a long flag cut to a prefix, maybe an ambiguous one
+        j = rng.choice(flags)
+        argv[j] = argv[j][:rng.randrange(2, len(argv[j]))]
+    elif kind == 1 and flags and flags[-1] + 1 < len(argv):  # --flag=value
+        j = flags[-1]
+        argv[j:j + 2] = [f"{argv[j]}={argv[j + 1]}"]
+    elif kind == 2 and "-o" in argv[:-1]:  # -ovalue
+        j = argv.index("-o")
+        argv[j:j + 2] = ["-o" + argv[j + 1]]
+    elif kind == 3 and argv:
+        del argv[min(i, len(argv) - 1)]
+    elif kind == 4:
+        argv[:1] = [rng.choice(["frobnicate", "", "-h", "--help", "gen", "table"])]
+    else:
+        argv.insert(i, rng.choice(["--", "-h", "--help", "--bogus", "extra", "-1", "-",
+                                   "--witness", "--reach"]))
+    return argv
+
+
+def oracle_potential(g, task, reach):
+    if task == "star":
+        return 1 + len(largest_ball_reference(g, reach)[1])
+    # no distance exceeds the order, and the BFS takes one step per unit of reach
+    power = from_edge_list(g.order, sorted(power_reference(g, min(reach, g.order))))
+    return max(brute_force_cycle_orders(power, g.order), default=0)
+
+
+def potential_p(out):
+    return int(out.split()[0].removeprefix("p="))
+
+
+def reading(argv, capsys):
+    """What the program reads from argv: (function, arguments), or None for
+    help and usage errors."""
+    try:
+        return cli._parse_exact(argv) or cli._parse_argparse(argv)
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", TIME_LIMIT)
+    rng = random.Random(seed)
+    for _ in range(CASES):
+        argv = draw(rng, systems, tmp_path)
+        parsed = reading(argv, capsys)
+        start = time.perf_counter()
+        try:
+            code = cli.run(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert elapsed < SLOWEST_CASE_S, argv
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert err == "", argv
+        else:
+            lines = err.splitlines()
+            assert lines and "error:" in lines[-1], (argv, err)
+            assert sum("error:" in line for line in lines) == 1, (argv, err)
+        if code == 0 and parsed and parsed[0] is cli._cmd_potential:
+            args = parsed[1]
+            g = systems.get(str(args.system))
+            if g is not None and g.order <= 8:
+                assert potential_p(out) == oracle_potential(g, args.task, args.reach), argv
+
+
+@pytest.mark.parametrize("task", ["star", "ring"])
+def test_every_small_file_system_gets_the_oracles_potential(task, systems, capsys):
+    small = {spec: g for spec, g in systems.items() if g is not None and g.order <= 8}
+    assert len(small) == 9
+    for spec, g in small.items():
+        for reach in (1, 2, 3, 10**12):
+            assert cli.run(["potential", "--task", task, "--system", spec,
+                            "--reach", str(reach)]) == 0
+            assert potential_p(capsys.readouterr().out) == oracle_potential(g, task, reach)

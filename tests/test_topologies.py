@@ -1,5 +1,7 @@
 """Topology generators, the Gray-cycle witness, and spec parsing."""
 
+import re
+
 import pytest
 
 from topocompat import (
@@ -232,3 +234,23 @@ class TestTopologySpec:
     def test_build_generators(self):
         assert TopologySpec("hypercube", 2).build() == hypercube(2)
         assert TopologySpec("complete", 3).build() == complete(3)
+
+    @pytest.mark.parametrize("text", ["hypercube:1", "hypercube:5", "ring:3", "ring:10",
+                                      "star:2", "star:7", "complete:1", "complete:6"])
+    def test_order_is_the_built_order(self, text):
+        spec = parse_topology_spec(text)
+        assert spec.order() == spec.build().order
+
+    @pytest.mark.parametrize("text", ["hypercube:0", "hypercube:21", "ring:2", "ring:-5",
+                                      "ring:1048577", "star:1", "star:1048577", "complete:0",
+                                      "complete:4580"])
+    def test_order_refuses_what_build_refuses_in_its_words(self, text):
+        spec = parse_topology_spec(text)
+        with pytest.raises(InvalidParameter) as built:
+            spec.build()
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(str(built.value))}$"):
+            spec.order()
+
+    def test_a_file_or_an_unknown_kind_has_no_order_before_it_is_built(self):
+        assert parse_topology_spec("file:/nonexistent/g.edges").order() is None
+        assert TopologySpec("mesh", 3).order() is None
