@@ -6,8 +6,8 @@ a system), ``table`` (the star/ring-versus-hypercube compatibility grid), and
 ``embed`` (arbitrary task-into-system embedding query).
 
 ``potential`` and ``table`` only parse and print: each cell comes from
-:func:`topocompat.compat.potential`, which alone decides between a closed
-form and a graph search.
+:func:`topocompat.compat.potential`, which decides between a closed form
+and a graph search.
 
 Exit codes: 0 success (including a definitive "no embedding"), 1 when a
 search budget was exhausted (result unknown), 2 for invalid arguments or
@@ -30,7 +30,6 @@ own words (exit 2).
 from __future__ import annotations
 
 import atexit
-import math
 import os
 import sys
 from types import SimpleNamespace
@@ -40,7 +39,7 @@ from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, TopoCompatError
 from .graph import Graph, _check_power_entries, graph_power
-from .topologies import check_hypercube_dim, parse_topology_spec
+from .topologies import parse_topology_spec
 
 __all__ = ["run", "main", "parse_range"]
 
@@ -68,7 +67,7 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0  # refused below like any value under 1
     if value < 1:
-        raise InvalidParameter(f"expected a positive integer, got {text}")
+        raise InvalidParameter(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -109,8 +108,7 @@ def _cmd_power(args: SimpleNamespace) -> int:
         # each of the 2^s rows of H_s's power is a Hamming ball minus its
         # centre, so an oversized power is refused before H_s is built
         s = spec.parameter
-        check_hypercube_dim(s)
-        _check_power_entries(sum(math.comb(s, i) for i in range(1, min(reach, s) + 1)) << s, reach)
+        _check_power_entries((compat.hypercube_star_potential(s, reach) - 1) << s, reach)
     _emit_graph(graph_power(spec.build(), reach), args.output)
     return 0
 
@@ -143,12 +141,10 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     # the transform keeps the order, and a generated system's order is known
     # from its spec, so a host too large is refused before either is built
     order = args.system.order()
-    system = args.system.build() if order is None else None
+    system = args.system.build() if order is None else None  # a file, read for its order
     budget = _budget_from(args)
-    budget.check_host_order(system.order if order is None else order)
-    if system is None:
-        system = args.system.build()
-    emb = find_embedding(task, graph_power(system, args.reach), budget)
+    budget.check_host_order(order or system.order)
+    emb = find_embedding(task, graph_power(system or args.system.build(), args.reach), budget)
     if emb is None:
         print("no embedding")
         return 0
@@ -287,7 +283,11 @@ def _parse_argparse(argv: List[str]) -> tuple:
                 raise argparse.ArgumentTypeError(str(exc)) from None
         return text_value
 
-    parser = argparse.ArgumentParser(prog=PROG, description=DESCRIPTION)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # one line, whatever line breaks the arguments hold
+            super().error("\\n".join(message.splitlines()))
+
+    parser = Parser(prog=PROG, description=DESCRIPTION)
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary, args) in COMMANDS.items():
         sub = commands.add_parser(name, help=summary, description=summary)

@@ -12,9 +12,11 @@ by a single BFS against a degree or component bound (see
 :func:`topocompat.graph.largest_ball`); the full pass otherwise honours the
 time budget, as does building the power graph for a ring potential.
 
-:func:`potential` makes every cell, for the CLI and the table alike, and is
-the one place that chooses between those closed forms (a ``hypercube:s``
-spec, no graph built) and the graph functions (every other spec).
+:func:`potential` makes every cell, for the CLI and the table alike: a
+``hypercube:s`` spec takes those closed forms and no graph is built, and
+every other spec is built and goes to the graph functions.  One shortcut
+sits below it: :func:`ring_potential_certificate` answers a canonically
+labelled hypercube graph (read from a file, say) with its Gray cycle.
 
 Indexes are kept as exact rationals; display rounding is half-up to four
 decimal places with a dot separator, done on integers (:func:`_half_up`), so
@@ -24,6 +26,7 @@ printing a cell imports neither ``fractions`` nor ``decimal``.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
@@ -44,8 +47,6 @@ if TYPE_CHECKING:  # imported only where a Fraction or Decimal is made
 __all__ = [
     "CompatibilityReport",
     "hypercube_star_potential",
-    "hypercube_star_witness",
-    "hypercube_ring_potential",
     "star_potential",
     "star_potential_certificate",
     "ring_potential",
@@ -73,22 +74,6 @@ def hypercube_star_potential(s: int, reach: int) -> int:
     check_hypercube_dim(s)
     _check_reach(reach)
     return sum(math.comb(s, i) for i in range(min(reach, s) + 1))
-
-
-def hypercube_star_witness(s: int, reach: int) -> Tuple[int, Tuple[int, ...]]:
-    """Center 0 and its leaves (weight 1..reach, ascending) in the reach-th power of H_s.
-
-    H_s is vertex-transitive, so 0 is the first vertex of maximum degree there.
-    """
-    check_hypercube_dim(s)
-    _check_reach(reach)
-    return 0, tuple(v for v in range(1, 1 << s) if v.bit_count() <= reach)
-
-
-def hypercube_ring_potential(s: int) -> int:
-    """Ring potential of H_s at any reach: 2^s (the Gray cycle), 0 for the edge H_1."""
-    check_hypercube_dim(s)
-    return (1 << s) if s >= 2 else 0
 
 
 def star_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
@@ -153,25 +138,27 @@ def potential(
     """One cell: the report of ``task_kind`` against ``system`` at ``reach``,
     and with ``witness`` its certificate (None without, or when p = 0).
 
-    This is the only place that picks closed form or search.  A
-    ``hypercube:s`` spec takes the closed forms and builds no graph; every
-    other spec is built and goes to the star or ring functions above, with
-    ``budget``.  The certificate is a cycle for rings and (center, leaves)
-    for stars.
+    A ``hypercube:s`` spec takes the closed forms and builds no graph: the
+    star is the Hamming ball around 0 (H_s is vertex-transitive, so 0 is
+    its first vertex of maximum degree) and the ring is the Gray cycle, for
+    s >= 2.  Every other spec is built and goes to the star or ring
+    functions above, with ``budget``.  The certificate is a cycle for rings
+    and (center, leaves) for stars.
     """
     if task_kind not in ("star", "ring"):
         raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
     _check_reach(reach)
     cert = None
     if system.kind == "hypercube":
-        s = system.parameter
+        s, n = system.parameter, system.order()
         if task_kind == "star":
             p = hypercube_star_potential(s, reach)
-            cert = hypercube_star_witness(s, reach) if witness else None
+            if witness:
+                cert = 0, tuple(v for v in range(1, n) if v.bit_count() <= reach)
         else:
-            p = hypercube_ring_potential(s)
-            cert = gray_code_cycle(s) if witness and p else None
-        n = 1 << s
+            p = n if s >= 2 else 0
+            if witness and p:
+                cert = gray_code_cycle(s)
     else:
         g = system.build()
         n = g.order
@@ -212,34 +199,15 @@ def round_half_up(value: Fraction, places: int = INDEX_PLACES) -> Decimal:
     return Decimal(_half_up(value.numerator, value.denominator, places)).scaleb(-places)
 
 
-class _MadeOnRead:
-    """A field computed from the others the first time it is read.
-
-    The value is then kept in the instance ``__dict__``, which a non-data
-    descriptor like this one does not shadow, so later reads, equality,
-    hashing, repr, pickle and copy all see a plain field.  A value given to
-    the constructor goes to the same place and is never recomputed.  Two
-    threads reading first at once both compute it and store equal values,
-    so no lock is needed.
-    """
-
-    def __init__(self, make):
-        self.make, self.name, self.__doc__ = make, make.__name__, make.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.make(obj)
-        return value
-
-
 class CompatibilityReport(_FrozenRecord):
     """One (system, task, reachability) cell: potential and index.
 
     ``index_exact`` (a Fraction) and ``index_rounded`` (a Decimal) are made
     from p and n when first read, unless given, so a report that is only
     printed never imports ``fractions`` or ``decimal``: the renderers and
-    the CLI use ``index_text`` and p and n instead.
+    the CLI use ``index_text`` and p and n instead.  Either way the value
+    sits in the instance ``__dict__``, which ``cached_property`` does not
+    shadow, so equality, hashing, repr, pickle and copy see a plain field.
     """
 
     _fields = ("system", "task_kind", "reach", "order_n", "potential_p",
@@ -253,12 +221,12 @@ class CompatibilityReport(_FrozenRecord):
             if value is not None:
                 object.__setattr__(self, name, value)
 
-    @_MadeOnRead
+    @cached_property
     def index_exact(self) -> Fraction:
         """The exact index p/n."""
         return compatibility_index(self.potential_p, self.order_n)
 
-    @_MadeOnRead
+    @cached_property
     def index_rounded(self) -> Decimal:
         """The index rounded half up to four decimal places."""
         return round_half_up(self.index_exact)

@@ -54,10 +54,10 @@ def hypercube(s: int) -> Graph:
 
 
 def _generated_order(kind: str, k: int) -> int:
-    """The order of the generated ``kind:k`` (kind hypercube, ring, star or
-    complete), once ``k`` is checked; InvalidParameter, before any edge is
-    listed, for a ``k`` the generator refuses.  The generators and
-    ``TopologySpec.order`` both check here."""
+    """The order of the generated ``kind:k`` (a kind of ``_GENERATORS``), once
+    ``k`` is checked; InvalidParameter, before any edge is listed, for a ``k``
+    the generator refuses.  The generators and ``TopologySpec.order`` both
+    check here."""
     if kind == "hypercube":
         check_hypercube_dim(k)
         return 1 << k
@@ -104,9 +104,12 @@ def gray_code_cycle(s: int) -> Tuple[int, ...]:
     """
     if s < 2:
         raise InvalidParameter(f"hypercube has a Hamiltonian cycle only for s >= 2, got {s}")
-    if s > MAX_HYPERCUBE_DIM:
-        raise InvalidParameter(f"hypercube dimension must be in 2..{MAX_HYPERCUBE_DIM}, got {s}")
+    check_hypercube_dim(s)
     return tuple(i ^ (i >> 1) for i in range(1 << s))
+
+
+# kind -> generator of ``kind:k``, for every kind that a spec generates
+_GENERATORS = {"hypercube": hypercube, "ring": ring, "star": star, "complete": complete}
 
 
 def canonical_hypercube_dim(g: Graph) -> Optional[int]:
@@ -137,19 +140,13 @@ class TopologySpec(_FrozenRecord):
         """The order of a generated topology, its parameter checked as
         ``build()`` checks it; None for a file or an unknown kind, whose
         order ``build()`` finds or refuses."""
-        if self.kind in ("hypercube", "ring", "star", "complete"):
+        if self.kind in _GENERATORS:
             return _generated_order(self.kind, self.parameter)
         return None
 
     def build(self) -> Graph:
-        if self.kind == "hypercube":
-            return hypercube(self.parameter)
-        if self.kind == "ring":
-            return ring(self.parameter)
-        if self.kind == "star":
-            return star(self.parameter)
-        if self.kind == "complete":
-            return complete(self.parameter)
+        if self.kind in _GENERATORS:
+            return _GENERATORS[self.kind](self.parameter)
         if self.kind == "custom":
             from .edgelist import read_edge_list_path
 
@@ -169,7 +166,7 @@ def parse_topology_spec(text: str) -> TopologySpec:
         raise InvalidParameter(f"expected KIND:ARG topology spec, got {text!r}")
     if kind == "file":
         return TopologySpec(kind="custom", path=arg)
-    if kind in ("hypercube", "ring", "star", "complete"):
+    if kind in _GENERATORS:
         try:
             value = int(arg)
         except ValueError:

@@ -348,11 +348,11 @@ class TestEmbedCommand:
     @pytest.fixture
     def generators_called(self, monkeypatch):
         calls = []
-        for name in ("hypercube", "ring", "star", "complete"):
-            def counting(k, name=name, build=getattr(topologies, name)):
+        for name, build in list(topologies._GENERATORS.items()):
+            def counting(k, name=name, build=build):
                 calls.append(name)
                 return build(k)
-            monkeypatch.setattr(topologies, name, counting)
+            monkeypatch.setitem(topologies._GENERATORS, name, counting)
         return calls
 
     @pytest.mark.parametrize("spec,order", [
@@ -473,13 +473,13 @@ class TestGenAndPower:
     @pytest.fixture
     def hypercube_builds(self, monkeypatch):
         calls = []
-        build = topologies.hypercube
+        build = topologies._GENERATORS["hypercube"]
 
         def counting(s):
             calls.append(s)
             return build(s)
 
-        monkeypatch.setattr(topologies, "hypercube", counting)
+        monkeypatch.setitem(topologies._GENERATORS, "hypercube", counting)
         return calls
 
     @pytest.mark.parametrize("s,reach", [(20, 2), (20, 10**12), (16, 5)])
@@ -568,7 +568,7 @@ class TestCommandLineSurface:
         (["potential", "--task", "mesh", "--system", "ring:5", "--reach", "1"],
          "argument --task: invalid choice: 'mesh' (choose from 'star', 'ring')"),
         (["potential", "--task", "star", "--system", "ring:5", "--reach", "-1"],
-         "argument --reach: expected a positive integer, got -1"),
+         "argument --reach: expected a positive integer, got '-1'"),
         (["gen", "ring:5", "-o"], "argument -o/--output: expected one argument"),
         (["gen", "ring:5", "extra"], "unrecognized arguments: extra"),
         (["gen", "ring:5", "--bogus"], "unrecognized arguments: --bogus"),
@@ -583,6 +583,17 @@ class TestCommandLineSurface:
         assert lines[0].startswith("usage: topo-compat")
         assert lines[-1].startswith("topo-compat") and ": error: " in lines[-1]
         assert lines[-1].endswith(message)
+
+    @pytest.mark.parametrize("argv,ending", [
+        (["power", "ring:5", "--reach", "1\n2"], "expected a positive integer, got '1\\n2'"),
+        (["power", "ring:5", "--reach", ""], "expected a positive integer, got ''"),
+        (["gen", "ring:5", "extra\nline"], "unrecognized arguments: extra\\nline"),
+    ])
+    def test_a_bad_value_stays_on_the_one_error_line(self, argv, ending, capsys):
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert sum("error:" in line for line in lines) == 1
+        assert lines[-1].endswith(ending)
 
     @pytest.mark.parametrize("short,long", [
         (["potential", "--task", "ring", "--system", "ring:6", "--reach=1", "--wit"],

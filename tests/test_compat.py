@@ -25,8 +25,6 @@ from topocompat import (
 )
 from topocompat.compat import (
     CompatibilityReport,
-    hypercube_ring_potential,
-    hypercube_star_witness,
     make_report,
     potential,
     render_csv,
@@ -78,6 +76,12 @@ class TestHypercubeStarPotential:
             assert hypercube_star_potential(s, reach) == 2**s
 
 
+def hypercube_cell(s, task_kind, reach=1, witness=True):
+    """The closed-form cell of ``hypercube:s``: (p, certificate)."""
+    report, cert = potential(TopologySpec("hypercube", s), task_kind, reach, witness=witness)
+    return report.potential_p, cert
+
+
 class TestHypercubeClosedForms:
     @pytest.mark.parametrize("s", range(1, 9))
     def test_star_witness_matches_power_graph(self, s):
@@ -85,14 +89,18 @@ class TestHypercubeClosedForms:
         for reach in range(1, s + 2):
             power = graph_power(hypercube(s), reach)
             center = max(range(power.order), key=power.degree)
-            assert hypercube_star_witness(s, reach) == (center, power.neighbors(center))
+            assert hypercube_cell(s, "star", reach)[1] == (center, power.neighbors(center))
 
     def test_ring_potential(self):
-        assert hypercube_ring_potential(1) == 0
+        assert hypercube_cell(1, "ring") == (0, None)
         for s in range(2, 9):
-            assert hypercube_ring_potential(s) == len(gray_code_cycle(s)) == 2**s
+            p, cycle = hypercube_cell(s, "ring")
+            assert p == len(cycle) == 2**s and cycle == gray_code_cycle(s)
 
-    @pytest.mark.parametrize("closed_form", [hypercube_star_potential, hypercube_star_witness])
+    @pytest.mark.parametrize("closed_form", [
+        hypercube_star_potential,
+        lambda s, reach: hypercube_cell(s, "star", reach),
+    ])
     @pytest.mark.parametrize("reach", [0, -1])
     def test_star_forms_reject_reach_below_one(self, closed_form, reach):
         with pytest.raises(InvalidReachability, match=f"^reachability must be >= 1, got {reach}$"):
@@ -101,8 +109,8 @@ class TestHypercubeClosedForms:
     @pytest.mark.parametrize("s", [0, 21])
     @pytest.mark.parametrize("closed_form", [
         lambda s: hypercube_star_potential(s, 1),
-        lambda s: hypercube_star_witness(s, 1),
-        hypercube_ring_potential,
+        lambda s: hypercube_cell(s, "star"),
+        lambda s: hypercube_cell(s, "ring", witness=False),
     ])
     def test_forms_reject_dimension_outside_the_cap(self, closed_form, s):
         # the same bound hypercube(s), potential and table apply

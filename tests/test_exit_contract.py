@@ -42,7 +42,7 @@ INVALID = {
         "hypercube:0", "hypercube:-1", "hypercube:21", "hypercube:99999999999999999999",
         "ring:-5", "ring:2", "ring:1048577", "ring:99999999999999999999", "star:1",
         "star:1048577", "complete:0", "complete:-2", "complete:4580"],
-    cli._positive_int: ["0", "-1", "x", "2.5", ""],
+    cli._positive_int: ["0", "-1", "x", "2.5", "", "1\n2"],
     cli._seconds: ["nan", "inf", "-1", "x", "0"],
     cli.parse_range: ["5..2", "x..y", "0..3", "1..100000", "1..99999999999999999999", "-3..2",
                       ""],

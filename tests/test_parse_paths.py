@@ -150,7 +150,7 @@ def test_the_exact_path_leaves_every_other_line_to_argparse(argv):
 def test_argparse_names_the_converters_message(capsys):
     assert cli.run(["potential", "--task", "star", "--system", "ring:8", "--reach", "x"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "topo-compat potential: error: argument --reach: expected a positive integer, got x")
+        "topo-compat potential: error: argument --reach: expected a positive integer, got 'x'")
     assert cli.run(["potential", "--task", "star", "--system", "ring:8", "--reach", "1",
                     "--", "x"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (

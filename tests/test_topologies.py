@@ -19,7 +19,24 @@ from topocompat import (
     star,
     verify_embedding,
 )
-from topocompat.topologies import TopologySpec, canonical_hypercube_dim
+from topocompat.topologies import _GENERATORS, TopologySpec, canonical_hypercube_dim
+
+# every generated kind, and parameters among which each kind accepts some and refuses some
+GENERATED = sorted(_GENERATORS)
+PROBES = (-5, 0, 1, 2, 3, 5, 10, 21, 4580, 1048577)
+
+
+def built_or_refused(kind):
+    """(spec, its graph) for each probe the kind builds, and (spec, the
+    InvalidParameter) for each it refuses."""
+    built, refused = [], []
+    for k in PROBES:
+        spec = TopologySpec(kind, k)
+        try:
+            built.append((spec, spec.build()))
+        except InvalidParameter as exc:
+            refused.append((spec, exc))
+    return built, refused
 
 
 class TestHypercube:
@@ -145,6 +162,13 @@ class TestGrayCodeCycle:
         with pytest.raises(InvalidParameter):
             gray_code_cycle(1)
 
+    @pytest.mark.parametrize("s", [21, 10**14])
+    def test_dimension_above_the_cap_is_refused_as_hypercube_refuses_it(self, s):
+        with pytest.raises(InvalidParameter) as built:
+            hypercube(s)
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(str(built.value))}$"):
+            gray_code_cycle(s)
+
 
 class TestOrderCaps:
     """ring and star orders stop at 2^20, complete graphs at H_20's edge count."""
@@ -235,21 +259,26 @@ class TestTopologySpec:
         assert TopologySpec("hypercube", 2).build() == hypercube(2)
         assert TopologySpec("complete", 3).build() == complete(3)
 
-    @pytest.mark.parametrize("text", ["hypercube:1", "hypercube:5", "ring:3", "ring:10",
-                                      "star:2", "star:7", "complete:1", "complete:6"])
-    def test_order_is_the_built_order(self, text):
-        spec = parse_topology_spec(text)
-        assert spec.order() == spec.build().order
+    @pytest.mark.parametrize("kind", GENERATED)
+    def test_every_generated_kind_parses_and_round_trips(self, kind):
+        spec = parse_topology_spec(f"{kind}:3")
+        assert spec == TopologySpec(kind, 3) and str(spec) == f"{kind}:3"
+        assert parse_topology_spec(str(spec)) == spec
 
-    @pytest.mark.parametrize("text", ["hypercube:0", "hypercube:21", "ring:2", "ring:-5",
-                                      "ring:1048577", "star:1", "star:1048577", "complete:0",
-                                      "complete:4580"])
-    def test_order_refuses_what_build_refuses_in_its_words(self, text):
-        spec = parse_topology_spec(text)
-        with pytest.raises(InvalidParameter) as built:
-            spec.build()
-        with pytest.raises(InvalidParameter, match=f"^{re.escape(str(built.value))}$"):
-            spec.order()
+    @pytest.mark.parametrize("kind", GENERATED)
+    def test_order_is_the_built_order(self, kind):
+        built, _ = built_or_refused(kind)
+        assert built
+        for spec, g in built:
+            assert spec.order() == g.order, spec
+
+    @pytest.mark.parametrize("kind", GENERATED)
+    def test_order_refuses_what_build_refuses_in_its_words(self, kind):
+        _, refused = built_or_refused(kind)
+        assert refused
+        for spec, exc in refused:
+            with pytest.raises(InvalidParameter, match=f"^{re.escape(str(exc))}$"):
+                spec.order()
 
     def test_a_file_or_an_unknown_kind_has_no_order_before_it_is_built(self):
         assert parse_topology_spec("file:/nonexistent/g.edges").order() is None
