@@ -4,8 +4,8 @@
 
 Up to order 4096 (``graph._BALL_MASK_MAX_ORDER``) ``graph_power`` and
 ``star_potential`` make every ball at once as a bitmask: by the arc route
-(prefix ORs along each path or cycle, O(n) big-int operations) when no
-vertex has degree above 2, else by mask rounds (one per unit of reach).
+(a window sliding along each path or cycle, O(n) big-int operations) when
+no vertex has degree above 2, else by mask rounds (one per unit of reach).
 Above order 4096 they run a BFS per vertex.  The ``route`` column names the
 route each case's graph and order select, and that route is timed.  Where
 the other side of the order cap is affordable it is timed too (the BFS for
@@ -16,13 +16,18 @@ each vertex straight from them; one from the BFS slices its neighbour
 tuples.  Where both sides are timed, the two texts must be byte-equal too.
 The ``bound`` column says whether one BFS against the degree or component
 bound (``graph._ball_by_bound``) decides the star potential, so that no
-route runs at all.  The relabelled cases shuffle the vertex ids with a
-fixed seed, so that no ball is a run of consecutive bits.
+route runs at all.  The ``peak`` column is the most that building the
+power (or, where it is not built, the star potential) holds at once beyond
+what was live before, by ``tracemalloc`` in a run of its own.  The relabelled
+cases shuffle the vertex ids with a fixed seed, so that no ball is a run of
+consecutive bits.  The last line times ``edgelist.loads`` of the
+``hypercube:16`` text, with its ``tracemalloc`` peak too.
 """
 
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,7 +39,7 @@ from topocompat import (  # noqa: E402
     parse_topology_spec,
     star_potential,
 )
-from topocompat.edgelist import dumps  # noqa: E402
+from topocompat.edgelist import dumps, loads  # noqa: E402
 
 
 def chord_ring(n: int):
@@ -108,9 +113,20 @@ def timed(fn, *args):
     return fn(*args), (time.perf_counter() - t0) * 1e3
 
 
+def peak_mb(fn, *args):
+    """The most fn(*args) holds at once beyond what was live before, in MB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     print(f"{'case':<34} {'route':<5} {'power':>9} {'write':>9} {'star':>9} {'bound':>5} "
-          f"{'other side':>11} {'its write':>9}  equal")
+          f"{'peak':>8} {'other side':>11} {'its write':>9}  equal")
     mismatches = 0
     for spec, reach, make_power, cross in CASES:
         g = build(spec)
@@ -130,9 +146,15 @@ def main() -> int:
             same = power2 == power and text2 == text
             equal = str(same)
             mismatches += not same
+        peak = peak_mb(graph_power if make_power else star_potential, g, reach)
         print(f"{spec + ' reach ' + str(reach):<34} {route(g):<5} "
-              f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {bound:>5} {other:>11} "
-              f"{other_write:>9}  {equal}")
+              f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {bound:>5} {peak:5.1f} MB "
+              f"{other:>11} {other_write:>9}  {equal}")
+    text = dumps(parse_topology_spec("hypercube:16").build())
+    g, ms = timed(loads, text)
+    mismatches += g.order != 1 << 16 or g.num_edges != 16 << 15
+    print(f"read hypercube:16 ({len(text) / 2**20:.1f} MB of text): {ms:.0f} ms, "
+          f"peak {peak_mb(loads, text):.1f} MB")
     return 1 if mismatches else 0
 
 

@@ -39,7 +39,7 @@ from . import compat, edgelist
 from .embedding import DEFAULT_BUDGET, SearchBudget, find_embedding
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, TopoCompatError
 from .graph import Graph, _check_power_entries, graph_power
-from .topologies import parse_topology_spec
+from .topologies import _GENERATORS, parse_topology_spec
 
 __all__ = ["run", "main", "parse_range"]
 
@@ -176,7 +176,9 @@ class _Arg:
         self.required = required or not self.is_flag
 
 
-_SPEC_HELP = "hypercube:s | ring:p | star:p | complete:n | file:PATH"
+# "hypercube:s | ring:p | ...": each generated kind with its generator's parameter name
+_SPEC_HELP = " | ".join([f"{kind}:{fn.__code__.co_varnames[0]}" for kind, fn in _GENERATORS.items()]
+                        + ["file:PATH"])
 _TASK_KIND = _Arg("--task", choices=("star", "ring"), required=True, help="task family")
 _REACH = _Arg("--reach", convert=_positive_int, required=True,
               help="vertices at distance 1..REACH become adjacent")

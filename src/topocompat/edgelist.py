@@ -4,6 +4,11 @@ Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
 0-based vertex ids.  Lines starting with ``#`` are comments and may appear
 anywhere; blank lines are ignored.  Duplicate and reversed edges collapse on
 read, and orders above 2^20 (the largest the package generates) are refused.
+The reader hands ``Graph`` the edges one line at a time, so no list of
+pairs is made, and it reports the first fault in file order, the header's
+first: a bad header, then ``Graph``'s order check, then per edge line its
+shape, its count against m and ``Graph``'s checks of its vertices, and
+last too few edge lines.
 The writer emits each edge once as ``u v`` with u < v, sorted
 lexicographically, so equal graphs serialize identically.  It takes each
 vertex's upper neighbors from ``Graph._upper_rows``, which reads the
@@ -60,20 +65,27 @@ def read_edge_list(stream: TextIO) -> Graph:
         raise EdgeListFormatError(f"line {lineno}: negative edge count {m}")
     if n > 1 << MAX_HYPERCUBE_DIM:  # refused before any per-vertex storage exists
         raise EdgeListFormatError(f"line {lineno}: order {n} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
-    edges = []
+    return Graph(n, _edge_pairs(lines, m))
+
+
+def _edge_pairs(lines, m: int):
+    """Each edge line's ``(u, v)``, parsed as ``Graph`` asks for it, and the
+    count errors once there are more or fewer than m."""
+    count = 0
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListFormatError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListFormatError(f"line {lineno}: non-integer edge {line!r}") from None
-        if len(edges) > m:
+        count += 1
+        if count > m:
             raise EdgeListFormatError(f"line {lineno}: more than {m} edge lines")
-    if len(edges) < m:
-        raise EdgeListFormatError(f"expected {m} edge lines, found {len(edges)}")
-    return Graph(n, edges)
+        yield u, v
+    if count < m:
+        raise EdgeListFormatError(f"expected {m} edge lines, found {count}")
 
 
 def write_edge_list(g: Graph, stream: TextIO) -> None:

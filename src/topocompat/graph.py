@@ -17,12 +17,14 @@ vertices whose distance in the original graph is at most a given reachability.
 Its closed balls come by one of three routes:
 
 - arcs (order <= 4096, maximum degree <= 2): every component is a path or a
-  cycle, and each ball is one or two spans of a walk along it, read off
-  prefix ORs of the walk (:func:`_arc_balls`): O(n) big-int operations at
-  any reach;
+  cycle, and each ball is a window of a walk along it, clipped on a path and
+  taken round a cycle, that slides one position per vertex
+  (:func:`_arc_balls`): O(n) big-int operations at any reach;
 - mask rounds (order <= 4096, some degree >= 3): all balls grow at once as
   bitmasks, one round per unit of reach (:func:`_round_balls`), O(reach * m)
   big-int operations, with an early stop once a round changes nothing;
+  round 1 comes straight from the rows, and the star pass keeps only each
+  last-round ball's popcount, so it holds one round of masks, not two;
 - BFS (order > 4096): one cutoff BFS per vertex, O(n * ball) steps, because
   all masks at once would take n^2/8 bytes (512 MB at order 65536), which
   loses to the BFS on sparse graphs.
@@ -50,9 +52,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
-from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
@@ -84,6 +85,7 @@ class Graph:
         if n < 1:
             raise InvalidParameter(f"graph order must be positive, got {n}")
         adj = [[] for _ in range(n)]
+        ids = list(range(n))  # each row entry is the one shared int of its vertex id
         for u, v in edges:
             if not (0 <= u < n):
                 raise InvalidVertex(f"vertex {u} out of range 0..{n - 1}")
@@ -91,8 +93,8 @@ class Graph:
                 raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
             if u == v:
                 raise InvalidEdge(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
         self._n = n
         self._rows = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
         self._masks: Optional[Tuple[int, ...]] = None
@@ -253,8 +255,8 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     transform has no use downstream and would leak degenerate cases into the
     embedding engine.
 
-    Up to order 4096 every ball is a bitmask (:func:`_ball_masks`): read
-    off prefix ORs along each path or cycle when no vertex has degree above
+    Up to order 4096 every ball is a bitmask (:func:`_ball_masks`): a
+    window sliding along each path or cycle when no vertex has degree above
     2 (the arc route, O(n) big-int operations), else grown in one mask round
     per unit of reach.  Each ball with its centre bit cleared is the power's
     adjacency mask for that vertex: the result holds those masks and makes
@@ -341,8 +343,11 @@ def _check_deadline(deadline: Optional[float], what: str) -> None:
         raise BudgetExceeded(f"{what} ran out of time budget")
 
 
-def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> List[int]:
-    """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach).
+def _ball_masks(
+    g: Graph, reach: int, deadline: Optional[float], what: str, keep: Optional[Callable] = None
+) -> list:
+    """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach),
+    or ``keep(ball)`` of each, applied as the ball is made, when ``keep`` is given.
 
     When no vertex has degree above 2 the balls are arcs (:func:`_arc_balls`:
     one walk and O(n) big-int operations, the deadline checked once);
@@ -354,38 +359,42 @@ def _ball_masks(g: Graph, reach: int, deadline: Optional[float], what: str) -> L
     nbrs = g._neighbors
     if max(map(len, nbrs)) <= 2:
         _check_deadline(deadline, what)
-        return _arc_balls(nbrs, reach)
-    return _round_balls(nbrs, reach, deadline, what)
+        return _arc_balls(nbrs, reach, keep)
+    return _round_balls(nbrs, reach, deadline, what, keep)
 
 
-def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int) -> List[int]:
-    """The closed reach-balls of a graph of maximum degree <= 2, from prefix
-    ORs along one walk of each component.
+def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int, keep: Optional[Callable] = None
+               ) -> list:
+    """The closed reach-balls of a graph of maximum degree <= 2 (or ``keep``
+    of each), from a window that slides along one walk of each component.
 
     Every component is then a path or a cycle.  A path is walked from one
     end (an isolated vertex is a path of one), then each vertex left over
     lies on a cycle and is walked from there, so each component is a run
-    w_0..w_{L-1} of the walk with w_i ~ w_{i+1}, plus w_{L-1} ~ w_0 on a
-    cycle.  On a path dist(w_i, w_j) = |i - j|, so the ball of w_i is the
-    span of positions i - reach..i + reach clipped to 0..L-1.  On a cycle
-    dist(w_i, w_j) = min(|i - j|, L - |i - j|), so the ball is the arc
-    i - reach..i + reach taken mod L: the span clipped to 0..L-1, OR the
-    span that wraps past one end (2 * reach + 1 < L, so it wraps past at
-    most one).  Once reach is at least every vertex's eccentricity (L // 2
-    on a cycle, L - 1 on a path) every ball is the whole component.  With
-    P[k] the OR of the bits of the first k walk positions, the span of
-    positions a..b - 1 is P[b] ^ P[a], as the prefixes are nested.
+    w_0..w_{L-1} with w_i ~ w_{i+1}, plus w_{L-1} ~ w_0 on a cycle.  On a
+    path dist(w_i, w_j) = |i - j|, so the ball of w_i is the window of
+    positions i - reach..i + reach clipped to 0..L-1.  On a cycle
+    dist(w_i, w_j) = min(|i - j|, L - |i - j|), so the ball is that window
+    taken mod L.  Once reach is at least every vertex's eccentricity (L // 2
+    on a cycle, L - 1 on a path) every ball is the whole component.
+    Otherwise the window moves from i to i + 1 by clearing the bit of
+    position i - reach and setting that of i + reach + 1: dropped when
+    outside 0..L-1 on a path, taken mod L on a cycle.  There reach < L // 2
+    gives 2 * reach + 1 < L, so the window's positions are distinct mod L:
+    the cleared one is in the window and the set one is not, and one XOR of
+    both bits does the move.  That is O(n) big-int operations at any reach,
+    and only the current window is held beside the balls.
     """
     n = len(nbrs)
     seen = bytearray(n)
-    walk, parts = [], []  # vertices run by run; (first position, order, is a cycle)
+    balls = [0] * n
     for first in [v for v, nb in enumerate(nbrs) if len(nb) < 2] + list(range(n)):
         if seen[first]:
             continue
-        start, v = len(walk), first
+        run, v = [], first
         seen[v] = 1
         while v >= 0:
-            walk.append(v)
+            run.append(v)
             for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = 1
@@ -393,54 +402,58 @@ def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int) -> List[int]:
                     break
             else:
                 v = -1
-        parts.append((start, len(walk) - start, len(nbrs[first]) == 2))
-    prefix = list(accumulate([1 << v for v in walk], or_, initial=0))
-    balls = [0] * n
-    for start, size, cycle in parts:
-        end = start + size
+        size, cycle = len(run), len(nbrs[first]) == 2
         if reach >= (size // 2 if cycle else size - 1):
-            whole = prefix[end] ^ prefix[start]
-            for v in walk[start:end]:
-                balls[v] = whole
+            whole = sum(map((1).__lshift__, run))
+            for v in run:
+                balls[v] = whole if keep is None else keep(whole)
             continue
-        for i in range(start, end):
+        # the window of position 0: 0..reach, and L - reach..L - 1 on a cycle
+        window = sum(map((1).__lshift__, run[:reach + 1] + (run[size - reach:] if cycle else [])))
+        for i, v in enumerate(run):
+            balls[v] = window if keep is None else keep(window)
             lo, hi = i - reach, i + reach + 1
-            ball = prefix[min(hi, end)] ^ prefix[max(lo, start)]
-            if cycle and lo < start:
-                ball |= prefix[end] ^ prefix[lo + size]
-            elif cycle and hi > end:
-                ball |= prefix[hi - size] ^ prefix[start]
-            balls[walk[i]] = ball
+            if cycle:  # run[j] with -L <= j < L is position j mod L
+                window ^= (1 << run[lo]) | (1 << run[hi - size])
+            else:
+                window ^= (1 << run[lo] if lo >= 0 else 0) | (1 << run[hi] if hi < size else 0)
     return balls
 
 
 def _round_balls(
-    nbrs: Sequence[Tuple[int, ...]], reach: int, deadline: Optional[float], what: str
-) -> List[int]:
-    """Every vertex's closed reach-ball as a bitmask, one round per unit of reach.
+    nbrs: Sequence[Tuple[int, ...]], reach: int, deadline: Optional[float], what: str,
+    keep: Optional[Callable] = None,
+) -> list:
+    """Every vertex's closed reach-ball as a bitmask (or ``keep`` of each),
+    one round per unit of reach.
 
-    Round 1 sets ball_1(v) = {v} | N(v).  Round d >= 2 sets ball_d(v) to
-    the OR of ball_{d-1}(u) over u ~ v, without v's own ball_{d-1}: that is
-    already inside the OR.  Proof: v lies in each ball_{d-1}(u), as
-    d - 1 >= 1; any other w in ball_{d-1}(v) has a shortest path from v
-    whose second vertex u ~ v is at distance <= d - 2 from w.  Isolated
-    vertices keep their ball {v}.  Each round reads only the previous
-    round's list, so at most two rounds of masks are alive at once.  A round
-    that changes nothing leaves every ball a whole component, so later
-    rounds are skipped.  Each round first checks the optional monotonic
+    Round 1 sets ball_1(v) = {v} | N(v), straight from the rows.  Round
+    d >= 2 sets ball_d(v) to the OR of ball_{d-1}(u) over u ~ v, without
+    v's own ball_{d-1}: that is already inside the OR.  Proof: v lies in
+    each ball_{d-1}(u), as d - 1 >= 1; any other w in ball_{d-1}(v) has a
+    shortest path from v whose second vertex u ~ v is at distance <= d - 2
+    from w.  Isolated vertices keep their ball {v}.  Each round is made
+    lazily and listed only when the next round reads it, so at most two
+    rounds of masks are alive at once, and the last round goes through
+    ``keep`` as each ball is made, beside one listed round.  A round that
+    changes nothing leaves every ball a whole component, so later rounds
+    are skipped.  Each round first checks the optional monotonic
     ``deadline`` and raises BudgetExceeded, naming the pass ``what``, past it.
     """
-    balls = [1 << v for v in range(len(nbrs))]
-    for d in range(1, reach + 1):
+    _check_deadline(deadline, what)
+    # round 1 (at reach 0, each ball is its centre alone)
+    balls = (reduce(or_, map((1).__lshift__, nb if reach else ()), 1 << v)
+             for v, nb in enumerate(nbrs))
+    prev = None
+    for _ in range(reach - 1):  # rounds 2..reach, each read off the listed round before it
+        balls = list(balls)
+        if balls == prev:
+            del prev
+            return balls if keep is None else list(map(keep, balls))
         _check_deadline(deadline, what)
         prev, get = balls, balls.__getitem__
-        if d == 1:
-            balls = [reduce(or_, map(get, nb), ball) for ball, nb in zip(prev, nbrs)]
-        else:
-            balls = [reduce(or_, map(get, nb)) if nb else ball for ball, nb in zip(prev, nbrs)]
-        if balls == prev:
-            break
-    return balls
+        balls = (reduce(or_, map(get, nb)) if nb else ball for ball, nb in zip(prev, nbrs))
+    return list(balls if keep is None else map(keep, balls))
 
 
 def _rows_of(masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -591,7 +604,7 @@ def _largest_ball_pass(
 ) -> Tuple[int, Tuple[int, ...]]:
     """:func:`largest_ball` from every ball's size, with no bound."""
     if g.order <= _BALL_MASK_MAX_ORDER:
-        sizes = [b.bit_count() for b in _ball_masks(g, reach, deadline, "largest-ball pass")]
+        sizes = _ball_masks(g, reach, deadline, "largest-ball pass", int.bit_count)
     else:
         sizes = []
         for s in range(g.order):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from topocompat import EdgeListFormatError, from_edge_list, graph_power, hypercube, ring, star
+from topocompat.errors import InvalidEdge, InvalidParameter, InvalidVertex
 from topocompat.edgelist import dumps, loads
 from oracles import generated_topologies, random_graph
 
@@ -64,6 +65,17 @@ def test_round_trip_is_byte_identical():
 )
 def test_malformed_inputs_rejected(text):
     with pytest.raises(EdgeListFormatError):
+        loads(text)
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("3 2\n0 5\n0 1 2\n", InvalidVertex, "vertex 5 out of range 0..2"),  # before line 3's shape
+    ("0 1\nx y\n", InvalidParameter, "graph order must be positive, got 0"),  # the header first
+    ("3 2\n1 1\n", InvalidEdge, "self-loop at vertex 1"),  # before the missing line
+    ("3 1\n0 1\n1 5\n", EdgeListFormatError, "line 3: more than 1 edge lines"),
+])
+def test_first_fault_in_file_order_is_reported(text, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
         loads(text)
 
 

@@ -20,6 +20,8 @@ import pytest
 
 from topocompat import cli, from_edge_list
 from topocompat.edgelist import write_edge_list_path
+from topocompat.errors import InvalidParameter
+from topocompat.topologies import _GENERATORS, TopologySpec
 from oracles import (brute_force_cycle_orders, largest_ball_reference, power_reference,
                      random_graph)
 
@@ -28,10 +30,9 @@ CASES = 150
 TIME_LIMIT = "0.05"  # seconds, through TOPO_COMPAT_TIME_LIMIT
 SLOWEST_CASE_S = 2  # a hundred times the slowest case; one past it did unbounded work
 
-# per converter: texts it accepts, and texts it refuses or the command then refuses
+# per converter: texts it accepts (a spec's are drawn from SMALL below), and texts it refuses
+# or the command then refuses
 VALID = {
-    cli.parse_topology_spec: ["hypercube:1", "hypercube:3", "hypercube:4", "ring:3", "ring:8",
-                              "star:2", "star:6", "complete:1", "complete:3", "complete:6"],
     cli._positive_int: ["1", "2", "3", "1000000000000", "٣"],
     cli._seconds: ["0.05", "0.000001", "1e-9", "2"],
     cli.parse_range: ["1..4", "3", "2..8", "1..20"],
@@ -47,6 +48,19 @@ INVALID = {
     cli.parse_range: ["5..2", "x..y", "0..3", "1..100000", "1..99999999999999999999", "-3..2",
                       ""],
 }
+
+
+def small(kind, k):
+    """Whether ``kind:k`` is a valid spec of order at most 16."""
+    try:
+        return TopologySpec(kind, k).order() <= 16
+    except InvalidParameter:
+        return False
+
+
+# per generated kind (``topologies._GENERATORS``), its parameters up to 8 of order at most 16;
+# a valid spec takes one kind and draws one of these
+SMALL = {kind: [k for k in range(1, 9) if small(kind, k)] for kind in _GENERATORS}
 # valid systems too large to build cheaply, which embed refuses from the spec
 HOSTS_TOO_LARGE = ["hypercube:20", "ring:1048576", "complete:4579"]
 MALFORMED_FILES = {
@@ -62,6 +76,9 @@ MALFORMED_FILES = {
     "zero.edges": b"0 0\n",
     "huge.edges": b"99999999999999999999 0\n",
     "bytes.edges": b"\xff\xfe",
+    # the first fault in file order is reported: a vertex out of range, then the order
+    "first.edges": b"3 2\n0 5\n0 1 2\n",
+    "nothing.edges": b"0 1\nx y\n",
 }
 
 
@@ -97,7 +114,8 @@ def text(rng, command, arg, systems, out):
         return rng.choice(INVALID[arg.convert] + [s for s, g in systems.items() if g is None])
     files = [s for s, g in systems.items() if g is not None]
     large = HOSTS_TOO_LARGE if (command, arg.dest) == ("embed", "system") else []
-    return rng.choice(VALID[arg.convert] + files * 2 + large)
+    spec = rng.choice(list(SMALL) * 2 + files * 2 + large)
+    return f"{spec}:{rng.choice(SMALL[spec])}" if spec in SMALL else spec
 
 
 def draw(rng, systems, out):
@@ -200,3 +218,10 @@ def test_every_small_file_system_gets_the_oracles_potential(task, systems, capsy
             assert cli.run(["potential", "--task", task, "--system", spec,
                             "--reach", str(reach)]) == 0
             assert potential_p(capsys.readouterr().out) == oracle_potential(g, task, reach)
+
+
+def test_every_malformed_file_exits_two_with_one_error_line(systems, capsys):
+    for spec in [spec for spec, g in systems.items() if g is None]:
+        assert cli.run(["potential", "--task", "star", "--system", spec, "--reach", "2"]) == 2, spec
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (spec, err)

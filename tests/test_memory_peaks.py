@@ -1,0 +1,61 @@
+"""Transient memory of the transform path, as tracemalloc ratios.
+
+The ball-mask routes hold nothing beside their result that their next step
+does not read: the arc route keeps one sliding window, not a prefix mask per
+walk position, and the star pass maps each last-round ball to its popcount
+as it is made, with no list of singleton masks before round 1.  The bounds
+are ratios to the masks returned, so they hold whatever an int costs on the
+interpreter at hand.  The reader hands its rows one shared int per vertex id.
+"""
+
+import random
+import sys
+import tracemalloc
+
+from topocompat import from_edge_list, graph, hypercube, ring
+from topocompat.edgelist import dumps, loads
+
+# the most a route may hold at its peak, per byte of the masks measured against
+PEAK_RATIO = 1.25
+
+
+def relabelled(g):
+    """g with its vertex ids shuffled by a fixed seed, so no ball is a run of bits."""
+    perm = list(range(g.order))
+    random.Random(g.order).shuffle(perm)
+    return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
+
+
+def nbytes(masks):
+    return sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the most it allocated at once beyond what was live before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_arc_route_holds_one_window_beside_the_balls():
+    g = relabelled(ring(4096))
+    g._neighbors  # decoded before measuring
+    balls, peak = peak_bytes(graph._ball_masks, g, 64, None, "test")
+    assert peak <= PEAK_RATIO * nbytes(balls)
+
+
+def test_star_pass_holds_one_round_of_masks():
+    g = relabelled(hypercube(12))
+    one_round = nbytes(graph._ball_masks(g, 2, None, "test"))
+    found, peak = peak_bytes(graph._largest_ball_pass, g, 2)
+    assert len(found[1]) == 12 + 66
+    assert peak <= PEAK_RATIO * one_round
+
+
+def test_read_rows_share_one_int_per_vertex_id():
+    g = loads(dumps(hypercube(10)))  # ids up to 1023, past the interpreter's small-int cache
+    assert len({id(v) for row in g._neighbors for v in row}) == g.order
