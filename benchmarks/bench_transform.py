@@ -14,9 +14,10 @@ The ``write`` column times ``edgelist.dumps`` of the built power: a power
 from the masks holds only its masks, and the writer decodes the bits above
 each vertex straight from them; one from the BFS slices its neighbour
 tuples.  Where both sides are timed, the two texts must be byte-equal too.
-The ``bound`` column says whether one BFS against the degree or component
-bound (``graph._ball_by_bound``) decides the star potential, so that no
-route runs at all.  The ``peak`` column is the most that building the
+The ``bound`` column says whether a probe BFS against the degree bound, or
+after one component sweep against the component bound
+(``graph._ball_by_bound``), decides the star potential, so that no route
+runs at all.  The ``peak`` column is the most that building the
 power (or, where it is not built, the star potential) holds at once beyond
 what was live before, by ``tracemalloc`` in a run of its own.  The relabelled
 cases shuffle the vertex ids with a fixed seed, so that no ball is a run of

@@ -315,15 +315,10 @@ def run(argv: Sequence[str]) -> int:
         return exc.code
     try:
         return func(args)
-    except (BudgetExceeded, HostTooLarge) as exc:
+    except (TopoCompatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TopoCompatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # out of budget or over the host cap: the answer is unknown; else the input is invalid
+        return 1 if isinstance(exc, (BudgetExceeded, HostTooLarge)) else 2
 
 
 def _flushed() -> bool:

@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
-from .errors import InvalidParameter, InvalidPotential, InvalidReachability, _FrozenRecord
-from .graph import Graph, graph_power, largest_ball
+from .errors import InvalidParameter, InvalidPotential, _FrozenRecord
+from .graph import Graph, _check_reach, graph_power, largest_ball
 from .topologies import (
     MAX_HYPERCUBE_DIM,
     TopologySpec,
@@ -99,11 +99,6 @@ def star_potential_certificate(
     _check_reach(reach)
     center, leaves = largest_ball(system, reach, budget.deadline())
     return 1 + len(leaves), (center, leaves)
-
-
-def _check_reach(reach: int) -> None:
-    if reach < 1:
-        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 
 
 def ring_potential_certificate(

@@ -1,9 +1,13 @@
 """Edge-list text format.
 
 Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
-0-based vertex ids.  Lines starting with ``#`` are comments and may appear
-anywhere; blank lines are ignored.  Duplicate and reversed edges collapse on
-read, and orders above 2^20 (the largest the package generates) are refused.
+0-based vertex ids.  A line whose first non-blank character is ``#`` is a
+comment and may appear anywhere; blank lines are ignored.  A ``#`` after
+data on a line is no comment, so ``0 1 # an edge`` is refused.  Duplicate
+and reversed edges collapse on read.  Orders above 2^20 (the largest the
+package generates) are refused, and so are edge counts above
+``graph._POWER_MAX_EDGES`` (the edges of H_20, the cap of every power), at
+the header, before any edge line is read.
 The reader hands ``Graph`` the edges one line at a time, so no list of
 pairs is made, and it reports the first fault in file order, the header's
 first: a bad header, then ``Graph``'s order check, then per edge line its
@@ -23,6 +27,7 @@ import io
 import os
 from typing import TextIO, Union
 
+from . import graph
 from .errors import EdgeListFormatError
 from .graph import Graph
 from .topologies import MAX_HYPERCUBE_DIM
@@ -63,6 +68,9 @@ def read_edge_list(stream: TextIO) -> Graph:
         raise EdgeListFormatError(f"line {lineno}: non-integer header {header!r}") from None
     if m < 0:
         raise EdgeListFormatError(f"line {lineno}: negative edge count {m}")
+    if m > graph._POWER_MAX_EDGES:  # Graph holds every edge line until duplicates collapse
+        raise EdgeListFormatError(f"line {lineno}: edge count {m} exceeds the cap "
+                                  f"{graph._POWER_MAX_EDGES} (the edges of H_20)")
     if n > 1 << MAX_HYPERCUBE_DIM:  # refused before any per-vertex storage exists
         raise EdgeListFormatError(f"line {lineno}: order {n} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
     return Graph(n, _edge_pairs(lines, m))

@@ -247,11 +247,9 @@ def _anchor_order(g: Graph) -> Tuple[list, Tuple[int, ...]]:
     The cycle kernels anchor each cycle at its smallest vertex, so under
     these labels low-degree vertices are anchors first (the module docstring
     says why).  On a regular graph the order is the identity and the masks
-    are g's own.
+    equal g's own.
     """
     order = sorted(range(g.order), key=g.degree)  # stable: ties by id
-    if all(u == i for i, u in enumerate(order)):
-        return order, g.adjacency_masks()
     label = [0] * g.order
     for i, u in enumerate(order):
         label[u] = i

@@ -32,16 +32,18 @@ Its closed balls come by one of three routes:
 On the first two, each ball minus its centre becomes the vertex's adjacency
 mask as it is: writing the power (``edgelist.write_edge_list``) makes no
 tuple, and the search kernels get the masks with no re-encode.  On the BFS
-route each ball minus its vertex becomes its neighbor tuple.  A power with
+route each ball minus its vertex becomes its neighbor tuple
+(:func:`_ball_row`, one per vertex from :func:`_bfs_rows`).  A power with
 more edges than H_20 is refused: up to order 4096 by popcount, on the BFS
 route first by a lower bound from the component orders and neighbour
 degrees, then as its rows are counted.
 
 :func:`largest_ball` (the star potential) brackets first: no ball is larger
-than the Moore bound of the maximum degree, nor than the largest component,
-and one BFS that meets the smaller of the two bounds is the answer.  Only
-otherwise does it size every ball, by the same three routes, against a
-deadline.
+than the Moore bound of the maximum degree, nor than the largest component.
+A BFS from the first vertex of maximum degree that meets the Moore bound is
+the answer; failing that, one component sweep gives the largest component,
+and a BFS from its first vertex that meets its order is.  Only otherwise
+does it size every ball, by the same three routes, against a deadline.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class Graph:
         return len(self._neighbors[v])
 
     def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self._neighbors)
+        return max(map(len, self._neighbors))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -270,8 +272,7 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     arc route and once per mask round or BFS on the others, and
     BudgetExceeded is raised past it.
     """
-    if reach < 1:
-        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
+    _check_reach(reach)
     if reach == 1:
         return g
     if g.order <= _BALL_MASK_MAX_ORDER:
@@ -284,14 +285,34 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
         return Graph._from_masks(tuple(balls))
     _check_power_entries(_power_entries_floor(g, reach), reach)
     rows, entries = [], 0
-    for s in range(g.order):
-        _check_deadline(deadline, "reachability transform")
-        ball = _bfs_levels(g, s, cutoff=reach)
-        entries += len(ball) - 1
+    for row in _bfs_rows(g, reach, deadline, "reachability transform"):
+        entries += len(row)
         _check_power_entries(entries, reach)
-        # a ball minus its center is exactly the vertices at distance 1..reach
-        rows.append(tuple(sorted(v for v in ball if v != s)))
+        rows.append(row)
     return Graph._from_neighbors(tuple(rows))
+
+
+def _check_reach(reach: int) -> None:
+    """Refuse a reachability below 1, for the transform and every potential."""
+    if reach < 1:
+        raise InvalidReachability(f"reachability must be >= 1, got {reach}")
+
+
+def _ball_row(g: Graph, v: int, reach: int) -> Tuple[int, ...]:
+    """v's closed reach-ball minus v, ascending: v's row in the reach-th power,
+    from one cutoff BFS."""
+    ball = _bfs_levels(g, v, cutoff=reach)
+    del ball[v]
+    return tuple(sorted(ball))
+
+
+def _bfs_rows(g: Graph, reach: int, deadline: Optional[float], what: str) -> Iterator[tuple]:
+    """Each vertex's :func:`_ball_row` in turn, made as it is read.  Before each
+    BFS the optional monotonic ``deadline`` is checked, and BudgetExceeded
+    naming the pass ``what`` is raised past it."""
+    for v in range(g.order):
+        _check_deadline(deadline, what)
+        yield _ball_row(g, v, reach)
 
 
 def _power_entries_floor(g: Graph, reach: int) -> int:
@@ -356,11 +377,10 @@ def _ball_masks(
     round).  Past the optional monotonic ``deadline`` either raises
     BudgetExceeded naming the pass ``what``.
     """
-    nbrs = g._neighbors
-    if max(map(len, nbrs)) <= 2:
+    if g.max_degree() <= 2:
         _check_deadline(deadline, what)
-        return _arc_balls(nbrs, reach, keep)
-    return _round_balls(nbrs, reach, deadline, what, keep)
+        return _arc_balls(g._neighbors, reach, keep)
+    return _round_balls(g._neighbors, reach, deadline, what, keep)
 
 
 def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int, keep: Optional[Callable] = None
@@ -522,12 +542,13 @@ def largest_ball(
     vertices in ascending order, without building the power graph.
 
     These are the first vertex of maximum degree in the reach-th power and
-    its neighbours there.  One BFS that meets the bound of
-    :func:`_ball_by_bound` decides it; otherwise the ball sizes come from the
-    same route as :func:`graph_power` (a popcount over the arc or round ball
-    masks up to order 4096, a BFS per vertex above), then one more BFS lists
-    the ball.  That pass checks the optional monotonic ``deadline`` as the
-    transform does, and raises BudgetExceeded past it.
+    its neighbours there.  A probe BFS that meets one of the bounds of
+    :func:`_ball_by_bound` decides it: first the Moore bound of the maximum
+    degree, then the largest component's order.  Otherwise the ball sizes
+    come from the same route as :func:`graph_power` (a popcount over the arc
+    or round ball masks up to order 4096, :func:`_bfs_rows` above), then one
+    more BFS lists the ball.  That pass checks the optional monotonic
+    ``deadline`` as the transform does, and raises BudgetExceeded past it.
     """
     if reach < 0:
         raise InvalidReachability(f"reachability must be >= 0, got {reach}")
@@ -536,28 +557,39 @@ def largest_ball(
 
 
 def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """:func:`largest_ball`'s answer when one BFS meets the upper bound
-    U = min(M, C) on every ball, else None.
+    """:func:`largest_ball`'s answer when a probe BFS meets an upper bound on
+    every ball, else None.
 
-    M is the Moore bound 1 + D * sum((D - 1)^i, i < reach) for maximum degree
-    D (Hoffman & Singleton 1960), capped at the order; C is the order of the
-    largest component.  When M < C, M is uncapped and a vertex of lower
-    degree has a ball below it, so the probe is the first vertex of degree D.
-    Otherwise it is the first vertex of the first largest component, and
-    every smaller id lies in a smaller component.  Either way a probe whose
-    ball reaches U is the first center of a largest ball.
+    Two probes are tried in turn.  M is the Moore bound
+    1 + D * sum((D - 1)^i, i < reach) for maximum degree D (Hoffman &
+    Singleton 1960), capped at the order.  When M is below the order it is
+    uncapped, and the first probe is the first vertex of degree D against
+    M: every vertex of lower degree has a Moore bound below M, and every
+    vertex before the probe has lower degree.  Only if that misses are the
+    components swept (:func:`_colored_components`).  With C the order of
+    the largest component, and C <= M, the second probe is the first vertex
+    of the first largest component against C: every id below it lies in a
+    component swept earlier, which is smaller.  Either way a probe whose
+    ball meets its bound is the first center of a largest ball.  C does not
+    depend on the reach.
     """
     if reach == 0:  # every ball is its center alone, which M = 1 does not rank
         return 0, ()
-    degrees = list(map(len, g._neighbors))
-    top = max(degrees)
+    top = g.max_degree()
     moore = _moore_bound(top, reach, g.order)
-    largest = _largest_component(g, moore)
-    probe, bound = (degrees.index(top), moore) if largest is None else largest
-    ball = _bfs_levels(g, probe, cutoff=reach)
-    if len(ball) < bound:
+    if moore < g.order:
+        probe = next(v for v, nb in enumerate(g._neighbors) if len(nb) == top)
+        row = _ball_row(g, probe, reach)
+        if len(row) + 1 == moore:
+            return probe, row
+    color, components = _colored_components(g)
+    orders = [c for c, _ in components]
+    largest = max(orders)
+    if largest > moore:
         return None
-    return probe, tuple(sorted(v for v in ball if v != probe))
+    probe = color.index(2 * orders.index(largest))  # the k-th component's root has colour 2k
+    row = _ball_row(g, probe, reach)
+    return (probe, row) if len(row) + 1 == largest else None
 
 
 def _moore_bound(degree: int, reach: int, cap: int) -> int:
@@ -572,33 +604,6 @@ def _moore_bound(degree: int, reach: int, cap: int) -> int:
     return min(total, cap)
 
 
-def _largest_component(g: Graph, above: int) -> Optional[Tuple[int, int]]:
-    """(first vertex, order) of the first largest component, or None as
-    soon as some component has more than ``above`` vertices.
-
-    Components are swept from each unseen vertex in ascending order, so
-    each sweep starts at its component's smallest id.
-    """
-    nbrs = g._neighbors
-    seen = bytearray(g.order)
-    best = (0, 0)
-    for root in range(g.order):
-        if seen[root]:
-            continue
-        seen[root], stack, size = 1, [root], 1
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-                    size += 1
-            if size > above:
-                return None
-        if size > best[1]:
-            best = (root, size)
-    return best
-
-
 def _largest_ball_pass(
     g: Graph, reach: int, deadline: Optional[float] = None
 ) -> Tuple[int, Tuple[int, ...]]:
@@ -606,9 +611,6 @@ def _largest_ball_pass(
     if g.order <= _BALL_MASK_MAX_ORDER:
         sizes = _ball_masks(g, reach, deadline, "largest-ball pass", int.bit_count)
     else:
-        sizes = []
-        for s in range(g.order):
-            _check_deadline(deadline, "largest-ball pass")
-            sizes.append(len(_bfs_levels(g, s, cutoff=reach)))
+        sizes = [len(row) for row in _bfs_rows(g, reach, deadline, "largest-ball pass")]
     center = sizes.index(max(sizes))
-    return center, tuple(sorted(v for v in _bfs_levels(g, center, cutoff=reach) if v != center))
+    return center, _ball_row(g, center, reach)

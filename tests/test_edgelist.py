@@ -7,7 +7,7 @@ import pytest
 
 from topocompat import EdgeListFormatError, from_edge_list, graph_power, hypercube, ring, star
 from topocompat.errors import InvalidEdge, InvalidParameter, InvalidVertex
-from topocompat.edgelist import dumps, loads
+from topocompat.edgelist import dumps, loads, read_edge_list
 from oracles import generated_topologies, random_graph
 
 
@@ -91,6 +91,25 @@ def test_order_cap_boundary(monkeypatch):
     assert loads("4 1\n0 3\n").order == 4
     with pytest.raises(EdgeListFormatError, match="line 1: order 5 exceeds the cap 2\\^2"):
         loads("5 0\n")
+
+
+def test_edge_count_cap_boundary(monkeypatch):
+    from topocompat import graph
+
+    monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 3)
+    assert loads("4 3\n0 1\n1 2\n2 3\n").num_edges == 3
+    with pytest.raises(EdgeListFormatError, match="^line 1: edge count 4 exceeds the cap 3 "):
+        loads("4 4\n0 1\n1 2\n2 3\n3 0\n")
+
+
+def test_edge_count_above_cap_rejected_before_any_edge_line():
+    def lines():  # a header over the cap of H_20's 10,485,760 edges, then no edge line
+        yield "# two vertices, one edge given many times\n"
+        yield "2 10485761\n"
+        raise AssertionError("an edge line was read")
+
+    with pytest.raises(EdgeListFormatError, match="^line 2: edge count 10485761 exceeds the cap"):
+        read_edge_list(lines())
 
 
 def test_path_helpers(tmp_path):

@@ -75,6 +75,7 @@ MALFORMED_FILES = {
     "order.edges": b"-3 0\n",
     "zero.edges": b"0 0\n",
     "huge.edges": b"99999999999999999999 0\n",
+    "edges.edges": b"2 10485761\n0 1\n",  # more edges than H_20, the cap of every power
     "bytes.edges": b"\xff\xfe",
     # the first fault in file order is reported: a vertex out of range, then the order
     "first.edges": b"3 2\n0 5\n0 1 2\n",

@@ -353,8 +353,18 @@ class TestBallBound:
         assert graph._moore_bound(degree, reach, cap) == expected
 
 
+def _petersen_edges(base):
+    """The Petersen graph on base..base + 9: an outer 5-cycle, its spokes and
+    an inner pentagram.  It is 3-regular of diameter 2, so its reach-2 balls
+    are the whole graph and meet the Moore bound 10."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return [(base + u, base + v) for u, v in edges]
+
+
 class TestBallBoundRoutes:
-    """Which queries the bound decides, with the pass forbidden."""
+    """Which queries the bound decides, with the pass forbidden, and in which
+    order: the degree probe first, and the component sweep only when it misses."""
 
     @pytest.fixture
     def no_pass(self, monkeypatch):
@@ -362,6 +372,19 @@ class TestBallBoundRoutes:
             raise AssertionError("the all-balls pass ran")
 
         monkeypatch.setattr(graph, "_largest_ball_pass", refuse)
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The order of the graph of each component sweep, as it starts."""
+        calls = []
+        colored_components = graph._colored_components
+
+        def counting(g):
+            calls.append(g.order)
+            return colored_components(g)
+
+        monkeypatch.setattr(graph, "_colored_components", counting)
+        return calls
 
     def test_relabelled_ring_is_decided_by_degree(self, no_pass):
         n = 4096
@@ -385,6 +408,40 @@ class TestBallBoundRoutes:
     def test_chord_ring_is_not_decided(self):
         assert graph._ball_by_bound(chord_ring(64), 2) is None
         assert largest_ball(chord_ring(64), 2) == (0, (1, 2, 31, 32, 33, 62, 63))
+
+    def test_relabelled_ring_is_decided_before_any_sweep(self, monkeypatch, no_pass):
+        def refuse(g):
+            raise AssertionError("the components were swept")
+
+        monkeypatch.setattr(graph, "_colored_components", refuse)
+        n = 4096
+        perm = list(range(n))
+        random.Random(4096).shuffle(perm)
+        g = Graph(n, [(perm[v], perm[(v + 1) % n]) for v in range(n)])
+        probes = _counting_bfs(monkeypatch)
+        center, leaves = largest_ball(g, 32)
+        assert center == 0 and len(leaves) == 64 and probes == [0]
+
+    def test_component_decides_after_the_degree_probe_misses(self, monkeypatch, sweeps, no_pass):
+        # a star K_{1,3} centred at 0, then a Petersen graph on 4..13:
+        # M = C = 10 below n = 14, and the star's centre is the first of degree 3
+        g = Graph(14, [(0, 1), (0, 2), (0, 3)] + _petersen_edges(4))
+        assert graph._moore_bound(3, 2, g.order) == 10
+        probes = _counting_bfs(monkeypatch)
+        assert largest_ball(g, 2) == (4, tuple(range(5, 14)))
+        assert probes == [0, 4] and sweeps == [14]
+
+    def test_chord_ring_is_refused_after_one_sweep(self, monkeypatch, sweeps):
+        probes = _counting_bfs(monkeypatch)
+        assert graph._ball_by_bound(chord_ring(64), 2) is None
+        assert probes == [0] and sweeps == [64]
+
+    def test_capped_moore_bound_skips_the_degree_probe(self, monkeypatch, sweeps, no_pass):
+        # the path 0-1-2 at reach 2: M = 3 is the order, so the degree-2
+        # vertex 1 is not probed, and the first centre is 0
+        probes = _counting_bfs(monkeypatch)
+        assert largest_ball(Graph(3, [(0, 1), (1, 2)]), 2) == (0, (1, 2))
+        assert probes == [0] and sweeps == [3]
 
 
 class TestPowerEdgeCap:

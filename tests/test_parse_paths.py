@@ -17,13 +17,17 @@ import pytest
 
 from topocompat import cli
 from topocompat.cli import COMMANDS, parse_range, parse_topology_spec
+from topocompat.topologies import _GENERATORS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
-# texts every converter accepts, and a few it refuses; none starts with "-"
+# texts every converter accepts, and a few it refuses; none starts with "-".  Specs are
+# two of each generated kind (``topologies._GENERATORS``), then edge values that parse
+# as any other: the largest and an oversized dimension, a 2-ring, leading zeros, files
 VALID = {
-    parse_topology_spec: ["hypercube:3", "hypercube:20", "hypercube:99", "ring:8", "ring:2",
-                          "star:5", "complete:4", "file:g.edges", "file:a b=c", "ring:007"],
+    parse_topology_spec: [f"{kind}:{k}" for kind in _GENERATORS for k in (4, 8)]
+                         + ["hypercube:20", "hypercube:99", "ring:2", "ring:007",
+                            "file:g.edges", "file:a b=c"],
     cli._positive_int: ["1", "2", "17", "1000000000000", "+3", "07", " 5", "1_000"],
     cli._seconds: ["0.5", "60", "1e-3", "nan", "inf", "2", " 7 "],
     parse_range: ["1..4", "3", "2..8", "1..20", "+1..3", "5..5"],
