@@ -20,10 +20,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    diameter,
     from_edge_list,
     graph_power,
-    is_bipartite,
 )
 from .topologies import (
     TopologySpec,
@@ -55,9 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "from_edge_list",
-    "diameter",
     "graph_power",
-    "is_bipartite",
     "TopologySpec",
     "parse_topology_spec",
     "hypercube",

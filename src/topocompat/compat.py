@@ -96,7 +96,6 @@ def star_potential_certificate(
     no single ball meets the degree or component bound: then every ball is
     sized, and running out raises BudgetExceeded.
     """
-    _check_reach(reach)
     center, leaves = largest_ball(system, reach, budget.deadline())
     return 1 + len(leaves), (center, leaves)
 
@@ -181,40 +180,39 @@ def _check_potential(p: int, n: int) -> None:
         raise InvalidPotential(f"potential {p} outside 0..{n}")
 
 
-def _half_up(num: int, den: int, places: int) -> int:
-    """num/den (both >= 0, den > 0) times 10^places, rounded half up to an integer."""
-    q, r = divmod(num * 10**places, den)
+def _half_up(num: int, den: int) -> int:
+    """num/den (both >= 0, den > 0) times 10^INDEX_PLACES, rounded half up to an integer."""
+    q, r = divmod(num * 10**INDEX_PLACES, den)
     return q + (2 * r >= den)
 
 
-def round_half_up(value: Fraction, places: int = INDEX_PLACES) -> Decimal:
-    """Round a nonnegative rational half-up to the given decimal places."""
+def round_half_up(value: Fraction) -> Decimal:
+    """Round a nonnegative rational half-up to INDEX_PLACES (four) decimal places."""
     from decimal import Decimal
 
-    return Decimal(_half_up(value.numerator, value.denominator, places)).scaleb(-places)
+    return Decimal(_half_up(value.numerator, value.denominator)).scaleb(-INDEX_PLACES)
 
 
 class CompatibilityReport(_FrozenRecord):
     """One (system, task, reachability) cell: potential and index.
 
-    ``index_exact`` (a Fraction) and ``index_rounded`` (a Decimal) are made
-    from p and n when first read, unless given, so a report that is only
-    printed never imports ``fractions`` or ``decimal``: the renderers and
-    the CLI use ``index_text`` and p and n instead.  Either way the value
-    sits in the instance ``__dict__``, which ``cached_property`` does not
-    shadow, so equality, hashing, repr, pickle and copy see a plain field.
+    Construction refuses a potential outside 0..n with InvalidPotential.
+    The index is always p/n: ``index_exact`` (a Fraction) and
+    ``index_rounded`` (a Decimal) are made from p and n when first read, so
+    a report that is only printed never imports ``fractions`` or
+    ``decimal``: the renderers and the CLI use ``index_text`` and p and n
+    instead.  The value then sits in the instance ``__dict__``, which
+    ``cached_property`` does not shadow, so equality, hashing, repr, pickle
+    and copy see a plain field.
     """
 
     _fields = ("system", "task_kind", "reach", "order_n", "potential_p",
                "index_exact", "index_rounded")
 
     def __init__(self, system: TopologySpec, task_kind: str, reach: int, order_n: int,
-                 potential_p: int, index_exact: Optional[Fraction] = None,
-                 index_rounded: Optional[Decimal] = None):
+                 potential_p: int):
+        _check_potential(potential_p, order_n)
         super().__init__(system, task_kind, reach, order_n, potential_p)
-        for name, value in (("index_exact", index_exact), ("index_rounded", index_rounded)):
-            if value is not None:
-                object.__setattr__(self, name, value)
 
     @cached_property
     def index_exact(self) -> Fraction:
@@ -230,8 +228,7 @@ class CompatibilityReport(_FrozenRecord):
     def index_text(self) -> str:
         """p/n rounded half up to four places, as printed: ``str(index_rounded)``
         made with integers alone."""
-        whole, frac = divmod(_half_up(self.potential_p, self.order_n, INDEX_PLACES),
-                             10**INDEX_PLACES)
+        whole, frac = divmod(_half_up(self.potential_p, self.order_n), 10**INDEX_PLACES)
         return f"{whole}.{frac:0{INDEX_PLACES}d}"
 
     @property
@@ -245,7 +242,6 @@ class CompatibilityReport(_FrozenRecord):
 def make_report(
     system: TopologySpec, task_kind: str, reach: int, order_n: int, potential_p: int
 ) -> CompatibilityReport:
-    _check_potential(potential_p, order_n)
     return CompatibilityReport(system, task_kind, reach, order_n, potential_p)
 
 
@@ -255,11 +251,11 @@ def compatibility_table(
     """Star/ring-versus-hypercube compatibility cells, reach-major, s ascending.
 
     Every cell is a :func:`potential` of a ``hypercube:s`` spec, so each
-    comes from a closed form and no graph is built.  Dimensions
-    and reaches must lie in 1..MAX_HYPERCUBE_DIM: H_s has diameter s <= 20,
-    so a larger reach only repeats the reach-20 row.  Each value is checked
-    as it is read, so a huge range is refused at its first value out of
-    bounds, before any cell is made.
+    comes from a closed form and no graph is built.  Dimensions and reaches
+    must lie in 1..MAX_HYPERCUBE_DIM: no two vertices of H_s lie more than
+    s <= 20 apart, so a larger reach only repeats the reach-20 row.  Each
+    value is checked as it is read, so a huge range is refused at its first
+    value out of bounds, before any cell is made.
     """
     dims, reaches = set(), set()
     for s in s_values:

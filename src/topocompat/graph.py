@@ -33,7 +33,7 @@ On the first two, each ball minus its centre becomes the vertex's adjacency
 mask as it is: writing the power (``edgelist.write_edge_list``) makes no
 tuple, and the search kernels get the masks with no re-encode.  On the BFS
 route each ball minus its vertex becomes its neighbor tuple
-(:func:`_ball_row`, one per vertex from :func:`_bfs_rows`).  A power with
+(:func:`_ball_row`, one per ball from :func:`_bfs_balls`).  A power with
 more edges than H_20 is refused: up to order 4096 by popcount, on the BFS
 route first by a lower bound from the component orders and neighbour
 degrees, then as its rows are counted.
@@ -48,7 +48,6 @@ does it size every ball, by the same three routes, against a deadline.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from bisect import bisect_left, bisect_right
@@ -62,9 +61,7 @@ from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReacha
 __all__ = [
     "Graph",
     "from_edge_list",
-    "diameter",
     "graph_power",
-    "is_bipartite",
     "component_color_classes",
     "largest_ball",
 ]
@@ -218,35 +215,22 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-def _bfs_levels(g: Graph, source: int, cutoff: Optional[int] = None) -> dict:
-    """Distances from source by BFS, optionally stopping at depth cutoff."""
+def _bfs_levels(g: Graph, source: int, cutoff: int) -> dict:
+    """Distances from source by BFS, up to depth cutoff: source's closed
+    cutoff-ball, as a dict."""
     dist = {source: 0}
     queue = deque([source])
     nbrs = g._neighbors
     while queue:
         u = queue.popleft()
         du = dist[u]
-        if cutoff is not None and du >= cutoff:
+        if du >= cutoff:
             continue
         for w in nbrs[u]:
             if w not in dist:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
-
-
-def diameter(g: Graph) -> "int | float":
-    """Largest finite distance; ``math.inf`` when the graph is disconnected."""
-    n = g.order
-    worst = 0
-    for s in range(n):
-        dist = _bfs_levels(g, s)
-        if len(dist) < n:
-            return math.inf
-        ecc = max(dist.values())
-        if ecc > worst:
-            worst = ecc
-    return worst
 
 
 def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph:
@@ -285,7 +269,8 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
         return Graph._from_masks(tuple(balls))
     _check_power_entries(_power_entries_floor(g, reach), reach)
     rows, entries = [], 0
-    for row in _bfs_rows(g, reach, deadline, "reachability transform"):
+    for v, ball in enumerate(_bfs_balls(g, reach, deadline, "reachability transform")):
+        row = _ball_row(ball, v)
         entries += len(row)
         _check_power_entries(entries, reach)
         rows.append(row)
@@ -293,26 +278,26 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
 
 
 def _check_reach(reach: int) -> None:
-    """Refuse a reachability below 1, for the transform and every potential."""
+    """Refuse a reachability below 1, for the transform, the largest ball and
+    every potential."""
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 
 
-def _ball_row(g: Graph, v: int, reach: int) -> Tuple[int, ...]:
-    """v's closed reach-ball minus v, ascending: v's row in the reach-th power,
-    from one cutoff BFS."""
-    ball = _bfs_levels(g, v, cutoff=reach)
+def _ball_row(ball: dict, v: int) -> Tuple[int, ...]:
+    """v's row in a power: its closed ball ``ball`` (a :func:`_bfs_levels`
+    dict, which loses v here) minus v, ascending."""
     del ball[v]
     return tuple(sorted(ball))
 
 
-def _bfs_rows(g: Graph, reach: int, deadline: Optional[float], what: str) -> Iterator[tuple]:
-    """Each vertex's :func:`_ball_row` in turn, made as it is read.  Before each
-    BFS the optional monotonic ``deadline`` is checked, and BudgetExceeded
-    naming the pass ``what`` is raised past it."""
+def _bfs_balls(g: Graph, reach: int, deadline: Optional[float], what: str) -> Iterator[dict]:
+    """Each vertex's closed reach-ball in turn, as its cutoff BFS dict, made
+    as it is read.  Before each BFS the optional monotonic ``deadline`` is
+    checked, and BudgetExceeded naming the pass ``what`` is raised past it."""
     for v in range(g.order):
         _check_deadline(deadline, what)
-        yield _ball_row(g, v, reach)
+        yield _bfs_levels(g, v, reach)
 
 
 def _power_entries_floor(g: Graph, reach: int) -> int:
@@ -461,9 +446,7 @@ def _round_balls(
     ``deadline`` and raises BudgetExceeded, naming the pass ``what``, past it.
     """
     _check_deadline(deadline, what)
-    # round 1 (at reach 0, each ball is its centre alone)
-    balls = (reduce(or_, map((1).__lshift__, nb if reach else ()), 1 << v)
-             for v, nb in enumerate(nbrs))
+    balls = (reduce(or_, map((1).__lshift__, nb), 1 << v) for v, nb in enumerate(nbrs))  # round 1
     prev = None
     for _ in range(reach - 1):  # rounds 2..reach, each read off the listed round before it
         balls = list(balls)
@@ -530,11 +513,6 @@ def _colored_components(g: Graph) -> Tuple[List[int], list]:
     return color, out
 
 
-def is_bipartite(g: Graph) -> bool:
-    """True iff the graph has no odd cycle (BFS 2-coloring, per component)."""
-    return all(classes is not None for _, classes in component_color_classes(g))
-
-
 def largest_ball(
     g: Graph, reach: int, deadline: Optional[float] = None
 ) -> Tuple[int, Tuple[int, ...]]:
@@ -546,12 +524,12 @@ def largest_ball(
     :func:`_ball_by_bound` decides it: first the Moore bound of the maximum
     degree, then the largest component's order.  Otherwise the ball sizes
     come from the same route as :func:`graph_power` (a popcount over the arc
-    or round ball masks up to order 4096, :func:`_bfs_rows` above), then one
+    or round ball masks up to order 4096, :func:`_bfs_balls` above), then one
     more BFS lists the ball.  That pass checks the optional monotonic
     ``deadline`` as the transform does, and raises BudgetExceeded past it.
+    A reach below 1 raises InvalidReachability.
     """
-    if reach < 0:
-        raise InvalidReachability(f"reachability must be >= 0, got {reach}")
+    _check_reach(reach)
     found = _ball_by_bound(g, reach)
     return found if found is not None else _largest_ball_pass(g, reach, deadline)
 
@@ -573,13 +551,11 @@ def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]
     ball meets its bound is the first center of a largest ball.  C does not
     depend on the reach.
     """
-    if reach == 0:  # every ball is its center alone, which M = 1 does not rank
-        return 0, ()
     top = g.max_degree()
     moore = _moore_bound(top, reach, g.order)
     if moore < g.order:
         probe = next(v for v, nb in enumerate(g._neighbors) if len(nb) == top)
-        row = _ball_row(g, probe, reach)
+        row = _ball_row(_bfs_levels(g, probe, reach), probe)
         if len(row) + 1 == moore:
             return probe, row
     color, components = _colored_components(g)
@@ -588,7 +564,7 @@ def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]
     if largest > moore:
         return None
     probe = color.index(2 * orders.index(largest))  # the k-th component's root has colour 2k
-    row = _ball_row(g, probe, reach)
+    row = _ball_row(_bfs_levels(g, probe, reach), probe)
     return (probe, row) if len(row) + 1 == largest else None
 
 
@@ -611,6 +587,6 @@ def _largest_ball_pass(
     if g.order <= _BALL_MASK_MAX_ORDER:
         sizes = _ball_masks(g, reach, deadline, "largest-ball pass", int.bit_count)
     else:
-        sizes = [len(row) for row in _bfs_rows(g, reach, deadline, "largest-ball pass")]
+        sizes = list(map(len, _bfs_balls(g, reach, deadline, "largest-ball pass")))
     center = sizes.index(max(sizes))
-    return center, _ball_row(g, center, reach)
+    return center, _ball_row(_bfs_levels(g, center, reach), center)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from . import graph
 from .errors import InvalidParameter, _FrozenRecord
 from .graph import Graph
 
@@ -42,7 +43,7 @@ def hypercube(s: int) -> Graph:
     its row, then i's H_k row shifted up by 2^k.  So each row comes out
     sorted, and every entry is the one shared int of its vertex id.
     """
-    check_hypercube_dim(s)
+    _generated_order("hypercube", s)
     ids = tuple(range(1 << s))
     rows = [()]
     for k in range(s):
@@ -56,8 +57,11 @@ def hypercube(s: int) -> Graph:
 def _generated_order(kind: str, k: int) -> int:
     """The order of the generated ``kind:k`` (a kind of ``_GENERATORS``), once
     ``k`` is checked; InvalidParameter, before any edge is listed, for a ``k``
-    the generator refuses.  The generators and ``TopologySpec.order`` both
-    check here."""
+    the generator refuses, a non-integer included.  The generators and
+    ``TopologySpec.order`` both check here.  K_n's edges are capped with
+    every power's, at ``graph._POWER_MAX_EDGES``."""
+    if not isinstance(k, int):
+        raise InvalidParameter(f"{kind} parameter must be an integer, got {k!r}")
     if kind == "hypercube":
         check_hypercube_dim(k)
         return 1 << k
@@ -66,10 +70,10 @@ def _generated_order(kind: str, k: int) -> int:
     if k < least:
         raise InvalidParameter(f"{name} order must be >= {least}, got {k}")
     if kind == "complete":
-        m, cap = k * (k - 1) // 2, MAX_HYPERCUBE_DIM << (MAX_HYPERCUBE_DIM - 1)
+        m, cap = k * (k - 1) // 2, graph._POWER_MAX_EDGES
         if m > cap:
             raise InvalidParameter(f"complete graph K_{k} has {m} edges, above the cap {cap} "
-                                   f"(the edges of H_{MAX_HYPERCUBE_DIM})")
+                                   "(the edges of H_20)")
     elif k > 1 << MAX_HYPERCUBE_DIM:
         raise InvalidParameter(f"{kind} order {k} exceeds the cap 2^{MAX_HYPERCUBE_DIM}")
     return k

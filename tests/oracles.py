@@ -8,6 +8,7 @@ agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Set, Tuple
@@ -55,12 +56,18 @@ def brute_force_cycle_orders(g: Graph, up_to: int) -> Set[int]:
     return found
 
 
-def power_reference(g: Graph, reach: int) -> Set[Tuple[int, int]]:
-    """Edges (u < v) of the reach-th power, by level-by-level BFS over g.edges."""
+def _adjacency(g: Graph) -> List[List[int]]:
+    """Each vertex's neighbours, listed from g.edges."""
     adj: List[List[int]] = [[] for _ in range(g.order)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
+    return adj
+
+
+def power_reference(g: Graph, reach: int) -> Set[Tuple[int, int]]:
+    """Edges (u < v) of the reach-th power, by level-by-level BFS over g.edges."""
+    adj = _adjacency(g)
     out = set()
     for s in range(g.order):
         seen = {s}
@@ -95,10 +102,7 @@ class Distances:
 
 def all_pairs_distances(g: Graph) -> Distances:
     """Shortest-path lengths from every vertex, by level-by-level BFS over g.edges."""
-    adj: List[List[int]] = [[] for _ in range(g.order)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(g)
     rows = []
     for s in range(g.order):
         row: List[Optional[int]] = [None] * g.order
@@ -114,6 +118,36 @@ def all_pairs_distances(g: Graph) -> Distances:
             frontier = nxt
         rows.append(row)
     return Distances(rows)
+
+
+def diameter(g: Graph) -> "int | float":
+    """Largest distance, from all-pairs distances; ``math.inf`` when g is
+    disconnected."""
+    dist = all_pairs_distances(g)
+    if any(None in dist.row(v) for v in range(g.order)):
+        return math.inf
+    return dist.max_finite()
+
+
+def is_bipartite(g: Graph) -> bool:
+    """True iff g has no odd cycle: a BFS 2-colouring over g.edges, one
+    component at a time, leaves no edge inside one colour."""
+    adj = _adjacency(g)
+    color: List[Optional[int]] = [None] * g.order
+    for root in range(g.order):
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if color[w] is None:
+                        color[w] = 1 - color[u]
+                        nxt.append(w)
+            frontier = nxt
+    return all(color[u] != color[v] for u, v in g.edges)
 
 
 def largest_ball_reference(g: Graph, reach: int) -> Tuple[int, Tuple[int, ...]]:

@@ -15,7 +15,6 @@ from topocompat import (
     compatibility_index,
     compatibility_table,
     complete,
-    diameter,
     find_embedding,
     graph_power,
     gray_code_cycle,
@@ -30,7 +29,7 @@ from topocompat import (
 from topocompat.cli import run
 from topocompat.edgelist import read_edge_list_path
 from topocompat.topologies import parse_topology_spec
-from oracles import brute_force_embeds, generated_topologies, random_graph
+from oracles import brute_force_embeds, diameter, generated_topologies, random_graph
 
 # reference table: potentials and printed indexes (comma decimals as published)
 REFERENCE_CELLS = {

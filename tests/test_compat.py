@@ -366,13 +366,16 @@ class TestCompatibilityIndex:
                 assert report.index_exact == Fraction(p, n)
                 assert str(report.index_rounded) == report.index_text
 
-    def test_given_index_fields_are_kept(self):
-        report = CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3,
-                                     Fraction(3, 8), Decimal("0.4"))
-        assert str(report.index_rounded) == "0.4"
-        assert report == CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3,
-                                             index_rounded=Decimal("0.4"))
-        assert report != make_report(TopologySpec("ring", 8), "star", 1, 8, 3)
+    @pytest.mark.parametrize("n,p", [(4, 9), (4, 5), (4, -1), (0, 0)])
+    def test_construction_refuses_a_potential_outside_the_order(self, n, p):
+        with pytest.raises(InvalidPotential):
+            CompatibilityReport(TopologySpec("star", 4), "star", 1, n, p)
+
+    @pytest.mark.parametrize("field,value", [("index_exact", Fraction(3, 8)),
+                                             ("index_rounded", Decimal("0.4"))])
+    def test_the_index_is_not_given(self, field, value):
+        with pytest.raises(TypeError):
+            CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3, **{field: value})
 
 
 class TestCompatibilityTable:

@@ -15,7 +15,6 @@ from topocompat import (
     from_edge_list,
     graph_power,
     hypercube,
-    is_bipartite,
     longest_cycle,
     ring,
     star,
@@ -25,7 +24,8 @@ from topocompat import (
 from topocompat import graph
 from topocompat._kernels import EXHAUSTED, FOUND, pykernels
 from topocompat.embedding import ABSENCE_CHECKS, _anchor_order
-from oracles import brute_force_cycle_orders, brute_force_embeds, is_valid_cycle, random_graph
+from oracles import (brute_force_cycle_orders, brute_force_embeds, is_bipartite, is_valid_cycle,
+                     random_graph)
 
 
 def _disjoint_union(a, b):

@@ -12,11 +12,9 @@ from topocompat import (
     InvalidReachability,
     InvalidVertex,
     complete,
-    diameter,
     from_edge_list,
     graph_power,
     hypercube,
-    is_bipartite,
     ring,
     star,
     star_potential,
@@ -27,6 +25,7 @@ from topocompat.graph import component_color_classes, largest_ball
 from oracles import (
     all_pairs_distances,
     chord_ring,
+    diameter,
     generated_topologies,
     power_reference,
     random_graph,
@@ -113,24 +112,35 @@ class TestDistances:
                         assert duv <= duw + dwv
 
 
+def _saturating_reach(g):
+    """The least reach whose power is complete, None when no reach up to the
+    order makes it so: the diameter of a connected g of order >= 2."""
+    full = g.order * (g.order - 1) // 2
+    return next((r for r in range(1, g.order + 1) if graph_power(g, r).num_edges == full), None)
+
+
 class TestDiameter:
+    """The transform saturates at the diameter, and not before."""
+
     @pytest.mark.parametrize("s", range(1, 9))
     def test_hypercube(self, s):
-        assert diameter(hypercube(s)) == s
+        assert _saturating_reach(hypercube(s)) == s
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_complete(self, n):
-        assert diameter(complete(n)) == 1
+        assert _saturating_reach(complete(n)) == 1
 
     @pytest.mark.parametrize("p", [3, 5, 9])
     def test_star(self, p):
-        assert diameter(star(p)) == 2
+        assert _saturating_reach(star(p)) == 2
 
     def test_single_vertex(self):
-        assert diameter(complete(1)) == 0
+        assert all(graph_power(complete(1), r) == complete(1) for r in (1, 2, 5))
 
     def test_disconnected_is_infinite(self):
-        assert diameter(from_edge_list(3, [(0, 1)])) == math.inf
+        g = from_edge_list(3, [(0, 1)])
+        assert _saturating_reach(g) is None
+        assert graph_power(g, 5).edges == {(0, 1)}
 
 
 class TestGraphPower:
@@ -342,7 +352,7 @@ class TestBallBound:
 
     @pytest.mark.parametrize("g", BRACKET_SAMPLES)
     def test_same_answer_as_the_pass_at_every_reach(self, g):
-        for reach in range(g.order + 1):
+        for reach in range(1, g.order + 1):
             assert largest_ball(g, reach) == graph._largest_ball_pass(g, reach)
 
     @pytest.mark.parametrize("degree,reach,cap,expected", [
@@ -463,14 +473,7 @@ class TestPowerEdgeCap:
         monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", 0)
         monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 20)
         assert graph_power(ring(10), 2).num_edges == 20
-        calls = []
-        bfs_levels = graph._bfs_levels
-
-        def counting(g, source, cutoff=None):
-            calls.append(source)
-            return bfs_levels(g, source, cutoff)
-
-        monkeypatch.setattr(graph, "_bfs_levels", counting)
+        calls = _counting_bfs(monkeypatch)
         with pytest.raises(InvalidParameter, match="^the reach-3 transform has more than 20 edges"):
             graph_power(ring(10), 3)
         # rows of 6 entries pass 2 * 20 at the seventh row
@@ -482,7 +485,7 @@ def _counting_bfs(monkeypatch):
     calls = []
     bfs_levels = graph._bfs_levels
 
-    def counting(g, source, cutoff=None):
+    def counting(g, source, cutoff):
         calls.append(source)
         return bfs_levels(g, source, cutoff)
 
@@ -552,25 +555,31 @@ class TestPowerEntriesFloor:
                 assert floor == entries
 
 
+def _bipartite(g):
+    return all(classes is not None for _, classes in component_color_classes(g))
+
+
 class TestBipartite:
+    """``component_color_classes`` finds the odd cycles."""
+
     @pytest.mark.parametrize("s", range(1, 7))
     def test_hypercubes(self, s):
-        assert is_bipartite(hypercube(s))
+        assert _bipartite(hypercube(s))
 
     def test_triangle(self):
-        assert not is_bipartite(complete(3))
+        assert not _bipartite(complete(3))
 
     @pytest.mark.parametrize("p", [2, 5, 17])
     def test_stars(self, p):
-        assert is_bipartite(star(p))
+        assert _bipartite(star(p))
 
     @pytest.mark.parametrize("p,expected", [(4, True), (5, False), (6, True), (7, False)])
     def test_rings(self, p, expected):
-        assert is_bipartite(ring(p)) is expected
+        assert _bipartite(ring(p)) is expected
 
     def test_disconnected_with_odd_component(self):
         g = from_edge_list(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        assert not is_bipartite(g)
+        assert not _bipartite(g)
 
     def test_component_color_classes(self):
         # a star with 3 leaves, a triangle, a 6-path and an isolated vertex
@@ -592,7 +601,8 @@ class TestBallSize:
 
     def test_radius_zero(self):
         assert _ball_order(ring(6), 3, 0) == 1
-        assert largest_ball(ring(6), 0) == (0, ())
+        with pytest.raises(InvalidReachability, match="^reachability must be >= 1, got 0$"):
+            largest_ball(ring(6), 0)
 
     def test_long_ring(self):
         assert _ball_order(ring(8), 5, 2) == 5

@@ -37,7 +37,7 @@ MODULES = [
 REMOVED = {
     "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
     "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential"),
-    "topocompat.graph": ("ball_size",),
+    "topocompat.graph": ("ball_size", "diameter", "is_bipartite"),
     "topocompat._kernels": ("have_compiled",),
 }
 

@@ -8,18 +8,17 @@ from topocompat import (
     Graph,
     InvalidParameter,
     complete,
-    diameter,
     find_embedding,
     gray_code_cycle,
     graph_power,
     hypercube,
-    is_bipartite,
     parse_topology_spec,
     ring,
     star,
     verify_embedding,
 )
 from topocompat.topologies import _GENERATORS, TopologySpec, canonical_hypercube_dim
+from oracles import diameter, is_bipartite
 
 # every generated kind, and parameters among which each kind accepts some and refuses some
 GENERATED = sorted(_GENERATORS)
@@ -188,19 +187,23 @@ class TestOrderCaps:
             complete(4580)
 
     def test_boundary(self, monkeypatch):
-        from topocompat import topologies
+        from topocompat import graph, topologies
 
         monkeypatch.setattr(topologies, "MAX_HYPERCUBE_DIM", 3)
         assert ring(8).order == 8 and star(8).order == 8
-        assert complete(5).num_edges == 10  # H_3 has 12 edges
         with pytest.raises(InvalidParameter, match="ring order 9 exceeds the cap 2\\^3"):
             ring(9)
         with pytest.raises(InvalidParameter, match="star order 9 exceeds the cap 2\\^3"):
             star(9)
-        with pytest.raises(InvalidParameter, match="K_6 has 15 edges, above the cap 12"):
-            complete(6)
+        # complete:n reads the power edge cap, and moves with it alone
+        assert complete(6).num_edges == 15
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 12)  # the edges of H_3
+        assert complete(5).num_edges == 10
+        for refuse in (lambda: complete(6), TopologySpec("complete", 6).order):
+            with pytest.raises(InvalidParameter, match="K_6 has 15 edges, above the cap 12"):
+                refuse()
         # H_1 has one edge, exactly as many as K_2
-        monkeypatch.setattr(topologies, "MAX_HYPERCUBE_DIM", 1)
+        monkeypatch.setattr(graph, "_POWER_MAX_EDGES", 1)
         assert complete(2).num_edges == 1
         with pytest.raises(InvalidParameter, match="K_3 has 3 edges, above the cap 1"):
             complete(3)
@@ -279,6 +282,15 @@ class TestTopologySpec:
         for spec, exc in refused:
             with pytest.raises(InvalidParameter, match=f"^{re.escape(str(exc))}$"):
                 spec.order()
+
+    @pytest.mark.parametrize("kind", GENERATED)
+    @pytest.mark.parametrize("parameter", [None, 2.5, "8"])
+    def test_a_parameter_that_is_not_an_integer_is_refused(self, kind, parameter):
+        spec = TopologySpec(kind, parameter)
+        message = f"^{kind} parameter must be an integer, got {re.escape(repr(parameter))}$"
+        for call in (spec.order, spec.build, lambda: _GENERATORS[kind](parameter)):
+            with pytest.raises(InvalidParameter, match=message):
+                call()
 
     def test_a_file_or_an_unknown_kind_has_no_order_before_it_is_built(self):
         assert parse_topology_spec("file:/nonexistent/g.edges").order() is None

@@ -28,8 +28,7 @@ H3_STAR_REPR = (
 
 
 def _report(**changes):
-    fields = dict(system=H3, task_kind="star", reach=2, order_n=8, potential_p=7,
-                  index_exact=Fraction(7, 8), index_rounded=Decimal("0.8750"))
+    fields = dict(system=H3, task_kind="star", reach=2, order_n=8, potential_p=7)
     fields.update(changes)
     return CompatibilityReport(**fields)
 
