@@ -11,9 +11,10 @@ and a graph search.
 
 Exit codes: 0 success (including a definitive "no embedding"), 1 when a
 search budget was exhausted (result unknown), 2 for invalid arguments or
-input.  ``TOPO_COMPAT_TIME_LIMIT`` (seconds) overrides the default time
-budget; ``--max-nodes``, ``--time-limit``, and ``--max-host-order`` override
-per invocation.
+input.  ``potential`` and ``embed`` take ``--max-nodes`` and ``--time-limit``
+(``TOPO_COMPAT_TIME_LIMIT``, in seconds, sets the default of the latter);
+``embed`` alone takes ``--max-host-order``, which caps the host of its
+generic search.
 
 Every command, positional and flag is one entry of ``COMMANDS``, read one
 of two ways.  A command line spelled out in full (the command, its
@@ -78,7 +79,8 @@ def _seconds(text: str) -> float:
         raise InvalidParameter(f"invalid float value: {text!r}") from None
 
 
-def _budget_from(args: SimpleNamespace) -> SearchBudget:
+def _budget_from(args: SimpleNamespace,
+                 max_host_order: int = DEFAULT_BUDGET.max_host_order) -> SearchBudget:
     limit = args.time_limit
     if limit is None:
         raw = os.environ.get("TOPO_COMPAT_TIME_LIMIT", "")
@@ -86,8 +88,7 @@ def _budget_from(args: SimpleNamespace) -> SearchBudget:
             limit = float(raw) if raw else DEFAULT_BUDGET.time_limit
         except ValueError:
             raise TopoCompatError(f"TOPO_COMPAT_TIME_LIMIT is not a number: {raw!r}") from None
-    return SearchBudget(max_host_order=args.max_host_order,
-                        max_nodes=args.max_nodes, time_limit=limit)
+    return SearchBudget(max_host_order=max_host_order, max_nodes=args.max_nodes, time_limit=limit)
 
 
 def _emit_graph(g: Graph, path: Optional[str]) -> None:
@@ -142,9 +143,12 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     # from its spec, so a host too large is refused before either is built
     order = args.system.order()
     system = args.system.build() if order is None else None  # a file, read for its order
-    budget = _budget_from(args)
+    budget = _budget_from(args, args.max_host_order)
     budget.check_host_order(order or system.order)
-    emb = find_embedding(task, graph_power(system or args.system.build(), args.reach), budget)
+    # the transform and the search share one deadline, as a ring potential's do
+    deadline = budget.deadline()
+    host = graph_power(system or args.system.build(), args.reach, deadline)
+    emb = find_embedding(task, host, budget, deadline)
     if emb is None:
         print("no embedding")
         return 0
@@ -189,8 +193,6 @@ _BUDGET = (
     _Arg("--time-limit", convert=_seconds, metavar="SECONDS",
          help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g}, "
               "or TOPO_COMPAT_TIME_LIMIT)"),
-    _Arg("--max-host-order", convert=_positive_int, default=DEFAULT_BUDGET.max_host_order,
-         help="largest host order the generic embedding search accepts"),
 )
 
 PROG = "topo-compat"
@@ -228,6 +230,8 @@ COMMANDS = {
         _REACH,
         _Arg("--witness", switch=True, help="print the vertex mapping"),
         *_BUDGET,
+        _Arg("--max-host-order", convert=_positive_int, default=DEFAULT_BUDGET.max_host_order,
+             help="largest host order the generic embedding search accepts"),
     )),
 }
 

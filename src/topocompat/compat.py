@@ -18,15 +18,15 @@ every other spec is built and goes to the graph functions.  One shortcut
 sits below it: :func:`ring_potential_certificate` answers a canonically
 labelled hypercube graph (read from a file, say) with its Gray cycle.
 
-Indexes are kept as exact rationals; display rounding is half-up to four
-decimal places with a dot separator, done on integers (:func:`_half_up`), so
-printing a cell imports neither ``fractions`` nor ``decimal``.
+A report stores p and n, not its index, which is read off them: exactly,
+as a Fraction made when read, or as printed, rounded half-up to four
+decimal places with a dot separator on integers (:func:`_half_up`), so
+printing a cell does not import ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
@@ -40,8 +40,7 @@ from .topologies import (
     gray_code_cycle,
 )
 
-if TYPE_CHECKING:  # imported only where a Fraction or Decimal is made
-    from decimal import Decimal
+if TYPE_CHECKING:  # imported only where a Fraction is made
     from fractions import Fraction
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "ring_potential_certificate",
     "potential",
     "compatibility_index",
-    "round_half_up",
     "compatibility_table",
     "make_report",
     "render_csv",
@@ -186,48 +184,31 @@ def _half_up(num: int, den: int) -> int:
     return q + (2 * r >= den)
 
 
-def round_half_up(value: Fraction) -> Decimal:
-    """Round a nonnegative rational half-up to INDEX_PLACES (four) decimal places."""
-    from decimal import Decimal
-
-    return Decimal(_half_up(value.numerator, value.denominator)).scaleb(-INDEX_PLACES)
-
-
 class CompatibilityReport(_FrozenRecord):
     """One (system, task, reachability) cell: potential and index.
 
     Construction refuses a potential outside 0..n with InvalidPotential.
-    The index is always p/n: ``index_exact`` (a Fraction) and
-    ``index_rounded`` (a Decimal) are made from p and n when first read, so
-    a report that is only printed never imports ``fractions`` or
-    ``decimal``: the renderers and the CLI use ``index_text`` and p and n
-    instead.  The value then sits in the instance ``__dict__``, which
-    ``cached_property`` does not shadow, so equality, hashing, repr, pickle
-    and copy see a plain field.
+    The index is always p/n, read off the fields: ``index_exact`` makes a
+    Fraction each time it is read, so a report that is only printed never
+    imports ``fractions``: the renderers and the CLI use ``index_text`` and
+    p and n instead.
     """
 
-    _fields = ("system", "task_kind", "reach", "order_n", "potential_p",
-               "index_exact", "index_rounded")
+    _fields = ("system", "task_kind", "reach", "order_n", "potential_p")
 
     def __init__(self, system: TopologySpec, task_kind: str, reach: int, order_n: int,
                  potential_p: int):
         _check_potential(potential_p, order_n)
         super().__init__(system, task_kind, reach, order_n, potential_p)
 
-    @cached_property
+    @property
     def index_exact(self) -> Fraction:
         """The exact index p/n."""
         return compatibility_index(self.potential_p, self.order_n)
 
-    @cached_property
-    def index_rounded(self) -> Decimal:
-        """The index rounded half up to four decimal places."""
-        return round_half_up(self.index_exact)
-
     @property
     def index_text(self) -> str:
-        """p/n rounded half up to four places, as printed: ``str(index_rounded)``
-        made with integers alone."""
+        """p/n rounded half up to four places, as printed, made with integers alone."""
         whole, frac = divmod(_half_up(self.potential_p, self.order_n), 10**INDEX_PLACES)
         return f"{whole}.{frac:0{INDEX_PLACES}d}"
 

@@ -199,15 +199,22 @@ def _component_holds(host_comp, task_comp) -> bool:
 ABSENCE_CHECKS = (_degrees_exclude, _components_exclude)
 
 
-def find_embedding(task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> Optional[Embedding]:
+def find_embedding(
+    task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDGET,
+    deadline: Optional[float] = None,
+) -> Optional[Embedding]:
     """One embedding of task into host, or None when provably none exists.
 
     Raises HostTooLarge when the host exceeds budget.max_host_order and
     BudgetExceeded when the search could not finish within budget.  The
-    search runs only when none of the ABSENCE_CHECKS proves absence first,
-    and places the task's vertices in :func:`_search_order`, each one next to
-    as many placed neighbours as possible (see the module docstring).
+    search stops at the monotonic ``deadline`` when one is given, else at
+    ``budget.deadline()``, as :func:`longest_cycle` does.  It runs only when
+    none of the ABSENCE_CHECKS proves absence first, and places the task's
+    vertices in :func:`_search_order`, each one next to as many placed
+    neighbours as possible (see the module docstring).
     """
+    if deadline is None:
+        deadline = budget.deadline()
     budget.check_host_order(host.order)
     if any(check(task, host) for check in ABSENCE_CHECKS):
         return None
@@ -219,7 +226,7 @@ def find_embedding(task: Graph, host: Graph, budget: SearchBudget = DEFAULT_BUDG
         host.adjacency_masks(),
         _search_order(task),
         budget.max_nodes,
-        budget.deadline(),
+        deadline,
     )
     if status == _kernels.BUDGET_EXCEEDED:
         raise BudgetExceeded("embedding search ran out of node or time budget")

@@ -5,11 +5,15 @@ vertex j iff i ^ j has exactly one bit set.  That convention makes
 Hamming-distance properties directly testable and lets
 :func:`canonical_hypercube_dim` recognize generated hypercubes in O(n*s)
 so callers can take closed-form shortcuts instead of exponential searches.
+
+A :class:`TopologySpec` names a topology by its kind and one parameter: a
+generated kind of ``_GENERATORS`` and its integer, or ``file`` and the path
+of an edge-list file.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from . import graph
 from .errors import InvalidParameter, _FrozenRecord
@@ -129,16 +133,17 @@ def canonical_hypercube_dim(g: Graph) -> Optional[int]:
 
 
 class TopologySpec(_FrozenRecord):
-    """Tagged descriptor of a topology: generated by kind/parameter, or a file.
+    """Tagged descriptor of a topology: a kind and its one parameter.
 
-    Text syntax (used by the CLI): ``hypercube:s``, ``ring:p``, ``star:p``,
-    ``complete:n``, ``file:PATH``.
+    Text syntax (used by the CLI) is ``kind:parameter``: ``hypercube:s``,
+    ``ring:p``, ``star:p`` and ``complete:n`` are generated, and
+    ``file:PATH`` is read from an edge-list file, its parameter the path.
     """
 
-    _fields = ("kind", "parameter", "path")
+    _fields = ("kind", "parameter")
 
-    def __init__(self, kind: str, parameter: Optional[int] = None, path: Optional[str] = None):
-        super().__init__(kind, parameter, path)
+    def __init__(self, kind: str, parameter: Union[int, str, None] = None):
+        super().__init__(kind, parameter)
 
     def order(self) -> Optional[int]:
         """The order of a generated topology, its parameter checked as
@@ -151,15 +156,15 @@ class TopologySpec(_FrozenRecord):
     def build(self) -> Graph:
         if self.kind in _GENERATORS:
             return _GENERATORS[self.kind](self.parameter)
-        if self.kind == "custom":
-            from .edgelist import read_edge_list_path
+        if self.kind != "file":
+            raise InvalidParameter(f"unknown topology kind {self.kind!r}")
+        if not isinstance(self.parameter, str) or not self.parameter:
+            raise InvalidParameter(f"file path must be a non-empty string, got {self.parameter!r}")
+        from .edgelist import read_edge_list_path
 
-            return read_edge_list_path(self.path)
-        raise InvalidParameter(f"unknown topology kind {self.kind!r}")
+        return read_edge_list_path(self.parameter)
 
     def __str__(self) -> str:
-        if self.kind == "custom":
-            return f"file:{self.path}"
         return f"{self.kind}:{self.parameter}"
 
 
@@ -169,7 +174,7 @@ def parse_topology_spec(text: str) -> TopologySpec:
     if not sep or not arg:
         raise InvalidParameter(f"expected KIND:ARG topology spec, got {text!r}")
     if kind == "file":
-        return TopologySpec(kind="custom", path=arg)
+        return TopologySpec(kind, arg)
     if kind in _GENERATORS:
         try:
             value = int(arg)

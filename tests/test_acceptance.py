@@ -73,7 +73,7 @@ def test_criterion_1_golden_table():
             r = by_key[(reach, s)]
             assert r.potential_p == p
             published = float(printed.replace(",", "."))
-            assert abs(float(r.index_rounded) - published) <= INDEX_TOLERANCE
+            assert abs(float(r.index_text) - published) <= INDEX_TOLERANCE
             # the index definition inferred from the table: C = p / 2^s
             assert r.index_exact == Fraction(p, 2**s)
 

@@ -335,9 +335,9 @@ class TestEmbedCommand:
     def test_host_cap_checked_before_the_power_is_built(self, capsys, monkeypatch):
         calls = []
 
-        def counting_power(g, reach):
+        def counting_power(g, reach, deadline=None):
             calls.append(reach)
-            return graph_power(g, reach)
+            return graph_power(g, reach, deadline)
 
         monkeypatch.setattr(cli, "graph_power", counting_power)
         code = run(["embed", "--task", "ring:4", "--system", "hypercube:13", "--reach", "3"])
@@ -395,6 +395,13 @@ class TestEmbedCommand:
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
         code = run(["embed", "--task", "complete:7", "--system", "hypercube:5", "--reach", "2"])
         assert code == 1
+
+    def test_time_limit_stops_the_transform(self, capsys):
+        # the transform and the search share the one deadline from --time-limit
+        code = run(["embed", "--task", "ring:4", "--system", "ring:64", "--reach", "2",
+                    "--time-limit", "0.000001"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: reachability transform ran out of time budget\n")
 
     def test_time_limit_env_var_spares_absence_proof(self, capsys, monkeypatch):
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
@@ -543,7 +550,7 @@ class TestCommandLineSurface:
         "gen": ["-h", "-o"],
         "power": ["-h", "--reach", "-o"],
         "potential": ["-h", "--task", "--system", "--reach", "--witness", "--max-nodes",
-                      "--time-limit", "--max-host-order"],
+                      "--time-limit"],
         "table": ["-h", "--task", "--s", "--reach", "--format"],
         "embed": ["-h", "--task", "--system", "--reach", "--witness", "--max-nodes",
                   "--time-limit", "--max-host-order"],
@@ -572,8 +579,11 @@ class TestCommandLineSurface:
         (["gen", "ring:5", "-o"], "argument -o/--output: expected one argument"),
         (["gen", "ring:5", "extra"], "unrecognized arguments: extra"),
         (["gen", "ring:5", "--bogus"], "unrecognized arguments: --bogus"),
-        (["potential", "--task", "star", "--system", "ring:5", "--reach", "1", "--max", "5"],
+        (["embed", "--task", "ring:3", "--system", "ring:5", "--reach", "1", "--max", "5"],
          "ambiguous option: --max could match --max-nodes, --max-host-order"),
+        # no potential runs the generic search that the host-order cap bounds
+        (["potential", "--task", "ring", "--system", "ring:100", "--reach", "1",
+          "--max-host-order", "5"], "unrecognized arguments: --max-host-order 5"),
     ])
     def test_errors_exit_two_with_usage_and_message(self, argv, message, capsys):
         assert run(argv) == 2

@@ -1,6 +1,6 @@
 """Potentials, indexes, and the compatibility table."""
 
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +30,6 @@ from topocompat.compat import (
     render_csv,
     render_markdown,
     ring_potential_certificate,
-    round_half_up,
     star_potential_certificate,
 )
 from topocompat import compat, graph
@@ -205,7 +204,7 @@ class TestStarPotentialBudget:
         path = tmp_path / "chord.edges"
         write_edge_list_path(chord_ring(64), path)
         with pytest.raises(BudgetExceeded):
-            potential(TopologySpec(kind="custom", path=str(path)), "star", 2, self.TINY)
+            potential(TopologySpec("file", str(path)), "star", 2, self.TINY)
 
     def test_bound_decided_needs_no_time(self):
         assert star_potential(ring(64), 2, self.TINY) == 5
@@ -323,7 +322,7 @@ class TestCompatibilityIndex:
         assert compatibility_index(3, 4) == Fraction(3, 4)
 
     def test_rounding_of_exact_half_digit(self):
-        assert round_half_up(compatibility_index(22, 64)) == Decimal("0.3438")
+        assert make_report(TopologySpec("hypercube", 6), "star", 2, 64, 22).index_text == "0.3438"
 
     def test_full_compatibility(self):
         assert compatibility_index(7, 7) == 1
@@ -353,18 +352,20 @@ class TestCompatibilityIndex:
         ],
     )
     def test_half_up_rendering(self, fraction, expected):
-        assert str(round_half_up(fraction)) == expected
+        report = make_report(TopologySpec("ring", 1), "star", 1, fraction.denominator,
+                             fraction.numerator)
+        assert report.index_text == expected
 
     def test_printed_index_is_the_rounded_decimal(self):
-        # the renderers print index_text, made with integers; it must be the
-        # Decimal's text for every p/n, including the half-up ties
+        # the renderers print index_text, made with integers; it must be what
+        # decimal's own half-up rounding gives for every p/n, ties included
         spec = TopologySpec("ring", 1)
         for n in [*range(1, 130), 160, 1 << 12, 80000, 1 << 20]:
             for p in {*range(min(n, 129) + 1), n // 3, n // 2, n - 1, n}:
                 report = make_report(spec, "star", 1, n, p)
-                assert report.index_text == str(round_half_up(Fraction(p, n))), (p, n)
+                rounded = (Decimal(p) / n).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
+                assert report.index_text == str(rounded), (p, n)
                 assert report.index_exact == Fraction(p, n)
-                assert str(report.index_rounded) == report.index_text
 
     @pytest.mark.parametrize("n,p", [(4, 9), (4, 5), (4, -1), (0, 0)])
     def test_construction_refuses_a_potential_outside_the_order(self, n, p):
@@ -385,7 +386,7 @@ class TestCompatibilityTable:
         for r in reports:
             key = (r.system.parameter, r.reach)
             assert r.potential_p == TABLE_POTENTIALS[key]
-            assert str(r.index_rounded) == TABLE_ROUNDED[key]
+            assert r.index_text == TABLE_ROUNDED[key]
             assert r.order_n == 2**r.system.parameter
             assert r.index_exact == Fraction(r.potential_p, r.order_n)
 

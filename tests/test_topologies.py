@@ -250,8 +250,25 @@ class TestTopologySpec:
         path = tmp_path / "g.edges"
         write_edge_list_path(ring(5), path)
         spec = parse_topology_spec(f"file:{path}")
-        assert spec.kind == "custom"
+        assert spec == TopologySpec("file", str(path)) and str(spec) == f"file:{path}"
         assert spec.build() == ring(5)
+
+    @pytest.mark.parametrize("path", [None, "", 7, b"g.edges"])
+    def test_build_refuses_a_file_parameter_that_is_no_path(self, path, monkeypatch):
+        from topocompat import edgelist
+
+        opened = []
+        monkeypatch.setattr(edgelist, "open", lambda *args, **kw: opened.append(args),
+                            raising=False)
+        with pytest.raises(InvalidParameter, match="^file path must be a non-empty string, got "):
+            TopologySpec("file", path).build()
+        assert opened == []  # for 7, no file descriptor is opened (or closed)
+
+    def test_build_refuses_an_unknown_kind(self, tmp_path):
+        path = tmp_path / "a.edges"
+        path.write_text("3 0\n")
+        with pytest.raises(InvalidParameter, match="^unknown topology kind 'custom'$"):
+            TopologySpec("custom", str(path)).build()
 
     @pytest.mark.parametrize("text", ["hypercube", "ring:", "ring:x", "mesh:3", ":4"])
     def test_parse_errors(self, text):

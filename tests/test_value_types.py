@@ -9,7 +9,6 @@ form, so a change of representation cannot alter them unnoticed.
 import copy
 import math
 import pickle
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,9 +20,8 @@ from topocompat.topologies import TopologySpec
 
 H3 = TopologySpec("hypercube", 3)
 H3_STAR_REPR = (
-    "CompatibilityReport(system=TopologySpec(kind='hypercube', parameter=3, path=None), "
-    "task_kind='star', reach=2, order_n=8, potential_p=7, index_exact=Fraction(7, 8), "
-    "index_rounded=Decimal('0.8750'))"
+    "CompatibilityReport(system=TopologySpec(kind='hypercube', parameter=3), "
+    "task_kind='star', reach=2, order_n=8, potential_p=7)"
 )
 
 
@@ -55,21 +53,21 @@ CASES = {
     ),
     "spec": (
         TopologySpec("ring", 5),
-        TopologySpec(kind="ring", parameter=5, path=None),
+        TopologySpec(kind="ring", parameter=5),
         TopologySpec("ring", 6),
-        "TopologySpec(kind='ring', parameter=5, path=None)",
+        "TopologySpec(kind='ring', parameter=5)",
     ),
     "file spec": (
-        TopologySpec(kind="custom", path="a.edges"),
-        TopologySpec("custom", None, "a.edges"),
-        TopologySpec(kind="custom", path="b.edges"),
-        "TopologySpec(kind='custom', parameter=None, path='a.edges')",
+        TopologySpec("file", "a.edges"),
+        TopologySpec(kind="file", parameter="a.edges"),
+        TopologySpec("file", "b.edges"),
+        "TopologySpec(kind='file', parameter='a.edges')",
     ),
     "bare spec": (
         TopologySpec("hypercube"),
-        TopologySpec(kind="hypercube", parameter=None, path=None),
+        TopologySpec(kind="hypercube", parameter=None),
         TopologySpec("star"),
-        "TopologySpec(kind='hypercube', parameter=None, path=None)",
+        "TopologySpec(kind='hypercube', parameter=None)",
     ),
     "report": (
         make_report(H3, "star", 2, 8, 7),
@@ -133,7 +131,7 @@ def test_copy_round_trip(case):
 def test_other_types_are_never_equal():
     spec = TopologySpec("ring", 5)
     assert Embedding((1,)) != (1,)
-    assert spec != ("ring", 5, None)
+    assert spec != ("ring", 5)
     assert SearchBudget() != TopologySpec("ring", 5)
     assert Embedding(()).__eq__(()) is NotImplemented
 
@@ -150,16 +148,27 @@ def test_fields_read_back():
     b = SearchBudget(max_nodes=9)
     assert (b.max_host_order, b.max_nodes, b.time_limit) == (64, 9, 60.0)
     spec = TopologySpec("file")
-    assert (spec.kind, spec.parameter, spec.path) == ("file", None, None)
+    assert (spec.kind, spec.parameter) == ("file", None)
     r = make_report(H3, "star", 2, 8, 7)
     assert (r.system, r.task_kind, r.reach, r.order_n, r.potential_p) == (H3, "star", 2, 8, 7)
-    assert r.index_exact == Fraction(7, 8) and r.index_rounded == Decimal("0.8750")
+    assert r.index_exact == Fraction(7, 8) and r.index_text == "0.8750"
     assert r.size_label == 3
+
+
+def test_fields_are_the_constructor_parameters():
+    # nothing derived is stored: the index is read off p and n, and a file's path
+    # is its spec's parameter
+    assert TopologySpec._fields == ("kind", "parameter")
+    assert CompatibilityReport._fields == ("system", "task_kind", "reach", "order_n",
+                                           "potential_p")
+    r = make_report(H3, "star", 2, 8, 7)
+    assert r.index_exact == Fraction(7, 8)
+    assert vars(r).keys() == set(CompatibilityReport._fields)
 
 
 def test_spec_str_is_the_cli_syntax():
     assert str(TopologySpec("ring", 5)) == "ring:5"
-    assert str(TopologySpec(kind="custom", path="a.edges")) == "file:a.edges"
+    assert str(TopologySpec("file", "a.edges")) == "file:a.edges"
 
 
 @pytest.mark.parametrize("field,bad", [
