@@ -43,7 +43,6 @@ from .compat import (
     CompatibilityReport,
     compatibility_index,
     compatibility_table,
-    hypercube_star_potential,
     ring_potential,
     star_potential,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "verify_embedding",
     "longest_cycle",
     "CompatibilityReport",
-    "hypercube_star_potential",
     "star_potential",
     "ring_potential",
     "compatibility_index",

@@ -106,10 +106,10 @@ def _cmd_gen(args: SimpleNamespace) -> int:
 def _cmd_power(args: SimpleNamespace) -> int:
     spec, reach = args.spec, args.reach
     if spec.kind == "hypercube":
-        # each of the 2^s rows of H_s's power is a Hamming ball minus its
-        # centre, so an oversized power is refused before H_s is built
-        s = spec.parameter
-        _check_power_entries((compat.hypercube_star_potential(s, reach) - 1) << s, reach)
+        # H_s is vertex-transitive, so each row of its power is the star cell
+        # minus its centre, and an oversized power is refused before H_s is built
+        ball = compat.potential(spec, "star", reach)[0].potential_p
+        _check_power_entries((ball - 1) * spec.order(), reach)
     _emit_graph(graph_power(spec.build(), reach), args.output)
     return 0
 

@@ -12,11 +12,14 @@ by a single BFS against a degree or component bound (see
 :func:`topocompat.graph.largest_ball`); the full pass otherwise honours the
 time budget, as does building the power graph for a ring potential.
 
-:func:`potential` makes every cell, for the CLI and the table alike: a
-``hypercube:s`` spec takes those closed forms and no graph is built, and
-every other spec is built and goes to the graph functions.  One shortcut
-sits below it: :func:`ring_potential_certificate` answers a canonically
-labelled hypercube graph (read from a file, say) with its Gray cycle.
+:func:`potential` makes every cell, for the CLI and the table alike, and
+builds each report.  It is the one place that answers a ``hypercube:s``
+spec, with those closed forms and no graph built; the CLI's ``power``
+reads its star cell to refuse an oversized power of H_s before building
+it.  Every other spec is built and goes to one certificate function per
+task family.  One shortcut sits below it: :func:`ring_potential_certificate`
+answers a canonically labelled hypercube graph (read from a file, say)
+with its Gray cycle.
 
 A report stores p and n, not its index, which is read off them: exactly,
 as a Fraction made when read, or as printed, rounded half-up to four
@@ -45,7 +48,6 @@ if TYPE_CHECKING:  # imported only where a Fraction is made
 
 __all__ = [
     "CompatibilityReport",
-    "hypercube_star_potential",
     "star_potential",
     "star_potential_certificate",
     "ring_potential",
@@ -53,7 +55,6 @@ __all__ = [
     "potential",
     "compatibility_index",
     "compatibility_table",
-    "make_report",
     "render_csv",
     "render_markdown",
     "render_text",
@@ -61,17 +62,6 @@ __all__ = [
 
 CSV_HEADER = "task,system,s_or_n,reach,n,p,c_exact_num,c_exact_den,c_rounded"
 INDEX_PLACES = 4
-
-
-def hypercube_star_potential(s: int, reach: int) -> int:
-    """Largest star order embeddable in the reach-th power of H_s.
-
-    Exact integer sum(C(s, i), i=0..reach); terms with i > s vanish, so the
-    value saturates at 2^s once reach >= s, and the sum stops at s.
-    """
-    check_hypercube_dim(s)
-    _check_reach(reach)
-    return sum(math.comb(s, i) for i in range(min(reach, s) + 1))
 
 
 def star_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
@@ -130,12 +120,15 @@ def potential(
     """One cell: the report of ``task_kind`` against ``system`` at ``reach``,
     and with ``witness`` its certificate (None without, or when p = 0).
 
-    A ``hypercube:s`` spec takes the closed forms and builds no graph: the
-    star is the Hamming ball around 0 (H_s is vertex-transitive, so 0 is
-    its first vertex of maximum degree) and the ring is the Gray cycle, for
-    s >= 2.  Every other spec is built and goes to the star or ring
-    functions above, with ``budget``.  The certificate is a cycle for rings
-    and (center, leaves) for stars.
+    A ``hypercube:s`` spec takes the closed forms and builds no graph, and
+    this is the one place that answers it: the star is the Hamming ball
+    around 0, sum(C(s, i), i <= min(reach, s)), saturating at 2^s (H_s is
+    vertex-transitive, so 0 is its first vertex of maximum degree), and the
+    ring is the Gray cycle, for s >= 2.  ``power hypercube:s`` reads the
+    star cell to size the power before H_s is built.  Every other spec is
+    built and makes one call, with ``budget``, to the star or ring
+    certificate function above; the certificate is kept only with
+    ``witness``.  It is a cycle for rings and (center, leaves) for stars.
     """
     if task_kind not in ("star", "ring"):
         raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
@@ -144,7 +137,7 @@ def potential(
     if system.kind == "hypercube":
         s, n = system.parameter, system.order()
         if task_kind == "star":
-            p = hypercube_star_potential(s, reach)
+            p = sum(math.comb(s, i) for i in range(min(reach, s) + 1))
             if witness:
                 cert = 0, tuple(v for v in range(1, n) if v.bit_count() <= reach)
         else:
@@ -154,13 +147,9 @@ def potential(
     else:
         g = system.build()
         n = g.order
-        if task_kind == "ring":
-            p, cert = ring_potential_certificate(g, reach, budget)
-        elif witness:
-            p, cert = star_potential_certificate(g, reach, budget)
-        else:
-            p = star_potential(g, reach, budget)
-    return make_report(system, task_kind, reach, n, p), cert if witness else None
+        route = ring_potential_certificate if task_kind == "ring" else star_potential_certificate
+        p, cert = route(g, reach, budget)
+    return CompatibilityReport(system, task_kind, reach, n, p), cert if witness else None
 
 
 def compatibility_index(p: int, n: int) -> Fraction:
@@ -218,12 +207,6 @@ class CompatibilityReport(_FrozenRecord):
         if self.system.kind == "hypercube":
             return self.system.parameter
         return self.order_n
-
-
-def make_report(
-    system: TopologySpec, task_kind: str, reach: int, order_n: int, potential_p: int
-) -> CompatibilityReport:
-    return CompatibilityReport(system, task_kind, reach, order_n, potential_p)
 
 
 def compatibility_table(

@@ -3,7 +3,11 @@
 Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
 0-based vertex ids.  A line whose first non-blank character is ``#`` is a
 comment and may appear anywhere; blank lines are ignored.  A ``#`` after
-data on a line is no comment, so ``0 1 # an edge`` is refused.  Duplicate
+data on a line is no comment, so ``0 1 # an edge`` is refused.  A line
+holds at most 4096 characters besides its newline: a longer comment is
+read past in pieces of that size, and any other longer line is refused at
+its line number, so no read holds more than 4097 characters (an endless
+line, such as ``/dev/zero`` gives, is refused at line 1).  Duplicate
 and reversed edges collapse on read.  Orders above 2^20 (the largest the
 package generates) are refused, and so are edge counts above
 ``graph._POWER_MAX_EDGES`` (the edges of H_20, the cap of every power), at
@@ -43,13 +47,30 @@ __all__ = [
 
 PathLike = Union[str, os.PathLike]
 
+# the longest line read, its newline aside; a data line needs under 40 characters
+_LINE_CAP = 4096
+
 
 def _data_lines(stream: TextIO):
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    """Each data line's number and stripped text, read at most _LINE_CAP + 1
+    characters at a time: a longer comment is read past in pieces, and any
+    other longer line is refused."""
+    readline = stream.readline
+    lineno = 0
+    while True:
+        raw = readline(_LINE_CAP + 1)
+        if not raw:
+            return
+        lineno += 1
+        if raw[-1] != "\n" and len(raw) > _LINE_CAP:
+            if raw.lstrip()[:1] != "#":
+                raise EdgeListFormatError(f"line {lineno}: longer than {_LINE_CAP} characters")
+            while raw and raw[-1] != "\n":
+                raw = readline(_LINE_CAP)
             continue
-        yield lineno, line
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line
 
 
 def read_edge_list(stream: TextIO) -> Graph:

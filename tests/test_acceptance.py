@@ -19,7 +19,6 @@ from topocompat import (
     graph_power,
     gray_code_cycle,
     hypercube,
-    hypercube_star_potential,
     ring,
     ring_potential,
     star,
@@ -27,8 +26,9 @@ from topocompat import (
     verify_embedding,
 )
 from topocompat.cli import run
+from topocompat.compat import potential
 from topocompat.edgelist import read_edge_list_path
-from topocompat.topologies import parse_topology_spec
+from topocompat.topologies import TopologySpec, parse_topology_spec
 from oracles import brute_force_embeds, diameter, generated_topologies, random_graph
 
 # reference table: potentials and printed indexes (comma decimals as published)
@@ -84,7 +84,7 @@ def test_criterion_2_closed_form_vs_search():
     for s in (2, 3, 4):
         for reach in (1, 2, 3):
             host = graph_power(hypercube(s), reach)
-            p = hypercube_star_potential(s, reach)
+            p = potential(TopologySpec("hypercube", s), "star", reach)[0].potential_p
             emb = find_embedding(star(p), host)
             assert emb is not None and verify_embedding(star(p), host, emb)
             if p < 2**s:

@@ -17,7 +17,6 @@ from topocompat import (
     gray_code_cycle,
     graph_power,
     hypercube,
-    hypercube_star_potential,
     ring,
     ring_potential,
     star,
@@ -25,7 +24,6 @@ from topocompat import (
 )
 from topocompat.compat import (
     CompatibilityReport,
-    make_report,
     potential,
     render_csv,
     render_markdown,
@@ -53,26 +51,31 @@ TABLE_ROUNDED = {
 }
 
 
+def hypercube_star(s, reach):
+    """The star potential of ``hypercube:s`` at ``reach``, its certificate dropped."""
+    return potential(TopologySpec("hypercube", s), "star", reach)[0].potential_p
+
+
 class TestHypercubeStarPotential:
     @pytest.mark.parametrize("key,expected", sorted(TABLE_POTENTIALS.items()))
     def test_matches_reference_table(self, key, expected):
         s, reach = key
-        assert hypercube_star_potential(s, reach) == expected
+        assert hypercube_star(s, reach) == expected
 
     def test_saturates_at_full_order(self):
-        assert hypercube_star_potential(3, 3) == 8
-        assert hypercube_star_potential(3, 5) == 8
-        assert hypercube_star_potential(2, 3) == 4
+        assert hypercube_star(3, 3) == 8
+        assert hypercube_star(3, 5) == 8
+        assert hypercube_star(2, 3) == 4
 
     @pytest.mark.parametrize("s", range(1, 7))
     def test_reach_at_dimension_gives_whole_hypercube(self, s):
-        assert hypercube_star_potential(s, s) == 2**s
+        assert hypercube_star(s, s) == 2**s
 
     @pytest.mark.parametrize("s", (1, 5, 20))
     def test_reach_past_dimension_saturates(self, s):
         # the sum stops at i = s, so a huge reach costs no more than reach s
         for reach in (s + 1, 2 * s, 10**12):
-            assert hypercube_star_potential(s, reach) == 2**s
+            assert hypercube_star(s, reach) == 2**s
 
 
 def hypercube_cell(s, task_kind, reach=1, witness=True):
@@ -97,7 +100,7 @@ class TestHypercubeClosedForms:
             assert p == len(cycle) == 2**s and cycle == gray_code_cycle(s)
 
     @pytest.mark.parametrize("closed_form", [
-        hypercube_star_potential,
+        hypercube_star,
         lambda s, reach: hypercube_cell(s, "star", reach),
     ])
     @pytest.mark.parametrize("reach", [0, -1])
@@ -107,7 +110,7 @@ class TestHypercubeClosedForms:
 
     @pytest.mark.parametrize("s", [0, 21])
     @pytest.mark.parametrize("closed_form", [
-        lambda s: hypercube_star_potential(s, 1),
+        lambda s: hypercube_star(s, 1),
         lambda s: hypercube_cell(s, "star"),
         lambda s: hypercube_cell(s, "ring", witness=False),
     ])
@@ -163,7 +166,7 @@ class TestStarPotential:
     @pytest.mark.parametrize("s", range(1, 6))
     @pytest.mark.parametrize("reach", (1, 2, 3))
     def test_generic_equals_closed_form_on_hypercubes(self, s, reach):
-        assert star_potential(hypercube(s), reach) == hypercube_star_potential(s, reach)
+        assert star_potential(hypercube(s), reach) == hypercube_star(s, reach)
 
     def test_reach_zero_rejected(self):
         with pytest.raises(InvalidReachability):
@@ -322,7 +325,8 @@ class TestCompatibilityIndex:
         assert compatibility_index(3, 4) == Fraction(3, 4)
 
     def test_rounding_of_exact_half_digit(self):
-        assert make_report(TopologySpec("hypercube", 6), "star", 2, 64, 22).index_text == "0.3438"
+        report = CompatibilityReport(TopologySpec("hypercube", 6), "star", 2, 64, 22)
+        assert report.index_text == "0.3438"
 
     def test_full_compatibility(self):
         assert compatibility_index(7, 7) == 1
@@ -352,8 +356,8 @@ class TestCompatibilityIndex:
         ],
     )
     def test_half_up_rendering(self, fraction, expected):
-        report = make_report(TopologySpec("ring", 1), "star", 1, fraction.denominator,
-                             fraction.numerator)
+        report = CompatibilityReport(TopologySpec("ring", 1), "star", 1, fraction.denominator,
+                                     fraction.numerator)
         assert report.index_text == expected
 
     def test_printed_index_is_the_rounded_decimal(self):
@@ -362,7 +366,7 @@ class TestCompatibilityIndex:
         spec = TopologySpec("ring", 1)
         for n in [*range(1, 130), 160, 1 << 12, 80000, 1 << 20]:
             for p in {*range(min(n, 129) + 1), n // 3, n // 2, n - 1, n}:
-                report = make_report(spec, "star", 1, n, p)
+                report = CompatibilityReport(spec, "star", 1, n, p)
                 rounded = (Decimal(p) / n).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
                 assert report.index_text == str(rounded), (p, n)
                 assert report.index_exact == Fraction(p, n)
@@ -475,6 +479,6 @@ class TestRendering:
         assert lines[4] == "| reach=2 | 4; 1.0000 | 7; 0.8750 |"
 
     def test_report_for_custom_system_uses_order(self):
-        report = make_report(TopologySpec("ring", 9), "star", 2, 9, 5)
+        report = CompatibilityReport(TopologySpec("ring", 9), "star", 2, 9, 5)
         assert report.size_label == 9
         assert "star,ring,9,2,9,5,5,9,0.5556" in render_csv([report])

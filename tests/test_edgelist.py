@@ -102,14 +102,55 @@ def test_edge_count_cap_boundary(monkeypatch):
         loads("4 4\n0 1\n1 2\n2 3\n3 0\n")
 
 
+class ReadlineOnly:
+    """A text stream read only through ``readline(size)``; iterating it fails the test."""
+
+    def __init__(self, readline):
+        self.readline = readline
+
+    def __iter__(self):
+        raise AssertionError("the reader iterated the stream")
+
+
 def test_edge_count_above_cap_rejected_before_any_edge_line():
     def lines():  # a header over the cap of H_20's 10,485,760 edges, then no edge line
         yield "# two vertices, one edge given many times\n"
         yield "2 10485761\n"
         raise AssertionError("an edge line was read")
 
+    gen = lines()
     with pytest.raises(EdgeListFormatError, match="^line 2: edge count 10485761 exceeds the cap"):
-        read_edge_list(lines())
+        read_edge_list(ReadlineOnly(lambda size: next(gen)))
+
+
+def test_an_endless_line_is_refused_at_line_one():
+    sizes = []
+
+    def nuls(size):
+        sizes.append(size)
+        return "\0" * size
+
+    with pytest.raises(EdgeListFormatError, match="^line 1: longer than 4096 characters$"):
+        read_edge_list(ReadlineOnly(nuls))
+    assert sizes == [4097]
+
+
+@pytest.mark.parametrize("long_line", ["#" + "x" * 100_000, " \t# " + "x" * 100_000])
+def test_a_long_comment_line_is_read_past(long_line):
+    assert loads(f"{long_line}\n3 2\n0 1\n1 2\n") == from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(EdgeListFormatError, match="^line 4: non-integer edge '1 x'$"):
+        loads(f"{long_line}\n3 2\n0 1\n1 x\n")
+    # the same at the end of the input, without a newline
+    assert loads(f"3 2\n0 1\n1 2\n{long_line}") == from_edge_list(3, [(0, 1), (1, 2)])
+
+
+def test_a_data_line_longer_than_the_cap_is_refused():
+    padded = "0" + " " * 4094 + "1"  # 4096 characters, the longest line read
+    assert loads(f"2 1\n{padded}\n").num_edges == 1
+    assert loads(f"2 1\n{padded}").num_edges == 1
+    for text in (f"2 1\n{padded} \n", f"2 1\n{padded} ", "2 1\n" + " " * 5000 + "0 1\n"):
+        with pytest.raises(EdgeListFormatError, match="^line 2: longer than 4096 characters$"):
+            loads(text)
 
 
 def test_path_helpers(tmp_path):

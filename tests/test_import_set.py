@@ -94,9 +94,9 @@ def test_potential_and_table_load_none_of_them(tmp_path):
 LIBRARY_PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
-from topocompat.compat import make_report
+from topocompat.compat import CompatibilityReport
 from topocompat.topologies import TopologySpec
-report = make_report(TopologySpec("ring", 8), "star", 1, 8, 3)
+report = CompatibilityReport(TopologySpec("ring", 8), "star", 1, 8, 3)
 seen = {{"made": sorted(m for m in ("fractions", "decimal") if m in sys.modules)}}
 exact, text = report.index_exact, report.index_text
 seen["after read"] = sorted(m for m in ("fractions", "decimal") if m in sys.modules)

@@ -88,13 +88,30 @@ def test_exit_callbacks_run_after_the_answer():
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_a_reader_that_leaves_early_gets_a_broken_pipe(unbuffered):
-    proc = subprocess.Popen(CLI + ["gen", "hypercube:12"], env=env(unbuffered),
-                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"4096 24576\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")
+    with subprocess.Popen(CLI + ["gen", "hypercube:12"], env=env(unbuffered),
+                          stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"4096 24576\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def _limit_address_space():
+    import resource
+
+    cap = 1 << 30  # ample for a query, and a bound on a reader that holds an endless line
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this system")
+def test_an_endless_input_line_is_an_input_error():
+    proc = subprocess.run(CLI + ["potential", "--task", "star", "--system", "file:/dev/zero",
+                                 "--reach", "1"], env=env(), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: line 1: longer than 4096 characters\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

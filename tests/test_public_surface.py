@@ -36,7 +36,8 @@ MODULES = [
 # helpers that repeated an answer the potential cells or ``embed`` give
 REMOVED = {
     "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
-    "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up"),
+    "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up",
+                           "hypercube_star_potential", "make_report"),
     "topocompat.graph": ("ball_size", "diameter", "is_bipartite"),
     "topocompat._kernels": ("have_compiled",),
 }

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from topocompat import InvalidParameter
-from topocompat.compat import CompatibilityReport, make_report
+from topocompat.compat import CompatibilityReport
 from topocompat.embedding import Embedding, SearchBudget
 from topocompat.topologies import TopologySpec
 
@@ -70,7 +70,7 @@ CASES = {
         "TopologySpec(kind='hypercube', parameter=None)",
     ),
     "report": (
-        make_report(H3, "star", 2, 8, 7),
+        CompatibilityReport(H3, "star", 2, 8, 7),
         _report(),
         _report(reach=3),
         H3_STAR_REPR,
@@ -149,7 +149,7 @@ def test_fields_read_back():
     assert (b.max_host_order, b.max_nodes, b.time_limit) == (64, 9, 60.0)
     spec = TopologySpec("file")
     assert (spec.kind, spec.parameter) == ("file", None)
-    r = make_report(H3, "star", 2, 8, 7)
+    r = CompatibilityReport(H3, "star", 2, 8, 7)
     assert (r.system, r.task_kind, r.reach, r.order_n, r.potential_p) == (H3, "star", 2, 8, 7)
     assert r.index_exact == Fraction(7, 8) and r.index_text == "0.8750"
     assert r.size_label == 3
@@ -161,7 +161,7 @@ def test_fields_are_the_constructor_parameters():
     assert TopologySpec._fields == ("kind", "parameter")
     assert CompatibilityReport._fields == ("system", "task_kind", "reach", "order_n",
                                            "potential_p")
-    r = make_report(H3, "star", 2, 8, 7)
+    r = CompatibilityReport(H3, "star", 2, 8, 7)
     assert r.index_exact == Fraction(7, 8)
     assert vars(r).keys() == set(CompatibilityReport._fields)
 
