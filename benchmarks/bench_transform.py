@@ -14,15 +14,23 @@ The ``write`` column times ``edgelist.dumps`` of the built power: a power
 from the masks holds only its masks, and the writer decodes the bits above
 each vertex straight from them; one from the BFS slices its neighbour
 tuples.  Where both sides are timed, the two texts must be byte-equal too.
-The ``bound`` column says whether a probe BFS against the degree bound, or
-after one component sweep against the component bound
-(``graph._ball_by_bound``), decides the star potential, so that no route
-runs at all.  The ``peak`` column is the most that building the
-power (or, where it is not built, the star potential) holds at once beyond
-what was live before, by ``tracemalloc`` in a run of its own.  The relabelled
-cases shuffle the vertex ids with a fixed seed, so that no ball is a run of
-consecutive bits.  The last line times ``edgelist.loads`` of the
-``hypercube:16`` text, with its ``tracemalloc`` peak too.
+The ``star`` column times ``star_potential_certificate``, and its answer
+must equal that of ``graph._largest_ball_pass``, the all-balls pass with no
+bound or recognition, run on the mask side (O(n) by arcs on a ring or a
+path at any order).  The ``decided`` column names the step of
+``graph.largest_ball`` that decides it, and each case lists the step it
+must take: a probe BFS against the degree bound (``degree``), one after a
+component sweep against the component bound (``component``, both in
+``graph._ball_by_bound``), the ball of vertex 0 once
+``graph.hypercube_labels`` recognizes the system as H_s (``hypercube``),
+or the pass itself (``pass``), so that every step stays timed at full size,
+the BFS pass above order 4096 included.  The ``peak`` column is the most
+that building the power (or, where it is not built, the star potential)
+holds at once beyond what was live before, by ``tracemalloc`` in a run of
+its own.  The relabelled cases shuffle the vertex ids with a fixed seed, so
+that no ball is a run of consecutive bits.  The last line times
+``edgelist.loads`` of the ``hypercube:16`` text, with its ``tracemalloc``
+peak too.
 """
 
 import random
@@ -40,6 +48,7 @@ from topocompat import (  # noqa: E402
     parse_topology_spec,
     star_potential,
 )
+from topocompat.compat import star_potential_certificate  # noqa: E402
 from topocompat.edgelist import dumps, loads  # noqa: E402
 
 
@@ -55,21 +64,25 @@ def relabelled(n: int, edges):
     return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-# (system, reach, whether to build the power, whether to run the other side too)
+# (system, reach, whether to build the power, whether to run the other side too,
+#  the step that decides the star potential)
 CASES = [
-    ("complete:1000", 2, True, False),  # dense: the BFS takes about a minute
-    ("star:4000", 2, False, False),  # the power is K_4000, 16M entries on either side
-    ("hypercube:12", 3, True, True),
-    ("ring:4096", 8, True, True),
-    ("relabelled-ring:4096", 64, True, True),
-    ("relabelled-ring:4096", 2047, True, False),  # 8.4M edges: the BFS rows take GBs
-    ("relabelled-path:4096", 64, True, True),
-    ("path:4096", 3000, False, False),  # the probe 0 is an end, so the star pass runs
-    ("cycles:64x64", 16, True, True),
-    ("chord-ring:4096", 32, True, False),  # one vertex of degree 3: mask rounds
-    ("hypercube:13", 2, True, True),
-    ("ring:65536", 2, True, False),  # the masks would take 512 MB
-    ("ring:16384", 8192, False, False),  # the power is K_16384, above the edge cap
+    ("complete:1000", 2, True, False, "component"),  # dense: the BFS takes about a minute
+    ("star:4000", 2, False, False, "component"),  # the power is K_4000, 16M entries either side
+    ("hypercube:12", 3, True, True, "hypercube"),
+    ("relabelled-hypercube:12", 2, False, False, "hypercube"),
+    ("relabelled-hypercube:12", 5, False, False, "hypercube"),
+    ("ring:4096", 8, True, True, "degree"),
+    ("relabelled-ring:4096", 64, True, True, "degree"),
+    ("relabelled-ring:4096", 2047, True, False, "degree"),  # 8.4M edges: the BFS rows take GBs
+    ("relabelled-path:4096", 64, True, True, "degree"),
+    ("path:4096", 3000, False, False, "pass"),  # the probe 0 is an end, so the star pass runs
+    ("cycles:64x64", 16, True, True, "degree"),
+    ("chord-ring:4096", 32, True, False, "pass"),  # one vertex of degree 3: mask rounds
+    ("hypercube:13", 2, True, True, "hypercube"),
+    ("chord-ring:8192", 16, True, True, "pass"),  # the BFS star pass
+    ("ring:65536", 2, True, False, "degree"),  # the masks would take 512 MB
+    ("ring:16384", 8192, False, False, "component"),  # the power is K_16384, above the cap
 ]
 
 
@@ -84,6 +97,9 @@ def build(spec: str):
         n = int(arg)
         edges = [(v, v + 1) for v in range(n - 1)]
         return from_edge_list(n, edges) if kind == "path" else relabelled(n, edges)
+    if kind == "relabelled-hypercube":
+        g = parse_topology_spec(f"hypercube:{arg}").build()
+        return relabelled(g.order, g.sorted_edges())
     if kind == "cycles":  # "kxL": k disjoint cycles of order L
         k, order = map(int, arg.split("x"))
         return relabelled(k * order, [(c * order + v, c * order + (v + 1) % order)
@@ -96,6 +112,20 @@ def route(g) -> str:
     if g.order > graph._BALL_MASK_MAX_ORDER:
         return "bfs"
     return "arcs" if g.max_degree() <= 2 else "masks"
+
+
+def deciding_step(g, reach) -> str:
+    """The step of ``graph.largest_ball`` that decides g at reach."""
+    sweeps = []
+    colored_components = graph._colored_components
+    graph._colored_components = lambda h: sweeps.append(h) or colored_components(h)
+    try:
+        found = graph._ball_by_bound(g, reach)
+    finally:
+        graph._colored_components = colored_components
+    if found is not None:
+        return "component" if sweeps else "degree"
+    return "hypercube" if graph.hypercube_labels(g) is not None else "pass"
 
 
 def on_path(masks: bool, fn, *args):
@@ -126,14 +156,16 @@ def peak_mb(fn, *args):
 
 
 def main() -> int:
-    print(f"{'case':<34} {'route':<5} {'power':>9} {'write':>9} {'star':>9} {'bound':>5} "
+    print(f"{'case':<34} {'route':<5} {'power':>9} {'write':>9} {'star':>9} {'decided':>9} "
           f"{'peak':>8} {'other side':>11} {'its write':>9}  equal")
     mismatches = 0
-    for spec, reach, make_power, cross in CASES:
+    for spec, reach, make_power, cross, expected_step in CASES:
         g = build(spec)
         masks = g.order <= graph._BALL_MASK_MAX_ORDER
-        p, star_ms = on_path(masks, star_potential, g, reach)
-        bound = "yes" if graph._ball_by_bound(g, reach) is not None else "no"
+        (p, ball), star_ms = on_path(masks, star_potential_certificate, g, reach)
+        full_pass, _ = on_path(True, graph._largest_ball_pass, g, reach)
+        step = deciding_step(g, reach)
+        mismatches += ball != full_pass or p != 1 + len(ball[1]) or step != expected_step
         power_ms = write_ms = other = other_write = equal = "-"
         if make_power:
             power, ms = on_path(masks, graph_power, g, reach)
@@ -149,7 +181,7 @@ def main() -> int:
             mismatches += not same
         peak = peak_mb(graph_power if make_power else star_potential, g, reach)
         print(f"{spec + ' reach ' + str(reach):<34} {route(g):<5} "
-              f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {bound:>5} {peak:5.1f} MB "
+              f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {step:>9} {peak:5.1f} MB "
               f"{other:>11} {other_write:>9}  {equal}")
     text = dumps(parse_topology_spec("hypercube:16").build())
     g, ms = timed(loads, text)

@@ -8,18 +8,21 @@ form (the Hamming ball size sum(C(s, i), i=0..d)) and ring potentials on
 hypercubes are certified by the reflected Gray cycle, so building the full
 star/ring-versus-hypercube table never touches the exponential search engine.
 Star potentials on other systems are one largest reach-ball, often decided
-by a single BFS against a degree or component bound (see
-:func:`topocompat.graph.largest_ball`); the full pass otherwise honours the
-time budget, as does building the power graph for a ring potential.
+by a single BFS against a degree or component bound, or by recognizing the
+system as a hypercube (see :func:`topocompat.graph.largest_ball`); the full
+pass otherwise honours the time budget, as does building the power graph
+for a ring potential.
 
 :func:`potential` makes every cell, for the CLI and the table alike, and
 builds each report.  It is the one place that answers a ``hypercube:s``
 spec, with those closed forms and no graph built; the CLI's ``power``
 reads its star cell to refuse an oversized power of H_s before building
 it.  Every other spec is built and goes to one certificate function per
-task family.  One shortcut sits below it: :func:`ring_potential_certificate`
-answers a canonically labelled hypercube graph (read from a file, say)
-with its Gray cycle.
+task family, which answers a system that is H_s under some labelling (a
+file, say) as the closed forms do: :func:`ring_potential_certificate` with
+the Gray cycle through that labelling, and the star with the ball of
+vertex 0.  Each family thus has one dispatch on a graph: a recognized H_s,
+else the pass or the search.
 
 A report stores p and n, not its index, which is read off them: exactly,
 as a Fraction made when read, or as printed, rounded half-up to four
@@ -34,14 +37,8 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
 from .errors import InvalidParameter, InvalidPotential, _FrozenRecord
-from .graph import Graph, _check_reach, graph_power, largest_ball
-from .topologies import (
-    MAX_HYPERCUBE_DIM,
-    TopologySpec,
-    canonical_hypercube_dim,
-    check_hypercube_dim,
-    gray_code_cycle,
-)
+from .graph import Graph, _check_reach, graph_power, hypercube_labels, largest_ball
+from .topologies import MAX_HYPERCUBE_DIM, TopologySpec, check_hypercube_dim, gray_code_cycle
 
 if TYPE_CHECKING:  # imported only where a Fraction is made
     from fractions import Fraction
@@ -95,15 +92,21 @@ def ring_potential_certificate(
 
     The potential is the longest simple cycle of the power graph, 0 when the
     host is acyclic (no ring task of any order fits), as every system of
-    order below 3 is.  Canonically labeled hypercubes skip the search: the
-    Gray cycle is Hamiltonian in H_s and stays one in every power, so the
-    potential is the full order 2^s.  Building the power and the search
-    share one deadline, the budget's time limit from the call.
+    order below 3 is.  A system that is H_s, s >= 2, under some labelling
+    (:func:`topocompat.graph.hypercube_labels`) skips the search: the Gray
+    cycle is Hamiltonian in H_s and stays one in every power, so the
+    potential is the full order 2^s, and the witness is the Gray cycle
+    mapped back through the labelling (itself, on the canonical labels).
+    Otherwise building the power and the search share one deadline, the
+    budget's time limit from the call.
     """
     _check_reach(reach)
-    s = canonical_hypercube_dim(system)
-    if s is not None and s >= 2:
-        return system.order, gray_code_cycle(s)
+    n, labels = system.order, hypercube_labels(system)
+    if labels is not None and n >= 4:
+        vertex = [0] * n  # the inverse labelling
+        for v, label in enumerate(labels):
+            vertex[label] = v
+        return n, tuple(map(vertex.__getitem__, gray_code_cycle(n.bit_length() - 1)))
     deadline = budget.deadline()
     return longest_cycle(graph_power(system, reach, deadline), budget, deadline)
 

@@ -42,8 +42,11 @@ degrees, then as its rows are counted.
 than the Moore bound of the maximum degree, nor than the largest component.
 A BFS from the first vertex of maximum degree that meets the Moore bound is
 the answer; failing that, one component sweep gives the largest component,
-and a BFS from its first vertex that meets its order is.  Only otherwise
-does it size every ball, by the same three routes, against a deadline.
+and a BFS from its first vertex that meets its order is.  Failing both, a
+graph that :func:`hypercube_labels` recognizes as H_s under some labelling
+has every ball of one size, and the ball of vertex 0 is the answer.  Only
+otherwise does it size every ball, by the same three routes, against a
+deadline.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
-from operator import or_
+from itertools import chain, repeat
+from operator import or_, xor
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
@@ -64,6 +68,7 @@ __all__ = [
     "graph_power",
     "component_color_classes",
     "largest_ball",
+    "hypercube_labels",
 ]
 
 # Largest order whose transforms grow every ball at once as bitmasks, which
@@ -522,16 +527,75 @@ def largest_ball(
     These are the first vertex of maximum degree in the reach-th power and
     its neighbours there.  A probe BFS that meets one of the bounds of
     :func:`_ball_by_bound` decides it: first the Moore bound of the maximum
-    degree, then the largest component's order.  Otherwise the ball sizes
-    come from the same route as :func:`graph_power` (a popcount over the arc
-    or round ball masks up to order 4096, :func:`_bfs_balls` above), then one
-    more BFS lists the ball.  That pass checks the optional monotonic
-    ``deadline`` as the transform does, and raises BudgetExceeded past it.
-    A reach below 1 raises InvalidReachability.
+    degree, then the largest component's order.  Only when both miss is g
+    tried as a hypercube (:func:`hypercube_labels`, O(m); the probes go
+    first, as they decide every reach-1 star in O(n)): H_s is
+    vertex-transitive, so its answer is vertex 0 and its ball, the pair the
+    pass below would give.
+    Otherwise the ball sizes come from the same route as :func:`graph_power`
+    (a popcount over the arc or round ball masks up to order 4096,
+    :func:`_bfs_balls` above), then one more BFS lists the ball.  That pass
+    checks the optional monotonic ``deadline`` as the transform does, and
+    raises BudgetExceeded past it.  A reach below 1 raises
+    InvalidReachability.
     """
     _check_reach(reach)
     found = _ball_by_bound(g, reach)
+    if found is None and hypercube_labels(g) is not None:
+        # H_s is vertex-transitive: every ball has one size, so 0 is the first center
+        found = 0, _ball_row(_bfs_levels(g, 0, reach), 0)
     return found if found is not None else _largest_ball_pass(g, reach, deadline)
+
+
+def hypercube_labels(g: Graph) -> Optional[List[int]]:
+    """Each vertex's label in H_s when g is the hypercube H_s under some
+    labelling of its vertices, else None, in O(n * s) (Bhat, "On the
+    complexity of testing a graph for n-cube", IPL 1980).
+
+    g is refused at once unless n = 2^s and every degree is s.  Vertex 0
+    gets label 0 and its i-th neighbour 1 << i; a BFS from 0 then gives each
+    vertex at depth k + 1 the OR of the labels of its neighbours at depth
+    k.  g is accepted only if every vertex is reached, the labels are
+    distinct, and every edge's two labels differ in exactly one bit.
+    Proof: n distinct labels in 0..2^s - 1 are a bijection onto the
+    vertices of H_s; each of g's n * s / 2 edges maps to an edge of H_s,
+    which has n * s / 2 edges, so the map is an isomorphism.  A labelling
+    that goes wrong can only be refused, never accepted.  The edges are
+    checked only at the n / 2 vertices whose label has even weight: an edge
+    that flips one bit leaves that set, so if all of theirs do, they are
+    n * s / 2 distinct edges, which is every edge of g.  Conversely, when
+    g is H_s the labels are an isomorphism: the neighbours of 0 may take
+    the unit labels in any order (an automorphism of H_s permutes the
+    bits), and the neighbours of a vertex at depth k + 1 >= 2 at depth k
+    are its label with one of its k + 1 bits cleared, whose OR is its label.
+    """
+    n, nbrs = g.order, g._neighbors
+    s = n.bit_length() - 1
+    if n != 1 << s or any(len(nb) != s for nb in nbrs):
+        return None
+    label = [-1] * n  # -1 until reached
+    label[0] = 0
+    level = nbrs[0]
+    for i, w in enumerate(level):
+        label[w] = 1 << i
+    while level:
+        deeper = {}  # each vertex one step deeper, to the OR of its neighbours' labels in level
+        for u in level:
+            lu = label[u]
+            for w in nbrs[u]:
+                if label[w] < 0:
+                    deeper[w] = deeper.get(w, 0) | lu
+        for w, lw in deeper.items():
+            label[w] = lw
+        level = deeper
+    if -1 in label or len(set(label)) != n:
+        return None
+    # each edge at a vertex whose label has even weight: its label, once per neighbour,
+    # beside the neighbour's label
+    even = [v for v, lv in enumerate(label) if not lv.bit_count() & 1]
+    starts = chain.from_iterable(map(repeat, map(label.__getitem__, even), repeat(s)))
+    ends = map(label.__getitem__, chain.from_iterable(map(nbrs.__getitem__, even)))
+    return label if {1 << i for i in range(s)}.issuperset(map(xor, starts, ends)) else None
 
 
 def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:

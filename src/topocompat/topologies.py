@@ -2,9 +2,10 @@
 
 Hypercube vertex ids double as their bit labels: vertex i is adjacent to
 vertex j iff i ^ j has exactly one bit set.  That convention makes
-Hamming-distance properties directly testable and lets
-:func:`canonical_hypercube_dim` recognize generated hypercubes in O(n*s)
-so callers can take closed-form shortcuts instead of exponential searches.
+Hamming-distance properties directly testable.  A graph that is H_s under
+any other labelling is recognized, with its labels, by
+:func:`topocompat.graph.hypercube_labels`, so callers can take the closed
+forms instead of exponential searches.
 
 A :class:`TopologySpec` names a topology by its kind and one parameter: a
 generated kind of ``_GENERATORS`` and its integer, or ``file`` and the path
@@ -25,7 +26,6 @@ __all__ = [
     "star",
     "complete",
     "gray_code_cycle",
-    "canonical_hypercube_dim",
     "TopologySpec",
     "parse_topology_spec",
 ]
@@ -118,18 +118,6 @@ def gray_code_cycle(s: int) -> Tuple[int, ...]:
 
 # kind -> generator of ``kind:k``, for every kind that a spec generates
 _GENERATORS = {"hypercube": hypercube, "ring": ring, "star": star, "complete": complete}
-
-
-def canonical_hypercube_dim(g: Graph) -> Optional[int]:
-    """Dimension s if g is the canonically labeled hypercube H_s, else None."""
-    n = g.order
-    s = n.bit_length() - 1
-    if n < 2 or (1 << s) != n:
-        return None
-    for i in range(n):
-        if g.neighbors(i) != tuple(sorted(i ^ (1 << b) for b in range(s))):
-            return None
-    return s
 
 
 class TopologySpec(_FrozenRecord):

@@ -56,6 +56,44 @@ def brute_force_cycle_orders(g: Graph, up_to: int) -> Set[int]:
     return found
 
 
+def longest_cycle_reference(g: Graph) -> int:
+    """The order of a longest simple cycle of g, 0 when it has none, by a
+    depth-first search over every simple path from its smallest vertex,
+    over g.edges; it stops at the first cycle through every vertex."""
+    adj = _adjacency(g)
+    n = g.order
+    best = 0
+    path, on_path = [], [False] * n
+
+    def extend(last: int) -> None:
+        nonlocal best
+        for w in adj[last]:
+            if best == n:
+                return
+            if w == path[0]:
+                if len(path) >= 3:
+                    best = max(best, len(path))
+            elif w > path[0] and not on_path[w]:
+                path.append(w)
+                on_path[w] = True
+                extend(w)
+                on_path[w] = False
+                path.pop()
+
+    for first in range(n - 2):
+        path.append(first)
+        extend(first)
+        path.pop()
+    return best
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g with its vertex ids permuted by a random permutation of the given seed."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def _adjacency(g: Graph) -> List[List[int]]:
     """Each vertex's neighbours, listed from g.edges."""
     adj: List[List[int]] = [[] for _ in range(g.order)]

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from topocompat import (Graph, InvalidParameter, gray_code_cycle, graph_power, h
 from topocompat import cli, compat, graph, topologies
 from topocompat.cli import parse_range, run
 from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
-from oracles import chord_ring
+from oracles import chord_ring, is_valid_cycle, relabelled
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_table_star.csv"
 
@@ -121,6 +122,22 @@ class TestPotentialCommand:
         code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "1"])
         assert code == 0
         assert capsys.readouterr().out == "p=3 c=0.7500\n"
+
+    @pytest.mark.parametrize("s,reach", [(8, 1), (10, 2)])
+    def test_relabelled_hypercube_file_answers_its_ring(self, s, reach, tmp_path, capsys):
+        # recognized as H_s, so no search runs; the H8 query used to run out of any budget
+        path = tmp_path / "h.edges"
+        write_edge_list_path(relabelled(hypercube(s), s), path)
+        start = time.perf_counter()
+        code = run(["potential", "--task", "ring", "--system", f"file:{path}",
+                    "--reach", str(reach), "--witness"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 1
+        head, cycle = capsys.readouterr().out.splitlines()
+        assert head == f"p={1 << s} c=1.0000"
+        cycle = [int(v) for v in cycle.removeprefix("cycle: ").split()]
+        power = graph_power(read_edge_list_path(path), reach)
+        assert len(cycle) == 1 << s and is_valid_cycle(power, cycle)
 
     def test_non_utf8_file_system_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bytes.edges"

@@ -285,14 +285,29 @@ class TestRingPotential:
         # C_9 squared is 4-regular and Hamiltonian
         assert ring_potential(ring(9), 2) == 9
 
-    def test_generic_path_matches_hypercube_shortcut(self):
-        # same hypercube, relabeled so the canonical detector cannot fire
+    def test_relabelled_hypercube_matches_the_closed_form(self):
+        # the same hypercube, relabelled: it is recognized, not searched
         h = hypercube(3)
         relabel = [7, 0, 1, 2, 3, 4, 5, 6]
         from topocompat import from_edge_list
 
         g = from_edge_list(8, [(relabel[u], relabel[v]) for u, v in h.edges])
         assert ring_potential(g, 1) == 8
+
+    @pytest.mark.parametrize("s", range(2, 9))
+    def test_recognized_hypercube_gets_its_gray_cycle(self, s, monkeypatch):
+        from oracles import is_valid_cycle, relabelled
+
+        def refuse(*args):
+            raise AssertionError("the ring search ran")
+
+        powers = {reach: graph_power(relabelled(hypercube(s), s), reach) for reach in (1, 2, 3)}
+        monkeypatch.setattr(compat, "longest_cycle", refuse)
+        monkeypatch.setattr(compat, "graph_power", refuse)
+        assert ring_potential_certificate(hypercube(s), 1) == (1 << s, gray_code_cycle(s))
+        for reach, power in powers.items():
+            p, cycle = ring_potential_certificate(relabelled(hypercube(s), s), reach)
+            assert p == 1 << s and len(cycle) == p and is_valid_cycle(power, cycle)
 
     def test_certificate_witnesses_are_valid_cycles(self):
         from topocompat.compat import ring_potential_certificate

@@ -3,7 +3,8 @@
 ``embedding.longest_cycle`` relabels the host low degree first and runs the
 peeling cycle search; the kernel entry ``cycle_with_length`` is run on the
 same labels for every ring order.  The brute-force oracle tries every vertex
-sequence.  They are compared on every labelled graph of
+sequence; the depth-first reference, which the exit-contract fuzz uses above
+order 8, is checked against it too.  They are compared on every labelled graph of
 order <= 5 and on seeded random graphs of orders 6-10, disconnected ones
 included.
 """
@@ -17,7 +18,8 @@ import pytest
 from topocompat import _kernels, from_edge_list, longest_cycle
 from topocompat._kernels import FOUND, pykernels
 from topocompat.embedding import _anchor_order
-from oracles import brute_force_cycle_orders, is_valid_cycle, random_graph
+from oracles import (brute_force_cycle_orders, is_valid_cycle, longest_cycle_reference,
+                     random_graph)
 
 # (order, graphs of that order): few at 9-10, where the oracle takes ~0.5 s a graph
 RANDOM_COUNTS = ((6, 40), (7, 40), (8, 30), (9, 6), (10, 3))
@@ -62,6 +64,12 @@ def test_case_mix():
     assert len(cases) == 1 + 2 + 8 + 64 + 1024 + sum(count for _, count in RANDOM_COUNTS)
     lengths = {max(orders, default=0) for _, orders in cases}
     assert lengths == set(range(11)) - {1, 2}
+
+
+def test_depth_first_reference_matches_brute_force():
+    # the exit-contract fuzz checks files of order 9-16 against this reference
+    for g, orders in _cases():
+        assert longest_cycle_reference(g) == max(orders, default=0), g.sorted_edges()
 
 
 def test_longest_cycle_matches_brute_force(backend):

@@ -10,7 +10,9 @@ Each runs in-process through ``cli.run()`` with a small time budget.
 Every case must return 0, 1 or 2 and raise nothing.  Exit 0 writes nothing
 to standard error; exits 1 and 2 end standard error with its one line that
 says ``error:``.  Every exit-0 ``potential`` on a ``file:`` system of order
-at most 8 must give the potential that the brute-force oracles give.
+at most 16 must give the potential that the brute-force oracles give.  The
+small files are seeded random graphs, relabelled hypercubes H3 and H4, and
+a near miss of H4 with one edge moved.
 """
 
 import random
@@ -18,17 +20,18 @@ import time
 
 import pytest
 
-from topocompat import cli, from_edge_list
+from topocompat import cli, from_edge_list, hypercube
 from topocompat.edgelist import write_edge_list_path
 from topocompat.errors import InvalidParameter
 from topocompat.topologies import _GENERATORS, TopologySpec
-from oracles import (brute_force_cycle_orders, largest_ball_reference, power_reference,
-                     random_graph)
+from oracles import (largest_ball_reference, longest_cycle_reference, power_reference,
+                     random_graph, relabelled)
 
 SEEDS = range(8)
 CASES = 150
 TIME_LIMIT = "0.05"  # seconds, through TOPO_COMPAT_TIME_LIMIT
 SLOWEST_CASE_S = 2  # a hundred times the slowest case; one past it did unbounded work
+ORACLE_MAX_ORDER = 16  # the largest file system whose potentials the oracles check
 
 # per converter: texts it accepts (a spec's are drawn from SMALL below), and texts it refuses
 # or the command then refuses
@@ -93,6 +96,12 @@ def systems(tmp_path_factory):
         g = random_graph(rng, n, 0.5)
         write_edge_list_path(g, root / f"g{i}.edges")
         files[f"file:{root / f'g{i}.edges'}"] = g
+    # H4 with its edge 0-2 moved to 0-3: degrees 3 and 5 at 2 and 3, and the Gray cycle kept
+    moved = from_edge_list(16, [e for e in hypercube(4).edges if e != (0, 2)] + [(0, 3)])
+    for name, g in (("h3", relabelled(hypercube(3), 3)), ("h4", relabelled(hypercube(4), 4)),
+                    ("h4-moved", relabelled(moved, 4))):
+        write_edge_list_path(g, root / f"{name}.edges")
+        files[f"file:{root / f'{name}.edges'}"] = g
     for name, data in MALFORMED_FILES.items():
         (root / name).write_bytes(data)
         files[f"file:{root / name}"] = None
@@ -161,8 +170,8 @@ def oracle_potential(g, task, reach):
     if task == "star":
         return 1 + len(largest_ball_reference(g, reach)[1])
     # no distance exceeds the order, and the BFS takes one step per unit of reach
-    power = from_edge_list(g.order, sorted(power_reference(g, min(reach, g.order))))
-    return max(brute_force_cycle_orders(power, g.order), default=0)
+    return longest_cycle_reference(
+        from_edge_list(g.order, sorted(power_reference(g, min(reach, g.order)))))
 
 
 def potential_p(out):
@@ -207,14 +216,15 @@ def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, cap
         if code == 0 and parsed and parsed[0] is cli._cmd_potential:
             args = parsed[1]
             g = systems.get(str(args.system))
-            if g is not None and g.order <= 8:
+            if g is not None and g.order <= ORACLE_MAX_ORDER:
                 assert potential_p(out) == oracle_potential(g, args.task, args.reach), argv
 
 
 @pytest.mark.parametrize("task", ["star", "ring"])
 def test_every_small_file_system_gets_the_oracles_potential(task, systems, capsys):
-    small = {spec: g for spec, g in systems.items() if g is not None and g.order <= 8}
-    assert len(small) == 9
+    small = {spec: g for spec, g in systems.items()
+             if g is not None and g.order <= ORACLE_MAX_ORDER}
+    assert len(small) == 13
     for spec, g in small.items():
         for reach in (1, 2, 3, 10**12):
             assert cli.run(["potential", "--task", task, "--system", spec,

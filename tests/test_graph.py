@@ -21,14 +21,16 @@ from topocompat import (
 )
 from topocompat import graph
 from topocompat.edgelist import dumps
-from topocompat.graph import component_color_classes, largest_ball
+from topocompat.graph import component_color_classes, hypercube_labels, largest_ball
 from oracles import (
     all_pairs_distances,
     chord_ring,
     diameter,
     generated_topologies,
+    largest_ball_reference,
     power_reference,
     random_graph,
+    relabelled,
 )
 
 
@@ -452,6 +454,167 @@ class TestBallBoundRoutes:
         probes = _counting_bfs(monkeypatch)
         assert largest_ball(Graph(3, [(0, 1), (1, 2)]), 2) == (0, (1, 2))
         assert probes == [0] and sweeps == [3]
+
+
+def _crossed_cube(s):
+    """The crossed cube CQ_s (Efe 1991): s-regular on 2^s vertices, diameter
+    ceil((s + 1) / 2).  CQ_s is two copies of CQ_{s-1}, with 0u joined to 1v
+    when, for even s, u and v agree in their top bit, and every 2-bit pair
+    (u_{2i+1} u_{2i}, v_{2i+1} v_{2i}), 2i + 1 < s - 1, is pair-related:
+    00-00, 10-10, 01-11 or 11-01."""
+    related = {(0, 0), (2, 2), (1, 3), (3, 1)}
+    edges = [(0, 1)]
+    for k in range(2, s + 1):
+        half = 1 << (k - 1)
+        edges += [(u + half, v + half) for u, v in edges]
+        edges += [(u, v + half) for u in range(half) for v in range(half)
+                  if (k % 2 or (u ^ v) >> (k - 2) & 1 == 0)
+                  and all((u >> 2 * i & 3, v >> 2 * i & 3) in related for i in range((k - 1) // 2))]
+    return from_edge_list(1 << s, edges)
+
+
+def _twisted_cube(s):
+    """The twisted cube TQ_s, s odd (Hilbers, Koopman & van de Snepscheut
+    1987): four copies of TQ_{s-2} by the top two bits.  A vertex whose
+    lower s - 2 bits have even parity is also joined across the top bit,
+    and one with odd parity across the second bit; every vertex is joined
+    across both top bits."""
+    edges = [(0, 1)]
+    for k in range(3, s + 1, 2):
+        low, top, second = 1 << (k - 2), 1 << (k - 1), 1 << (k - 2)
+        edges = [(u + c * low, v + c * low) for u, v in edges for c in range(4)]
+        for u in range(1 << k):
+            one = top if bin(u % low).count("1") % 2 == 0 else second
+            edges += [(u, u ^ flip) for flip in (one, top | second) if u < u ^ flip]
+    return from_edge_list(1 << s, edges)
+
+
+def _switched(s):
+    """H_s with its edges 9-13 and 10-14 switched to 9-10 and 13-14, for s >= 4:
+    still s-regular, and every BFS label is distinct, but 9-10 flips two bits."""
+    switched = {(9, 13), (10, 14)}
+    return from_edge_list(1 << s, [e for e in hypercube(s).edges if e not in switched]
+                          + [(9, 10), (13, 14)])
+
+
+# A 4-regular graph on 16 vertices: 0, its neighbours 1-4, then two vertices
+# each on 1 and 2 (5, 6) and on 3 and 4 (7, 8), one on 1 and 3 (9) and one on
+# 2 and 4 (10), then 11-14 above them and 15 on top.  Its BFS labels are
+# FOLDED_LABELS: every edge flips one bit, as in H4, but 12 and 34 in bits
+# (labels 3 and 12) repeat, and 14 and 23 never occur.
+FOLDED = from_edge_list(16, [(0, 1), (0, 2), (0, 3), (0, 4)]
+                        + [(v, w) for v in (5, 6) for w in (1, 2, 11, 12)]
+                        + [(v, w) for v in (7, 8) for w in (3, 4, 13, 14)]
+                        + [(9, w) for w in (1, 3, 11, 13)] + [(10, w) for w in (2, 4, 12, 14)]
+                        + [(15, w) for w in (11, 12, 13, 14)])
+FOLDED_LABELS = [0, 1, 2, 4, 8, 3, 3, 12, 12, 5, 10, 7, 11, 13, 14, 15]
+
+
+def _four_cycles(g):
+    """The number of 4-cycles of g: pairs of common neighbours, per pair of vertices, halved."""
+    rows = [set(g.neighbors(v)) for v in range(g.order)]
+    return sum(math.comb(len(rows[u] & rows[v]), 2)
+               for u in range(g.order) for v in range(u + 1, g.order)) // 2
+
+
+def _is_hypercube_labelling(g, labels):
+    """Whether labels map g onto H_s, edge for edge: the test's own isomorphism check."""
+    s = g.order.bit_length() - 1
+    mapped = {tuple(sorted((labels[u], labels[v]))) for u, v in g.edges}
+    return sorted(labels) == list(range(g.order)) and mapped == hypercube(s).edges
+
+
+class TestHypercubeLabels:
+    """``hypercube_labels`` recognizes H_s under any labelling and nothing else."""
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_every_relabelling_is_recognized(self, s):
+        for seed in range(20):
+            g = relabelled(hypercube(s), seed)
+            assert _is_hypercube_labelling(g, hypercube_labels(g)), seed
+
+    def test_four_by_four_torus_is_h4(self):
+        # C4 x C4, with C4 = H2: vertex 4i + j is joined to 4(i + 1) + j and 4i + j + 1, mod 4
+        g = from_edge_list(16, [edge for i in range(4) for j in range(4)
+                                for edge in ((4 * i + j, 4 * ((i + 1) % 4) + j),
+                                             (4 * i + j, 4 * i + (j + 1) % 4))])
+        for h in (g, relabelled(g, 16)):
+            assert _is_hypercube_labelling(h, hypercube_labels(h))
+
+    @pytest.mark.parametrize("s,g", [(4, _crossed_cube(4)), (5, _crossed_cube(5)),
+                                     (5, _twisted_cube(5))], ids=["CQ4", "CQ5", "TQ5"])
+    def test_crossed_and_twisted_cubes_are_refused(self, s, g):
+        assert g.order == 1 << s and {g.degree(v) for v in range(g.order)} == {s}
+        assert diameter(g) == (s + 2) // 2 != s  # so g is not H_s
+        for seed in range(5):
+            assert hypercube_labels(relabelled(g, seed)) is None
+        assert hypercube_labels(g) is None
+
+    @pytest.mark.parametrize("s", range(4, 9))
+    def test_a_two_switch_is_refused(self, s):
+        g = _switched(s)
+        assert {g.degree(v) for v in range(g.order)} == {s}
+        assert _four_cycles(g) != 2 ** (s - 2) * math.comb(s, 2) == _four_cycles(hypercube(s))
+        assert hypercube_labels(g) is None
+        assert hypercube_labels(relabelled(g, s)) is None
+
+    def test_repeated_labels_are_refused(self):
+        g = FOLDED
+        assert {g.degree(v) for v in range(16)} == {4}
+        assert all((FOLDED_LABELS[u] ^ FOLDED_LABELS[v]).bit_count() == 1 for u, v in g.edges)
+        # 5 and 6 have four common neighbours; two vertices of H_s have at most two
+        assert len(set(g.neighbors(5)) & set(g.neighbors(6))) == 4
+        assert _four_cycles(g) != 24
+        assert hypercube_labels(g) is None
+
+    @pytest.mark.parametrize("g", [
+        complete(3), Graph(8, []), from_edge_list(4, [(0, 1), (2, 3)]),
+        # two disjoint K4: 3-regular on 8 vertices, and 4-7 never reached
+        from_edge_list(8, [(u + k, v + k) for u, v in complete(4).edges for k in (0, 4)]),
+    ])
+    def test_wrong_order_degree_or_connectivity_is_refused(self, g):
+        assert hypercube_labels(g) is None
+
+
+class TestRecognizedStar:
+    """The star of a recognized H_s is the ball of vertex 0, taken after both probes miss."""
+
+    @pytest.fixture
+    def recognitions(self, monkeypatch):
+        """The order of the graph of each ``hypercube_labels`` call, as it starts."""
+        calls = []
+        labels = graph.hypercube_labels
+
+        def counting(g):
+            calls.append(g.order)
+            return labels(g)
+
+        monkeypatch.setattr(graph, "hypercube_labels", counting)
+        return calls
+
+    @pytest.mark.parametrize("s", range(2, 8))
+    def test_reach_one_is_decided_by_the_degree_probe(self, s, recognitions):
+        g = relabelled(hypercube(s), s)
+        assert largest_ball(g, 1) == graph._largest_ball_pass(g, 1)
+        assert recognitions == []
+
+    @pytest.mark.parametrize("s", range(3, 8))
+    def test_every_reach_below_s_is_the_ball_of_zero(self, s, recognitions, monkeypatch):
+        g = relabelled(hypercube(s), 100 + s)
+        expected = {reach: graph._largest_ball_pass(g, reach) for reach in range(2, s)}
+
+        def refuse(*args):
+            raise AssertionError("the all-balls pass ran")
+
+        monkeypatch.setattr(graph, "_largest_ball_pass", refuse)
+        for reach in range(2, s):
+            assert largest_ball(g, reach) == expected[reach] == largest_ball_reference(g, reach)
+        assert recognitions == [g.order] * (s - 2)
+
+    def test_a_near_miss_goes_to_the_pass(self, recognitions):
+        g = _switched(5)
+        assert largest_ball(g, 2) == graph._largest_ball_pass(g, 2) == largest_ball_reference(g, 2)
+        assert recognitions == [32]
 
 
 class TestPowerEdgeCap:

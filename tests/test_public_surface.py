@@ -33,12 +33,13 @@ MODULES = [
     "topocompat.topologies",
 ]
 
-# helpers that repeated an answer the potential cells or ``embed`` give
+# helpers that repeated an answer the potential cells, ``embed`` or ``hypercube_labels`` give
 REMOVED = {
     "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
     "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up",
                            "hypercube_star_potential", "make_report"),
     "topocompat.graph": ("ball_size", "diameter", "is_bipartite"),
+    "topocompat.topologies": ("canonical_hypercube_dim",),
     "topocompat._kernels": ("have_compiled",),
 }
 

@@ -17,7 +17,8 @@ from topocompat import (
     star,
     verify_embedding,
 )
-from topocompat.topologies import _GENERATORS, TopologySpec, canonical_hypercube_dim
+from topocompat.graph import hypercube_labels
+from topocompat.topologies import _GENERATORS, TopologySpec
 from oracles import diameter, is_bipartite
 
 # every generated kind, and parameters among which each kind accepts some and refuses some
@@ -217,16 +218,22 @@ class TestOrderCaps:
             complete(0)
 
 
-class TestCanonicalHypercubeDetection:
-    @pytest.mark.parametrize("s", range(1, 7))
-    def test_detects_generated_hypercubes(self, s):
-        assert canonical_hypercube_dim(hypercube(s)) == s
+class TestHypercubeRecognition:
+    """The generators against ``graph.hypercube_labels``; relabellings and near
+    misses are in ``test_graph.py``."""
 
-    def test_rejects_other_graphs(self):
-        assert canonical_hypercube_dim(ring(4)) is None  # isomorphic, relabeled
-        assert canonical_hypercube_dim(ring(8)) is None
-        assert canonical_hypercube_dim(complete(4)) is None
-        assert canonical_hypercube_dim(star(8)) is None
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_generated_hypercubes_get_the_identity(self, s):
+        assert hypercube_labels(hypercube(s)) == list(range(1 << s))
+
+    def test_four_ring_is_h2(self):
+        # 0-1-2-3-0 is H2 labelled 0, 1, 3, 2
+        assert hypercube_labels(ring(4)) == [0, 1, 3, 2]
+
+    def test_refuses_other_graphs(self):
+        assert hypercube_labels(ring(8)) is None
+        assert hypercube_labels(complete(4)) is None
+        assert hypercube_labels(star(8)) is None
 
 
 class TestTopologySpec:
