@@ -78,7 +78,7 @@ def main() -> int:
         shutil.copytree(args.src, src, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
         compileall.compile_dir(str(src), quiet=1)
         env = dict(os.environ, PYTHONPATH=str(src), TOPO_COMPAT_PURE="1")
-        for name in ("TOPO_COMPAT_TIME_LIMIT", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
+        for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
             env.pop(name, None)
         queries = {name: [a.format(out=out) for a in argv] for name, argv in QUERIES.items()}
         base = {"python -c pass": ["-c", "pass"],

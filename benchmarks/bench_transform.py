@@ -19,10 +19,10 @@ must equal that of ``graph._largest_ball_pass``, the all-balls pass with no
 bound or recognition, run on the mask side (O(n) by arcs on a ring or a
 path at any order).  The ``decided`` column names the step of
 ``graph.largest_ball`` that decides it, and each case lists the step it
-must take: a probe BFS against the degree bound (``degree``), one after a
-component sweep against the component bound (``component``, both in
-``graph._ball_by_bound``), the ball of vertex 0 once
+must take, in ``graph._ball_by_bound``'s order: a probe BFS against the
+degree bound (``degree``), the ball of vertex 0 once
 ``graph.hypercube_labels`` recognizes the system as H_s (``hypercube``),
+one after a component sweep against the component bound (``component``),
 or the pass itself (``pass``), so that every step stays timed at full size,
 the BFS pass above order 4096 included.  The ``peak`` column is the most
 that building the power (or, where it is not built, the star potential)
@@ -115,17 +115,19 @@ def route(g) -> str:
 
 
 def deciding_step(g, reach) -> str:
-    """The step of ``graph.largest_ball`` that decides g at reach."""
-    sweeps = []
-    colored_components = graph._colored_components
-    graph._colored_components = lambda h: sweeps.append(h) or colored_components(h)
+    """The step of ``graph.largest_ball`` that decides g at reach: the last
+    of the recognizer and the component sweep that ran, if either did."""
+    steps = []
+    sweep, recognize = graph._colored_components, graph.hypercube_labels
+    graph._colored_components = lambda h: steps.append("component") or sweep(h)
+    graph.hypercube_labels = lambda h: steps.append("hypercube") or recognize(h)
     try:
         found = graph._ball_by_bound(g, reach)
     finally:
-        graph._colored_components = colored_components
-    if found is not None:
-        return "component" if sweeps else "degree"
-    return "hypercube" if graph.hypercube_labels(g) is not None else "pass"
+        graph._colored_components, graph.hypercube_labels = sweep, recognize
+    if found is None:
+        return "pass"
+    return steps[-1] if steps else "degree"
 
 
 def on_path(masks: bool, fn, *args):

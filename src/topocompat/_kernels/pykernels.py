@@ -22,7 +22,9 @@ explored), BUDGET_EXCEEDED (node or time cap hit; result unknown).
 Node accounting: subgraph search counts one node per attempted candidate
 assignment; the cycle search counts one node per vertex pushed on the path.
 Deadlines are absolute ``time.monotonic()`` values checked every 4096 nodes
-(0 disables the check).
+(0 disables the check).  The cycle search also checks every 4096 anchors,
+as each anchor builds an n-bit mask even where it expands no node; so below
+order 4097, the compiled kernels' orders included, only nodes count.
 
 Reachability in the cycle search.  At a node with path head h, let F be
 the free vertices (larger than the anchor and off the path).  The search
@@ -268,6 +270,9 @@ def _cycle_search(
     for a in range(n):
         if n - a <= best_len:
             break
+        # an anchor may expand no node, yet its mask below takes O(n)
+        if a and (a & _TIME_CHECK_MASK) == 0 and deadline > 0 and monotonic() > deadline:
+            return BUDGET_EXCEEDED, None, nodes
         a_bit = 1 << a
         adj_a = adj[a]
         allowed = ((1 << n) - 1) & ~((a_bit << 1) - 1)

@@ -12,9 +12,8 @@ and a graph search.
 Exit codes: 0 success (including a definitive "no embedding"), 1 when a
 search budget was exhausted (result unknown), 2 for invalid arguments or
 input.  ``potential`` and ``embed`` take ``--max-nodes`` and ``--time-limit``
-(``TOPO_COMPAT_TIME_LIMIT``, in seconds, sets the default of the latter);
-``embed`` alone takes ``--max-host-order``, which caps the host of its
-generic search.
+(in seconds), the only sources of their search budget; ``embed`` alone
+takes ``--max-host-order``, which caps the host of its generic search.
 
 Every command, positional and flag is one entry of ``COMMANDS``, read one
 of two ways.  A command line spelled out in full (the command, its
@@ -79,18 +78,6 @@ def _seconds(text: str) -> float:
         raise InvalidParameter(f"invalid float value: {text!r}") from None
 
 
-def _budget_from(args: SimpleNamespace,
-                 max_host_order: int = DEFAULT_BUDGET.max_host_order) -> SearchBudget:
-    limit = args.time_limit
-    if limit is None:
-        raw = os.environ.get("TOPO_COMPAT_TIME_LIMIT", "")
-        try:
-            limit = float(raw) if raw else DEFAULT_BUDGET.time_limit
-        except ValueError:
-            raise TopoCompatError(f"TOPO_COMPAT_TIME_LIMIT is not a number: {raw!r}") from None
-    return SearchBudget(max_host_order=max_host_order, max_nodes=args.max_nodes, time_limit=limit)
-
-
 def _emit_graph(g: Graph, path: Optional[str]) -> None:
     if path:
         edgelist.write_edge_list_path(g, path)
@@ -115,8 +102,8 @@ def _cmd_power(args: SimpleNamespace) -> int:
 
 
 def _cmd_potential(args: SimpleNamespace) -> int:
-    report, cert = compat.potential(args.system, args.task, args.reach, _budget_from(args),
-                                    args.witness)
+    budget = SearchBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
+    report, cert = compat.potential(args.system, args.task, args.reach, budget, args.witness)
     print(f"p={report.potential_p} c={report.index_text}")
     if cert is not None and args.task == "ring":
         print("cycle: " + " ".join(str(v) for v in cert))
@@ -143,7 +130,7 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     # from its spec, so a host too large is refused before either is built
     order = args.system.order()
     system = args.system.build() if order is None else None  # a file, read for its order
-    budget = _budget_from(args, args.max_host_order)
+    budget = SearchBudget(args.max_host_order, args.max_nodes, args.time_limit)
     budget.check_host_order(order or system.order)
     # the transform and the search share one deadline, as a ring potential's do
     deadline = budget.deadline()
@@ -190,9 +177,8 @@ _OUTPUT = _Arg("-o", "--output", help="output file (default: stdout)")
 _BUDGET = (
     _Arg("--max-nodes", convert=_positive_int, default=DEFAULT_BUDGET.max_nodes,
          help="node-expansion cap for searches"),
-    _Arg("--time-limit", convert=_seconds, metavar="SECONDS",
-         help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g}, "
-              "or TOPO_COMPAT_TIME_LIMIT)"),
+    _Arg("--time-limit", convert=_seconds, default=DEFAULT_BUDGET.time_limit, metavar="SECONDS",
+         help=f"wall-time cap (default {DEFAULT_BUDGET.time_limit:g})"),
 )
 
 PROG = "topo-compat"

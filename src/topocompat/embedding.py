@@ -53,7 +53,7 @@ from typing import Optional, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
-from .graph import Graph, component_color_classes
+from .graph import Graph, _check_deadline, component_color_classes
 
 __all__ = [
     "Embedding",
@@ -247,20 +247,27 @@ def verify_embedding(task: Graph, host: Graph, e: Embedding) -> bool:
     return all(host.has_edge(m[u], m[v]) for u, v in task.edges)
 
 
-def _anchor_order(g: Graph) -> Tuple[list, Tuple[int, ...]]:
+def _anchor_order(g: Graph, deadline: Optional[float] = None) -> Tuple[list, Tuple[int, ...]]:
     """g's vertices in ascending (degree, id) order, and g's adjacency masks
     relabelled so that vertex order[i] becomes i.
 
     The cycle kernels anchor each cycle at its smallest vertex, so under
     these labels low-degree vertices are anchors first (the module docstring
     says why).  On a regular graph the order is the identity and the masks
-    equal g's own.
+    equal g's own.  Each mask is n bits wide, so the optional monotonic
+    ``deadline`` is checked after every 4096 vertices, as the kernels check
+    theirs after every 4096 nodes, and BudgetExceeded is raised past it.
     """
     order = sorted(range(g.order), key=g.degree)  # stable: ties by id
     label = [0] * g.order
     for i, u in enumerate(order):
         label[u] = i
-    return order, tuple(sum(1 << label[w] for w in g.neighbors(u)) for u in order)
+    masks = []
+    for i, u in enumerate(order):
+        if i and not i & 4095:
+            _check_deadline(deadline, "longest-cycle search")
+        masks.append(sum(1 << label[w] for w in g.neighbors(u)))
+    return order, tuple(masks)
 
 
 def longest_cycle(
@@ -273,7 +280,7 @@ def longest_cycle(
     :func:`_anchor_order` and the witness is mapped back to g's."""
     if deadline is None:
         deadline = budget.deadline()
-    order, masks = _anchor_order(g)
+    order, masks = _anchor_order(g, deadline)
     status, length, witness, _ = _kernels.kernels_for(g.order).longest_cycle(
         g.order, masks, budget.max_nodes, deadline
     )

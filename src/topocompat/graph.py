@@ -525,13 +525,8 @@ def largest_ball(
     vertices in ascending order, without building the power graph.
 
     These are the first vertex of maximum degree in the reach-th power and
-    its neighbours there.  A probe BFS that meets one of the bounds of
-    :func:`_ball_by_bound` decides it: first the Moore bound of the maximum
-    degree, then the largest component's order.  Only when both miss is g
-    tried as a hypercube (:func:`hypercube_labels`, O(m); the probes go
-    first, as they decide every reach-1 star in O(n)): H_s is
-    vertex-transitive, so its answer is vertex 0 and its ball, the pair the
-    pass below would give.
+    its neighbours there.  :func:`_ball_by_bound` decides it when a probe BFS
+    meets a bound on every ball, or g is a hypercube.
     Otherwise the ball sizes come from the same route as :func:`graph_power`
     (a popcount over the arc or round ball masks up to order 4096,
     :func:`_bfs_balls` above), then one more BFS lists the ball.  That pass
@@ -540,11 +535,7 @@ def largest_ball(
     InvalidReachability.
     """
     _check_reach(reach)
-    found = _ball_by_bound(g, reach)
-    if found is None and hypercube_labels(g) is not None:
-        # H_s is vertex-transitive: every ball has one size, so 0 is the first center
-        found = 0, _ball_row(_bfs_levels(g, 0, reach), 0)
-    return found if found is not None else _largest_ball_pass(g, reach, deadline)
+    return _ball_by_bound(g, reach) or _largest_ball_pass(g, reach, deadline)
 
 
 def hypercube_labels(g: Graph) -> Optional[List[int]]:
@@ -600,17 +591,20 @@ def hypercube_labels(g: Graph) -> Optional[List[int]]:
 
 def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """:func:`largest_ball`'s answer when a probe BFS meets an upper bound on
-    every ball, else None.
+    every ball, or g is a hypercube, else None.
 
-    Two probes are tried in turn.  M is the Moore bound
-    1 + D * sum((D - 1)^i, i < reach) for maximum degree D (Hoffman &
-    Singleton 1960), capped at the order.  When M is below the order it is
-    uncapped, and the first probe is the first vertex of degree D against
-    M: every vertex of lower degree has a Moore bound below M, and every
-    vertex before the probe has lower degree.  Only if that misses are the
-    components swept (:func:`_colored_components`).  With C the order of
-    the largest component, and C <= M, the second probe is the first vertex
-    of the first largest component against C: every id below it lies in a
+    Two probes are tried, with the hypercube test between them.  M is the
+    Moore bound 1 + D * sum((D - 1)^i, i < reach) for maximum degree D
+    (Hoffman & Singleton 1960), capped at the order.  When M is below the
+    order it is uncapped, and the first probe is the first vertex of degree
+    D against M: every vertex of lower degree has a Moore bound below M, and
+    every vertex before the probe has lower degree.  It decides every
+    reach-1 star in O(n), so only when it misses is g tried as a hypercube
+    (:func:`hypercube_labels`, O(m)): H_s is vertex-transitive, so its
+    answer is vertex 0 and its ball.  Only then are the components swept
+    (:func:`_colored_components`).  With C the order of the largest
+    component, and C <= M, the second probe is the first vertex of the
+    first largest component against C: every id below it lies in a
     component swept earlier, which is smaller.  Either way a probe whose
     ball meets its bound is the first center of a largest ball.  C does not
     depend on the reach.
@@ -622,6 +616,8 @@ def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]
         row = _ball_row(_bfs_levels(g, probe, reach), probe)
         if len(row) + 1 == moore:
             return probe, row
+    if hypercube_labels(g) is not None:
+        return 0, _ball_row(_bfs_levels(g, 0, reach), 0)
     color, components = _colored_components(g)
     orders = [c for c, _ in components]
     largest = max(orders)

@@ -147,19 +147,19 @@ class TestPotentialCommand:
         assert captured.out == ""
         assert captured.err == f"error: {path}: not UTF-8 text\n"
 
-    def test_time_limit_env_var_stops_the_star_pass(self, tmp_path, capsys, monkeypatch):
+    def test_time_limit_stops_the_star_pass(self, tmp_path, capsys):
         path = tmp_path / "chord.edges"
         write_edge_list_path(chord_ring(64), path)  # the bound does not decide it
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2"])
+        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2",
+                    "--time-limit", "0.000001"])
         assert code == 1
         assert capsys.readouterr() == ("", "error: largest-ball pass ran out of time budget\n")
 
-    def test_time_limit_env_var_spares_a_bound_decided_star(self, tmp_path, capsys, monkeypatch):
+    def test_time_limit_spares_a_bound_decided_star(self, tmp_path, capsys):
         path = tmp_path / "ring.edges"
         write_edge_list_path(parse_topology_spec("ring:64").build(), path)
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2"])
+        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "2",
+                    "--time-limit", "0.000001"])
         assert code == 0
         assert capsys.readouterr().out == "p=5 c=0.0781\n"
 
@@ -177,15 +177,11 @@ class TestOneCellWhateverTheRoute:
         ("star", "ring:5"), ("star", "hypercube:3"), ("ring", "hypercube:3"), ("ring", "ring:5"),
     ])
     @pytest.mark.parametrize("witness", [[], ["--witness"]])
-    def test_bad_budget_exits_two_on_every_path(self, task, system, witness, capsys,
-                                               monkeypatch):
+    def test_bad_budget_exits_two_on_every_path(self, task, system, witness, capsys):
         argv = ["potential", "--task", task, "--system", system, "--reach", "1", *witness]
         assert run([*argv, "--time-limit", "nan"]) == 2
         assert capsys.readouterr() == (
             "", "error: search budget fields must be strictly positive and finite\n")
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "abc")
-        assert run(argv) == 2
-        assert capsys.readouterr() == ("", "error: TOPO_COMPAT_TIME_LIMIT is not a number: 'abc'\n")
 
     @pytest.mark.parametrize("spec", [*(f"hypercube:{s}" for s in range(1, 7)),
                                       "star:2", "complete:1", "complete:2", "ring:3"])
@@ -397,20 +393,23 @@ class TestEmbedCommand:
         assert run(["embed", "--task", "ring:4", "--system", spec, "--reach", "1"]) == 2
         assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
-    def test_the_task_and_the_system_are_checked_before_the_budget(self, capsys, monkeypatch,
+    def test_the_task_and_the_system_are_checked_before_the_budget(self, capsys,
                                                                    generators_called):
         assert run(["embed", "--task", "ring:2", "--system", "hypercube:20", "--reach", "1"]) == 2
         assert capsys.readouterr().err == "error: ring order must be >= 3, got 2\n"
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "soon")
-        assert run(["embed", "--task", "ring:4", "--system", "hypercube:21", "--reach", "1"]) == 2
+        nan = ["--time-limit", "nan"]
+        assert run(["embed", "--task", "ring:4", "--system", "hypercube:21", "--reach", "1",
+                    *nan]) == 2
         assert capsys.readouterr().err == "error: hypercube dimension must be in 1..20, got 21\n"
-        assert run(["embed", "--task", "ring:4", "--system", "hypercube:20", "--reach", "1"]) == 2
-        assert capsys.readouterr().err == "error: TOPO_COMPAT_TIME_LIMIT is not a number: 'soon'\n"
+        assert run(["embed", "--task", "ring:4", "--system", "hypercube:20", "--reach", "1",
+                    *nan]) == 2
+        assert capsys.readouterr().err == (
+            "error: search budget fields must be strictly positive and finite\n")
         assert generators_called == ["ring", "ring", "ring"]
 
-    def test_time_limit_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["embed", "--task", "complete:7", "--system", "hypercube:5", "--reach", "2"])
+    def test_time_limit_stops_the_search(self, capsys):
+        code = run(["embed", "--task", "complete:7", "--system", "hypercube:5", "--reach", "2",
+                    "--time-limit", "0.000001"])
         assert code == 1
 
     def test_time_limit_stops_the_transform(self, capsys):
@@ -420,28 +419,25 @@ class TestEmbedCommand:
         assert code == 1
         assert capsys.readouterr() == ("", "error: reachability transform ran out of time budget\n")
 
-    def test_time_limit_env_var_spares_absence_proof(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["embed", "--task", "ring:11", "--system", "hypercube:5", "--reach", "1"])
+    def test_time_limit_spares_absence_proof(self, capsys):
+        code = run(["embed", "--task", "ring:11", "--system", "hypercube:5", "--reach", "1",
+                    "--time-limit", "0.000001"])
         assert code == 0
         assert capsys.readouterr().out == "no embedding\n"
 
-    def test_time_limit_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "0.000001")
-        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2",
-                    "--reach", "1", "--time-limit", "60"])
+    def test_a_later_time_limit_wins(self, capsys):
+        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1",
+                    "--time-limit", "0.000001", "--time-limit", "60"])
         assert code == 0
 
-    def test_bad_env_var_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "soon")
-        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1"])
-        assert code == 2
-
-    @pytest.mark.parametrize("limit", ["nan", "inf"])
-    def test_non_finite_env_var_exits_two(self, limit, capsys, monkeypatch):
-        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", limit)
-        code = run(["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1"])
-        assert code == 2
+    def test_the_environment_sets_no_time_limit(self, capsys, monkeypatch):
+        queries = [["embed", "--task", "ring:4", "--system", "hypercube:2", "--reach", "1",
+                    "--witness"],
+                   ["potential", "--task", "ring", "--system", "ring:5", "--reach", "1"]]
+        expected = [(run(argv), capsys.readouterr()) for argv in queries]
+        monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "abc")
+        assert [(run(argv), capsys.readouterr()) for argv in queries] == expected
+        assert expected[0][0] == expected[1][0] == 0
 
     @pytest.mark.parametrize("limit", ["nan", "inf"])
     def test_non_finite_time_limit_flag_exits_two(self, limit, capsys):

@@ -249,6 +249,18 @@ class TestRingPotentialBudget:
         assert ring_potential_certificate(chord_ring(64), 2)[0] == 64
         assert seen["kernel"] == seen["transform"] is not None
 
+    def test_a_long_matching_stops_at_the_deadline(self):
+        # every anchor of a perfect matching has one neighbour, so the search
+        # expands no node and reaches no node-count check, while relabelling
+        # the host and each anchor's mask take O(n) apiece: those read the deadline
+        import time
+
+        g = graph.Graph(40_000, [(v, v + 1) for v in range(0, 40_000, 2)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="^longest-cycle search ran out of"):
+            ring_potential_certificate(g, 1, SearchBudget(time_limit=0.05))
+        assert time.perf_counter() - start < 1
+
     def test_reach_one_transform_takes_no_deadline(self):
         import time
 

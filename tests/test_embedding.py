@@ -22,7 +22,7 @@ from topocompat import (
     verify_embedding,
 )
 from topocompat import graph
-from topocompat._kernels import EXHAUSTED, FOUND, pykernels
+from topocompat._kernels import BUDGET_EXCEEDED, EXHAUSTED, FOUND, pykernels
 from topocompat.embedding import ABSENCE_CHECKS, _anchor_order
 from oracles import (brute_force_cycle_orders, brute_force_embeds, is_bipartite, is_valid_cycle,
                      random_graph)
@@ -192,6 +192,14 @@ class TestLongestCycle:
         length, witness = longest_cycle(g)
         assert length == 3
         assert is_valid_cycle(g, witness)
+
+    def test_pure_search_reads_its_deadline_every_4096_anchors(self):
+        # a perfect matching: no anchor has two higher neighbours, so no node is expanded
+        n = 8192
+        masks = [1 << (v ^ 1) for v in range(n)]
+        assert pykernels.longest_cycle(n, masks, 10**8, 0.0) == (EXHAUSTED, 0, None, 0)
+        assert pykernels.longest_cycle(n, masks, 10**8, 1e-9) == (BUDGET_EXCEEDED, 0, None, 0)
+        assert pykernels.longest_cycle(64, masks[:64], 10**8, 1e-9) == (EXHAUSTED, 0, None, 0)
 
     def test_deadline_given_or_from_the_budget(self, monkeypatch):
         import time

@@ -5,7 +5,9 @@ values from pools of valid, malformed, huge and negative texts, small
 ``file:`` systems (some of them malformed files), and then now and then a
 change: a flag cut to a prefix, a value joined by ``=`` or attached to
 ``-o``, ``--``, ``-h``, a dropped or a stray token, an unknown command.
-Each runs in-process through ``cli.run()`` with a small time budget.
+Each runs in-process through ``cli.run()`` with a small time budget: the
+default of ``--time-limit`` is lowered for the run, and a drawn
+``--time-limit`` still overrides it.
 
 Every case must return 0, 1 or 2 and raise nothing.  Exit 0 writes nothing
 to standard error; exits 1 and 2 end standard error with its one line that
@@ -29,7 +31,7 @@ from oracles import (largest_ball_reference, longest_cycle_reference, power_refe
 
 SEEDS = range(8)
 CASES = 150
-TIME_LIMIT = "0.05"  # seconds, through TOPO_COMPAT_TIME_LIMIT
+TIME_LIMIT = 0.05  # seconds, the default of --time-limit in these runs
 SLOWEST_CASE_S = 2  # a hundred times the slowest case; one past it did unbounded work
 ORACLE_MAX_ORDER = 16  # the largest file system whose potentials the oracles check
 
@@ -192,7 +194,9 @@ def reading(argv, capsys):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, capsys,
                                                      monkeypatch):
-    monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", TIME_LIMIT)
+    # both parse paths read the flag's default, so every line gets the small budget
+    time_limit = next(arg for arg in cli._BUDGET if arg.dest == "time_limit")
+    monkeypatch.setattr(time_limit, "default", TIME_LIMIT)
     monkeypatch.chdir(tmp_path)  # a changed line may write a relative -o path, "-1" say
     rng = random.Random(seed)
     for _ in range(CASES):

@@ -443,6 +443,13 @@ class TestBallBoundRoutes:
         assert largest_ball(g, 2) == (4, tuple(range(5, 14)))
         assert probes == [0, 4] and sweeps == [14]
 
+    def test_recognized_hypercube_makes_no_sweep(self, sweeps):
+        g = relabelled(hypercube(12), 12)
+        center, leaves = largest_ball(g, 2)
+        assert sweeps == []
+        assert (center, leaves) == graph._largest_ball_pass(g, 2)
+        assert center == 0 and len(leaves) == 12 + 66
+
     def test_chord_ring_is_refused_after_one_sweep(self, monkeypatch, sweeps):
         probes = _counting_bfs(monkeypatch)
         assert graph._ball_by_bound(chord_ring(64), 2) is None

@@ -161,6 +161,17 @@ def test_argparse_names_the_converters_message(capsys):
         "topo-compat: error: unrecognized arguments: -- x")
 
 
+@pytest.mark.parametrize("argv", [
+    ["potential", "--task", "ring", "--system", "ring:8", "--reach", "1"],
+    ["embed", "--task", "ring:4", "--system", "ring:8", "--reach", "1"],
+])
+def test_the_time_limit_defaults_to_60_on_both_paths(argv, capsys):
+    assert cli._parse_exact(argv)[1].time_limit == 60.0
+    assert cli._parse_argparse(argv)[1].time_limit == 60.0
+    assert cli.run([argv[0], "-h"]) == 0
+    assert "wall-time cap (default 60)" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.fixture(scope="module")
 def workloads():
     flag = sys.dont_write_bytecode

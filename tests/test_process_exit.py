@@ -35,8 +35,7 @@ main()
 
 
 def env(unbuffered=""):
-    out = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONUNBUFFERED", "TOPO_COMPAT_TIME_LIMIT")}
+    out = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     out["PYTHONPATH"] = str(SRC)
     if unbuffered:
         out["PYTHONUNBUFFERED"] = unbuffered
