@@ -29,12 +29,15 @@ that building the power (or, where it is not built, the star potential)
 holds at once beyond what was live before, by ``tracemalloc`` in a run of
 its own.  The relabelled cases shuffle the vertex ids with a fixed seed, so
 that no ball is a run of consecutive bits.  The last line times
-``edgelist.loads`` of the ``hypercube:16`` text, with its ``tracemalloc``
-peak too.
+``edgelist.read_edge_list_path`` of the ``hypercube:16`` text from a
+temporary file, with its ``tracemalloc`` peak too, and that peak must stay
+within ``READ_RATIO`` times the rows and ints the reader returns.
 """
 
+import os
 import random
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,7 +52,10 @@ from topocompat import (  # noqa: E402
     star_potential,
 )
 from topocompat.compat import star_potential_certificate  # noqa: E402
-from topocompat.edgelist import dumps, loads  # noqa: E402
+from topocompat.edgelist import dumps, read_edge_list_path  # noqa: E402
+
+# the most reading a file may hold at its peak, per byte of the rows and ints it returns
+READ_RATIO = 1.5
 
 
 def chord_ring(n: int):
@@ -185,11 +191,19 @@ def main() -> int:
         print(f"{spec + ' reach ' + str(reach):<34} {route(g):<5} "
               f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {step:>9} {peak:5.1f} MB "
               f"{other:>11} {other_write:>9}  {equal}")
-    text = dumps(parse_topology_spec("hypercube:16").build())
-    g, ms = timed(loads, text)
-    mismatches += g.order != 1 << 16 or g.num_edges != 16 << 15
-    print(f"read hypercube:16 ({len(text) / 2**20:.1f} MB of text): {ms:.0f} ms, "
-          f"peak {peak_mb(loads, text):.1f} MB")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hypercube16.edges")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(parse_topology_spec("hypercube:16").build()))
+        g, ms = timed(read_edge_list_path, path)
+        mismatches += g.order != 1 << 16 or g.num_edges != 16 << 15
+        rows = g._neighbors
+        held_mb = (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+                   + sum(map(sys.getsizeof, range(g.order)))) / 2**20
+        peak = peak_mb(read_edge_list_path, path)
+        mismatches += peak > READ_RATIO * held_mb
+        print(f"read hypercube:16 ({os.path.getsize(path) / 2**20:.1f} MB of text): {ms:.0f} ms, "
+              f"peak {peak:.1f} MB, {peak / held_mb:.2f}x the {held_mb:.1f} MB it returns")
     return 1 if mismatches else 0
 
 

@@ -90,14 +90,18 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_power(args: SimpleNamespace) -> int:
-    spec, reach = args.spec, args.reach
+def _check_hypercube_power(spec, reach: int) -> None:
+    """Refuse an oversized power of H_s from its spec, before H_s is built:
+    H_s is vertex-transitive, so each row of its power is the star cell
+    minus its centre."""
     if spec.kind == "hypercube":
-        # H_s is vertex-transitive, so each row of its power is the star cell
-        # minus its centre, and an oversized power is refused before H_s is built
         ball = compat.potential(spec, "star", reach)[0].potential_p
         _check_power_entries((ball - 1) * spec.order(), reach)
-    _emit_graph(graph_power(spec.build(), reach), args.output)
+
+
+def _cmd_power(args: SimpleNamespace) -> int:
+    _check_hypercube_power(args.spec, args.reach)
+    _emit_graph(graph_power(args.spec.build(), args.reach), args.output)
     return 0
 
 
@@ -132,6 +136,7 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     system = args.system.build() if order is None else None  # a file, read for its order
     budget = SearchBudget(args.max_host_order, args.max_nodes, args.time_limit)
     budget.check_host_order(order or system.order)
+    _check_hypercube_power(args.system, args.reach)
     # the transform and the search share one deadline, as a ring potential's do
     deadline = budget.deadline()
     host = graph_power(system or args.system.build(), args.reach, deadline)

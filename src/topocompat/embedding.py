@@ -277,7 +277,12 @@ def longest_cycle(
 
     The search stops at the monotonic ``deadline`` when one is given, else
     at ``budget.deadline()``.  It runs on the low-degree-first labels of
-    :func:`_anchor_order` and the witness is mapped back to g's."""
+    :func:`_anchor_order` and the witness is mapped back to g's.  A forest
+    (n - m components; m >= n needs a cycle, so only m < n is swept) answers
+    0 before any mask is made."""
+    m = g.num_edges
+    if m < g.order and m + len(component_color_classes(g)) == g.order:
+        return 0, None
     if deadline is None:
         deadline = budget.deadline()
     order, masks = _anchor_order(g, deadline)

@@ -99,8 +99,10 @@ class Graph:
                 raise InvalidEdge(f"self-loop at vertex {u}")
             adj[u].append(ids[v])
             adj[v].append(ids[u])
+        for v in range(n):  # in place, so no list outlives its tuple
+            adj[v] = tuple(sorted(set(adj[v])))
         self._n = n
-        self._rows = tuple(tuple(sorted(set(nbrs))) for nbrs in adj)
+        self._rows = tuple(adj)
         self._masks: Optional[Tuple[int, ...]] = None
 
     @classmethod

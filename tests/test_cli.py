@@ -57,6 +57,15 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=0 c=0.0000\n"
 
+    def test_ring_on_a_long_matching_answers_zero_within_the_time_limit(self, tmp_path, capsys):
+        # an acyclic host answers 0 before any n-bit mask is made
+        path = tmp_path / "matching.edges"
+        path.write_text("100000 50000\n" + "".join(f"{v} {v + 1}\n" for v in range(0, 100_000, 2)))
+        code = run(["potential", "--task", "ring", "--system", f"file:{path}", "--reach", "1",
+                    "--time-limit", "0.5"])
+        assert code == 0
+        assert capsys.readouterr().out == "p=0 c=0.0000\n"
+
     def test_ring_witness_is_gray_cycle(self, capsys):
         code = run(["potential", "--task", "ring", "--system", "hypercube:3",
                     "--reach", "1", "--witness"])
@@ -377,6 +386,14 @@ class TestEmbedCommand:
         assert run(["embed", "--task", "ring:4", "--system", spec, "--reach", "1"]) == 1
         assert capsys.readouterr() == ("", f"error: host order {order} exceeds budget cap 64\n")
         assert generators_called == ["ring"]  # the task's, not the system's
+
+    def test_oversized_hypercube_power_is_refused_from_the_spec(self, capsys, generators_called):
+        # a raised host cap lets H_20 through, but not its reach-2 power
+        assert run(["embed", "--task", "ring:4", "--system", "hypercube:20", "--reach", "2",
+                    "--max-host-order", str(1 << 20)]) == 2
+        assert capsys.readouterr() == ("", "error: the reach-2 transform has more than "
+                                           "10485760 edges, the cap (the edges of H_20)\n")
+        assert generators_called == ["ring"]
 
     def test_oversized_file_system_is_refused_once_read(self, tmp_path, capsys):
         path = tmp_path / "ring65.edges"

@@ -250,12 +250,14 @@ class TestRingPotentialBudget:
         assert seen["kernel"] == seen["transform"] is not None
 
     def test_a_long_matching_stops_at_the_deadline(self):
-        # every anchor of a perfect matching has one neighbour, so the search
-        # expands no node and reaches no node-count check, while relabelling
-        # the host and each anchor's mask take O(n) apiece: those read the deadline
+        # a perfect matching answers 0 with no search, so one triangle is added:
+        # every other anchor has one neighbour, so the search expands no node
+        # and reaches no node-count check, while relabelling the host and each
+        # anchor's mask take O(n) apiece: those read the deadline
         import time
 
-        g = graph.Graph(40_000, [(v, v + 1) for v in range(0, 40_000, 2)])
+        g = graph.Graph(40_003, [(v, v + 1) for v in range(0, 40_000, 2)]
+                        + [(40_000, 40_001), (40_001, 40_002), (40_000, 40_002)])
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="^longest-cycle search ran out of"):
             ring_potential_certificate(g, 1, SearchBudget(time_limit=0.05))

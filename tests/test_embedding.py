@@ -175,6 +175,18 @@ class TestLongestCycle:
     def test_tree_has_no_cycle(self):
         assert longest_cycle(star(5)) == (0, None)
 
+    def test_a_forest_answers_zero_before_any_mask(self, monkeypatch):
+        from topocompat import embedding
+
+        def no_masks(*args):
+            raise AssertionError("a forest needs no relabelled masks")
+
+        monkeypatch.setattr(embedding, "_anchor_order", no_masks)
+        matching = from_edge_list(40_000, [(v, v + 1) for v in range(0, 40_000, 2)])
+        assert longest_cycle(matching) == (0, None)
+        with pytest.raises(AssertionError, match="no relabelled masks"):
+            longest_cycle(from_edge_list(4, [(0, 1), (1, 2), (0, 2)]))  # a triangle and a vertex
+
     def test_hypercube_three_is_hamiltonian(self):
         g = hypercube(3)
         length, witness = longest_cycle(g)

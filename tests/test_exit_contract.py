@@ -13,8 +13,10 @@ Every case must return 0, 1 or 2 and raise nothing.  Exit 0 writes nothing
 to standard error; exits 1 and 2 end standard error with its one line that
 says ``error:``.  Every exit-0 ``potential`` on a ``file:`` system of order
 at most 16 must give the potential that the brute-force oracles give.  The
-small files are seeded random graphs, relabelled hypercubes H3 and H4, and
-a near miss of H4 with one edge moved.
+small files are seeded random graphs, relabelled hypercubes H3 and H4, a
+near miss of H4 with one edge moved, and relabelled forests (a perfect
+matching, a path, a star and a forest of small trees), whose ring potential
+is 0 at reach 1 and is decided with no search.
 """
 
 import random
@@ -100,8 +102,16 @@ def systems(tmp_path_factory):
         files[f"file:{root / f'g{i}.edges'}"] = g
     # H4 with its edge 0-2 moved to 0-3: degrees 3 and 5 at 2 and 3, and the Gray cycle kept
     moved = from_edge_list(16, [e for e in hypercube(4).edges if e != (0, 2)] + [(0, 3)])
+    # forests: a perfect matching, a path, a star, and a path, a star, a tree and a vertex
+    matching = from_edge_list(16, [(v, v + 1) for v in range(0, 16, 2)])
+    path = from_edge_list(10, [(v, v + 1) for v in range(9)])
+    star = from_edge_list(8, [(0, v) for v in range(1, 8)])
+    trees = from_edge_list(12, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6),
+                                (7, 8), (8, 9), (8, 10)])
     for name, g in (("h3", relabelled(hypercube(3), 3)), ("h4", relabelled(hypercube(4), 4)),
-                    ("h4-moved", relabelled(moved, 4))):
+                    ("h4-moved", relabelled(moved, 4)), ("matching", relabelled(matching, 16)),
+                    ("path", relabelled(path, 10)), ("star", relabelled(star, 8)),
+                    ("trees", relabelled(trees, 12))):
         write_edge_list_path(g, root / f"{name}.edges")
         files[f"file:{root / f'{name}.edges'}"] = g
     for name, data in MALFORMED_FILES.items():
@@ -228,7 +238,7 @@ def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, cap
 def test_every_small_file_system_gets_the_oracles_potential(task, systems, capsys):
     small = {spec: g for spec, g in systems.items()
              if g is not None and g.order <= ORACLE_MAX_ORDER}
-    assert len(small) == 13
+    assert len(small) == 17
     for spec, g in small.items():
         for reach in (1, 2, 3, 10**12):
             assert cli.run(["potential", "--task", task, "--system", spec,

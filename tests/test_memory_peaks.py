@@ -5,7 +5,9 @@ does not read: the arc route keeps one sliding window, not a prefix mask per
 walk position, and the star pass maps each last-round ball to its popcount
 as it is made, with no list of singleton masks before round 1.  The bounds
 are ratios to the masks returned, so they hold whatever an int costs on the
-interpreter at hand.  The reader hands its rows one shared int per vertex id.
+interpreter at hand.  The reader hands its rows one shared int per vertex id,
+and turns each adjacency list into its row in place, so no list outlives its
+row: its peak is bounded against the rows and ints it returns.
 """
 
 import random
@@ -13,10 +15,12 @@ import sys
 import tracemalloc
 
 from topocompat import from_edge_list, graph, hypercube, ring
-from topocompat.edgelist import dumps, loads
+from topocompat.edgelist import dumps, loads, read_edge_list_path, write_edge_list_path
 
 # the most a route may hold at its peak, per byte of the masks measured against
 PEAK_RATIO = 1.25
+# the most the reader may hold at its peak, per byte of the rows and ints it returns
+READ_RATIO = 1.5
 
 
 def relabelled(g):
@@ -59,3 +63,11 @@ def test_star_pass_holds_one_round_of_masks():
 def test_read_rows_share_one_int_per_vertex_id():
     g = loads(dumps(hypercube(10)))  # ids up to 1023, past the interpreter's small-int cache
     assert len({id(v) for row in g._neighbors for v in row}) == g.order
+
+
+def test_reader_holds_each_adjacency_list_until_its_row_is_made(tmp_path):
+    path = tmp_path / "h12.edges"
+    write_edge_list_path(relabelled(hypercube(12)), path)
+    g, peak = peak_bytes(read_edge_list_path, path)
+    rows = g._neighbors
+    assert peak <= READ_RATIO * (nbytes(rows) + sum(map(sys.getsizeof, range(g.order))))
