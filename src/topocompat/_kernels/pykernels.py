@@ -123,7 +123,8 @@ def subgraph_search(
 
     need = [task_adj[u].bit_count() for u in order]
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
-    # prev_pos[i]: positions j < i of the neighbours of order[i], ascending
+    # prev_pos[i]: positions j < i of the neighbours of order[i]; cand is ANDed with
+    # their images' masks, so their order does not matter
     pos = [0] * task_n
     for i, u in enumerate(order):
         pos[u] = i
@@ -136,7 +137,6 @@ def subgraph_search(
             nbrs &= nbrs - 1
             if j < i:
                 back.append(j)
-        back.sort()
         prev_pos.append(back)
     all_hosts = (1 << host_n) - 1
     nodes = 0

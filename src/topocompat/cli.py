@@ -135,8 +135,9 @@ def _cmd_embed(args: SimpleNamespace) -> int:
     order = args.system.order()
     system = args.system.build() if order is None else None  # a file, read for its order
     budget = SearchBudget(args.max_host_order, args.max_nodes, args.time_limit)
-    budget.check_host_order(order or system.order)
+    # an oversized hypercube power exits 2 whatever the host caps
     _check_hypercube_power(args.system, args.reach)
+    budget.check_host_order(order or system.order)
     # the transform and the search share one deadline, as a ring potential's do
     deadline = budget.deadline()
     host = graph_power(system or args.system.build(), args.reach, deadline)

@@ -48,12 +48,13 @@ without it.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
-from .graph import Graph, _check_deadline, component_color_classes
+from .graph import _POWER_MAX_EDGES, Graph, _check_deadline, component_color_classes
 
 __all__ = [
     "Embedding",
@@ -76,11 +77,18 @@ class Embedding(_FrozenRecord):
         return len(self.mapping)
 
 
+# Largest host order whose adjacency masks, n bits each (about n^2/8 bytes),
+# fit in the bytes of a power at the edge cap (16 per edge): 36,635
+_MASK_MAX_HOST_ORDER = math.isqrt(128 * _POWER_MAX_EDGES)
+
+
 class SearchBudget(_FrozenRecord):
     """Caps for the exponential searches.
 
     max_host_order bounds the host size accepted by the generic subgraph
-    search; max_nodes bounds backtracking node expansions; time_limit is
+    search, which never takes a host above ``_MASK_MAX_HOST_ORDER`` whatever
+    the cap, since it makes the host's n-bit adjacency masks before it reads
+    any deadline; max_nodes bounds backtracking node expansions; time_limit is
     finite wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
     Each field must be finite: a nan cap compares False against every order
     and count, so it would switch its check off.
@@ -98,9 +106,11 @@ class SearchBudget(_FrozenRecord):
         return time.monotonic() + self.time_limit
 
     def check_host_order(self, order: int) -> None:
-        """Raise HostTooLarge when a host of this order exceeds max_host_order."""
-        if order > self.max_host_order:
-            raise HostTooLarge(f"host order {order} exceeds budget cap {self.max_host_order}")
+        """Raise HostTooLarge when a host of this order exceeds max_host_order
+        or ``_MASK_MAX_HOST_ORDER``, whichever is smaller."""
+        cap = min(self.max_host_order, _MASK_MAX_HOST_ORDER)
+        if order > cap:
+            raise HostTooLarge(f"host order {order} exceeds budget cap {cap}")
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -56,8 +56,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
-from itertools import chain, repeat
-from operator import or_, xor
+from operator import or_
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
@@ -81,7 +80,12 @@ _POWER_MAX_EDGES = 20 << 19
 
 
 class Graph:
-    """A simple undirected graph on vertices 0..n-1."""
+    """A simple undirected graph on vertices 0..n-1.
+
+    ``Graph(n, edges)`` builds one from an order and edge pairs: duplicate
+    pairs and reversed duplicates collapse to one edge.  Raises InvalidVertex
+    for endpoints outside 0..n-1 and InvalidEdge for self-loops.
+    """
 
     __slots__ = ("_n", "_rows", "_masks")
 
@@ -210,16 +214,9 @@ class Graph:
         return f"Graph(n={self._n}, m={self.num_edges})"
 
 
-def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
-    """Build a graph from an order and edge pairs.
-
-    Duplicate pairs and reversed duplicates collapse to one edge.  Raises
-    InvalidVertex for endpoints outside 0..n-1 and InvalidEdge for self-loops.
-    It repeats the ``Graph`` constructor, which the package itself calls;
-    it stays public only for the benchmark's tracer
-    (``perfbench/tracing.py``), the scripts in ``benchmarks/`` and the tests.
-    """
-    return Graph(n, edges)
+# Graph(n, edges) under the name the benchmark's tracer (``perfbench/tracing.py``), the
+# scripts in ``benchmarks/`` and the tests import; the package itself calls ``Graph``
+from_edge_list = Graph
 
 
 def _bfs_levels(g: Graph, source: int, cutoff: int) -> dict:
@@ -583,12 +580,8 @@ def hypercube_labels(g: Graph) -> Optional[List[int]]:
         level = deeper
     if -1 in label or len(set(label)) != n:
         return None
-    # each edge at a vertex whose label has even weight: its label, once per neighbour,
-    # beside the neighbour's label
-    even = [v for v, lv in enumerate(label) if not lv.bit_count() & 1]
-    starts = chain.from_iterable(map(repeat, map(label.__getitem__, even), repeat(s)))
-    ends = map(label.__getitem__, chain.from_iterable(map(nbrs.__getitem__, even)))
-    return label if {1 << i for i in range(s)}.issuperset(map(xor, starts, ends)) else None
+    return label if all((lv ^ label[w]).bit_count() == 1 for v, lv in enumerate(label)
+                        if not lv.bit_count() & 1 for w in nbrs[v]) else None
 
 
 def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:

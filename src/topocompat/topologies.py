@@ -42,20 +42,13 @@ def check_hypercube_dim(s: int) -> None:
 def hypercube(s: int) -> Graph:
     """The s-dimensional hypercube H_s on 2^s bit-string vertices.
 
-    The rows double s times: in H_{k+1}, vertex i < 2^k keeps its H_k row
-    and gains i + 2^k, which is above the row; vertex i + 2^k has i, below
-    its row, then i's H_k row shifted up by 2^k.  So each row comes out
-    sorted, and every entry is the one shared int of its vertex id.
+    Vertex v's row is v with each of its s bits flipped, sorted; every entry
+    is the one shared int of its vertex id.
     """
     _generated_order("hypercube", s)
     ids = tuple(range(1 << s))
-    rows = [()]
-    for k in range(s):
-        h = 1 << k
-        up = ids[h:]
-        rows = ([row + (ids[i + h],) for i, row in enumerate(rows)]
-                + [(ids[i],) + tuple(map(up.__getitem__, row)) for i, row in enumerate(rows)])
-    return Graph._from_neighbors(tuple(rows))
+    bits = [1 << k for k in range(s)]
+    return Graph._from_neighbors(tuple([tuple(sorted([ids[v ^ b] for b in bits])) for v in ids]))
 
 
 def _generated_order(kind: str, k: int) -> int:

@@ -57,6 +57,14 @@ class TestPotentialCommand:
         assert code == 0
         assert capsys.readouterr().out == "p=0 c=0.0000\n"
 
+    def test_a_negative_first_endpoint_exits_two(self, tmp_path, capsys):
+        # it must not stand for vertex 2, which would print p=2 c=0.6667
+        path = tmp_path / "negative.edges"
+        path.write_text("3 1\n-1 0\n")
+        code = run(["potential", "--task", "star", "--system", f"file:{path}", "--reach", "1"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: vertex -1 out of range 0..2\n")
+
     def test_ring_on_a_long_matching_answers_zero_within_the_time_limit(self, tmp_path, capsys):
         # an acyclic host answers 0 before any n-bit mask is made
         path = tmp_path / "matching.edges"

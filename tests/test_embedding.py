@@ -95,6 +95,13 @@ class TestFindEmbedding:
         emb = find_embedding(ring(3), graph_power(ring(65), 2), budget)
         assert emb is not None
 
+    def test_a_raised_host_cap_stops_where_the_masks_outgrow_the_edge_cap(self):
+        # the n-bit masks take about n^2/8 bytes, a power at the cap 16 per edge
+        budget = SearchBudget(max_host_order=10**12)
+        budget.check_host_order(36635)
+        with pytest.raises(HostTooLarge, match="host order 36636 exceeds budget cap 36635"):
+            budget.check_host_order(36636)
+
     def test_deep_search_has_no_recursion_limit(self):
         # the search path is 1200 vertices deep, beyond Python's default
         # recursion limit of 1000

@@ -201,6 +201,27 @@ def reading(argv, capsys):
         capsys.readouterr()
 
 
+def run_in_contract(argv, capsys):
+    """(exit code, standard output) of argv, which must end in 0, 1 or 2 within
+    SLOWEST_CASE_S, raise nothing, and leave one error line unless it exits 0."""
+    start = time.perf_counter()
+    try:
+        code = cli.run(argv)
+    except Exception as exc:
+        pytest.fail(f"{argv} raised {exc!r}")
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert elapsed < SLOWEST_CASE_S, argv
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        lines = err.splitlines()
+        assert lines and "error:" in lines[-1], (argv, err)
+        assert sum("error:" in line for line in lines) == 1, (argv, err)
+    return code, out
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, capsys,
                                                      monkeypatch):
@@ -212,26 +233,20 @@ def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, cap
     for _ in range(CASES):
         argv = draw(rng, systems, tmp_path)
         parsed = reading(argv, capsys)
-        start = time.perf_counter()
-        try:
-            code = cli.run(argv)
-        except Exception as exc:
-            pytest.fail(f"{argv} raised {exc!r}")
-        elapsed = time.perf_counter() - start
-        out, err = capsys.readouterr()
-        assert elapsed < SLOWEST_CASE_S, argv
-        assert code in (0, 1, 2), argv
-        if code == 0:
-            assert err == "", argv
-        else:
-            lines = err.splitlines()
-            assert lines and "error:" in lines[-1], (argv, err)
-            assert sum("error:" in line for line in lines) == 1, (argv, err)
+        code, out = run_in_contract(argv, capsys)
         if code == 0 and parsed and parsed[0] is cli._cmd_potential:
             args = parsed[1]
             g = systems.get(str(args.system))
             if g is not None and g.order <= ORACLE_MAX_ORDER:
                 assert potential_p(out) == oracle_potential(g, args.task, args.reach), argv
+
+
+@pytest.mark.parametrize("system,reach", [("hypercube:20", "1"), ("ring:1048576", "3")])
+def test_a_host_too_large_for_its_masks_ends_in_time_with_a_raised_cap(system, reach, capsys):
+    # lines the seeds draw only now and then: each is refused before any n-bit mask
+    assert run_in_contract(["embed", "--task", "star:5", "--system", system, "--reach", reach,
+                            "--max-host-order", "1000000000000", "--time-limit", "0.05"],
+                           capsys) == (1, "")
 
 
 @pytest.mark.parametrize("task", ["star", "ring"])

@@ -66,6 +66,12 @@ class TestFromEdgeList:
         with pytest.raises(InvalidVertex):
             from_edge_list(2, [(0, 2)])
 
+    @pytest.mark.parametrize("u", [5, -1])
+    def test_first_endpoint_out_of_range(self, u):
+        # -1 would index vertex 2's list, and 5 past the end, without the check
+        with pytest.raises(InvalidVertex, match=f"vertex {u} out of range 0..2"):
+            from_edge_list(3, [(u, 0)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidEdge):
             from_edge_list(3, [(1, 1)])
@@ -74,6 +80,19 @@ class TestFromEdgeList:
         g = from_edge_list(4, [(2, 0), (0, 3), (0, 1)])
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_lookups_refuse_a_vertex_out_of_range(self, v):
+        # -1 would read the last row, and 5 past the end, without the check
+        g = ring(5)
+        for lookup in (g.neighbors, g.degree, lambda u: g.has_edge(u, 0),
+                       lambda u: g.has_edge(0, u)):
+            with pytest.raises(InvalidVertex, match=f"vertex {v} out of range 0..4"):
+                lookup(v)
+
+    def test_a_graph_equals_no_other_type(self):
+        assert (ring(5) == "x") is False
+        assert ring(5) != "x"
 
 
 class TestDistances:

@@ -7,9 +7,11 @@ as it is made, with no list of singleton masks before round 1.  The bounds
 are ratios to the masks returned, so they hold whatever an int costs on the
 interpreter at hand.  The reader hands its rows one shared int per vertex id,
 and turns each adjacency list into its row in place, so no list outlives its
-row: its peak is bounded against the rows and ints it returns.
+row: its peak is bounded against the rows and ints it returns.  So is the
+hypercube generator's, which makes each row once from the shared ints.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -34,8 +36,17 @@ def nbytes(masks):
     return sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
 
 
+def rows_and_ints(g):
+    """The bytes of g's rows and of one int per vertex id."""
+    return nbytes(g._neighbors) + sum(map(sys.getsizeof, range(g.order)))
+
+
 def peak_bytes(fn, *args):
-    """(fn(*args), the most it allocated at once beyond what was live before)."""
+    """(fn(*args), the most it allocated at once beyond what was live before).
+
+    A full collection first empties the interpreter's free lists, so small
+    tuples that earlier tests freed do not hide from tracemalloc."""
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -69,5 +80,9 @@ def test_reader_holds_each_adjacency_list_until_its_row_is_made(tmp_path):
     path = tmp_path / "h12.edges"
     write_edge_list_path(relabelled(hypercube(12)), path)
     g, peak = peak_bytes(read_edge_list_path, path)
-    rows = g._neighbors
-    assert peak <= READ_RATIO * (nbytes(rows) + sum(map(sys.getsizeof, range(g.order))))
+    assert peak <= READ_RATIO * rows_and_ints(g)
+
+
+def test_hypercube_makes_each_row_once():
+    g, peak = peak_bytes(hypercube, 12)
+    assert peak <= PEAK_RATIO * rows_and_ints(g)

@@ -113,6 +113,17 @@ def test_an_endless_input_line_is_an_input_error():
     assert proc.stderr == "error: line 1: longer than 4096 characters\n"
 
 
+@pytest.mark.parametrize("system,reach", [("hypercube:20", "1"), ("ring:1048576", "3")])
+def test_a_raised_host_cap_refuses_a_host_whose_masks_do_not_fit(system, reach):
+    # the host's n-bit masks would take 128 GB; the order alone refuses it, in time
+    proc = subprocess.run(CLI + ["embed", "--task", "star:5", "--system", system, "--reach", reach,
+                                 "--max-host-order", "1000000000000", "--time-limit", "0.05"],
+                          env=env(), stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: host order 1048576 exceeds budget cap 36635\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("argv,unbuffered,code,tail", [
     (["gen", "hypercube:12"], "", 2, "error: [Errno 28] No space left on device\n"),
