@@ -3,7 +3,7 @@
     python benchmarks/bench_transform.py
 
 Up to order 4096 (``graph._BALL_MASK_MAX_ORDER``) ``graph_power`` and
-``star_potential`` make every ball at once as a bitmask: by the arc route
+``star_potential_certificate`` make every ball as a bitmask: by the arc route
 (a window sliding along each path or cycle, O(n) big-int operations) when
 no vertex has degree above 2, else by mask rounds (one per unit of reach).
 Above order 4096 they run a BFS per vertex.  The ``route`` column names the
@@ -49,7 +49,6 @@ from topocompat import (  # noqa: E402
     graph,
     graph_power,
     parse_topology_spec,
-    star_potential,
 )
 from topocompat.compat import star_potential_certificate  # noqa: E402
 from topocompat.edgelist import dumps, read_edge_list_path  # noqa: E402
@@ -187,7 +186,7 @@ def main() -> int:
             same = power2 == power and text2 == text
             equal = str(same)
             mismatches += not same
-        peak = peak_mb(graph_power if make_power else star_potential, g, reach)
+        peak = peak_mb(graph_power if make_power else star_potential_certificate, g, reach)
         print(f"{spec + ' reach ' + str(reach):<34} {route(g):<5} "
               f"{power_ms:>9} {write_ms:>9} {star_ms:6.0f} ms {step:>9} {peak:5.1f} MB "
               f"{other:>11} {other_write:>9}  {equal}")

@@ -43,8 +43,6 @@ from .compat import (
     CompatibilityReport,
     compatibility_index,
     compatibility_table,
-    ring_potential,
-    star_potential,
 )
 
 __version__ = "0.1.0"
@@ -66,8 +64,6 @@ __all__ = [
     "verify_embedding",
     "longest_cycle",
     "CompatibilityReport",
-    "star_potential",
-    "ring_potential",
     "compatibility_index",
     "compatibility_table",
     "TopoCompatError",

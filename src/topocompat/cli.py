@@ -117,14 +117,14 @@ def _cmd_potential(args: SimpleNamespace) -> int:
     return 0
 
 
+# ``table --format`` name -> renderer, in the order ``--help`` lists them
+_TABLE_FORMATS = {"text": compat.render_text, "csv": compat.render_csv,
+                  "markdown": compat.render_markdown}
+
+
 def _cmd_table(args: SimpleNamespace) -> int:
     reports = compat.compatibility_table(args.s, args.reach, args.task)
-    if args.format == "csv":
-        sys.stdout.write(compat.render_csv(reports))
-    elif args.format == "markdown":
-        sys.stdout.write(compat.render_markdown(reports))
-    else:
-        sys.stdout.write(compat.render_text(reports))
+    sys.stdout.write(_TABLE_FORMATS[args.format](reports))
     return 0
 
 
@@ -213,7 +213,7 @@ COMMANDS = {
              help="hypercube dimensions, in 1..20"),
         _Arg("--reach", convert=parse_range, required=True, metavar="A..B",
              help="reachabilities, in 1..20"),
-        _Arg("--format", choices=("text", "csv", "markdown"), default="text",
+        _Arg("--format", choices=tuple(_TABLE_FORMATS), default="text",
              help="output format (default text)"),
     )),
     "embed": (_cmd_embed, "embed a task topology into a transformed system", (

@@ -22,7 +22,9 @@ task family, which answers a system that is H_s under some labelling (a
 file, say) as the closed forms do: :func:`ring_potential_certificate` with
 the Gray cycle through that labelling, and the star with the ball of
 vertex 0.  Each family thus has one dispatch on a graph: a recognized H_s,
-else the pass or the search.
+else the pass or the search.  The two certificate functions are also the
+only entries for a graph already built: p is the first item of each answer,
+and no entry throws the certificate away.
 
 A report stores p and n, not its index, which is read off them: exactly,
 as a Fraction made when read, or as printed, rounded half-up to four
@@ -45,9 +47,7 @@ if TYPE_CHECKING:  # imported only where a Fraction is made
 
 __all__ = [
     "CompatibilityReport",
-    "star_potential",
     "star_potential_certificate",
-    "ring_potential",
     "ring_potential_certificate",
     "potential",
     "compatibility_index",
@@ -59,11 +59,6 @@ __all__ = [
 
 CSV_HEADER = "task,system,s_or_n,reach,n,p,c_exact_num,c_exact_den,c_rounded"
 INDEX_PLACES = 4
-
-
-def star_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
-    """Largest star order embeddable in the transformed system graph."""
-    return star_potential_certificate(system, reach, budget)[0]
 
 
 def star_potential_certificate(
@@ -109,11 +104,6 @@ def ring_potential_certificate(
         return n, tuple(map(vertex.__getitem__, gray_code_cycle(n.bit_length() - 1)))
     deadline = budget.deadline()
     return longest_cycle(graph_power(system, reach, deadline), budget, deadline)
-
-
-def ring_potential(system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET) -> int:
-    """Largest ring order embeddable in the transformed system graph."""
-    return ring_potential_certificate(system, reach, budget)[0]
 
 
 def potential(

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
@@ -87,11 +87,12 @@ class SearchBudget(_FrozenRecord):
 
     max_host_order bounds the host size accepted by the generic subgraph
     search, which never takes a host above ``_MASK_MAX_HOST_ORDER`` whatever
-    the cap, since it makes the host's n-bit adjacency masks before it reads
-    any deadline; max_nodes bounds backtracking node expansions; time_limit is
-    finite wall-clock seconds.  Exceeding nodes or time raises BudgetExceeded.
-    Each field must be finite: a nan cap compares False against every order
-    and count, so it would switch its check off.
+    the cap, since the host's n-bit adjacency masks would then take more
+    bytes than a power at the edge cap; max_nodes bounds backtracking node
+    expansions; time_limit is finite wall-clock seconds.  Exceeding nodes or
+    time raises BudgetExceeded.  Each field must be finite: a nan cap
+    compares False against every order and count, so it would switch its
+    check off.
     """
 
     _fields = ("max_host_order", "max_nodes", "time_limit")
@@ -219,21 +220,27 @@ def find_embedding(
     BudgetExceeded when the search could not finish within budget.  The
     search stops at the monotonic ``deadline`` when one is given, else at
     ``budget.deadline()``, as :func:`longest_cycle` does.  It runs only when
-    none of the ABSENCE_CHECKS proves absence first, and places the task's
-    vertices in :func:`_search_order`, each one next to as many placed
-    neighbours as possible (see the module docstring).
+    none of the ABSENCE_CHECKS proves absence first, so a proof that comes
+    after the deadline is still a proof, and places the task's vertices in
+    :func:`_search_order`, each one next to as many placed neighbours as
+    possible (see the module docstring).  A host that holds no masks gets
+    them from :func:`_relabelled_masks` under its own labels, which reads
+    the deadline as it builds them.
     """
     if deadline is None:
         deadline = budget.deadline()
     budget.check_host_order(host.order)
     if any(check(task, host) for check in ABSENCE_CHECKS):
         return None
+    # a power on the mask route holds its masks already
+    host_masks = host._masks or _relabelled_masks(host, range(host.order), deadline,
+                                                  "embedding search")
     kern = _kernels.kernels_for(host.order)
     status, mapping, _ = kern.subgraph_search(
         task.order,
         task.adjacency_masks(),
         host.order,
-        host.adjacency_masks(),
+        host_masks,
         _search_order(task),
         budget.max_nodes,
         deadline,
@@ -257,27 +264,45 @@ def verify_embedding(task: Graph, host: Graph, e: Embedding) -> bool:
     return all(host.has_edge(m[u], m[v]) for u, v in task.edges)
 
 
+def _relabelled_masks(
+    g: Graph, order: Sequence[int], deadline: Optional[float], what: str
+) -> Tuple[int, ...]:
+    """g's adjacency masks relabelled so that vertex order[i] becomes i, the
+    masks both searches hand their kernels.
+
+    Each mask is n bits wide and grows one neighbour at a time, so a row of
+    d entries costs O(n * d), and a dense host's masks O(n^3) in all.  The
+    optional monotonic ``deadline`` is read each time 4096 units of work
+    have built up, a unit being a row or one of its entries, as the kernels
+    read theirs every 4096 nodes, and BudgetExceeded naming the search
+    ``what`` is raised past it.  A host of fewer units reads no deadline
+    here, so a small search still decides before its first check.
+    """
+    label = [0] * g.order
+    for i, u in enumerate(order):
+        label[u] = i
+    nbrs, masks, work = g._neighbors, [], 0
+    for u in order:
+        masks.append(sum(1 << label[w] for w in nbrs[u]))
+        work += 1 + len(nbrs[u])
+        if work >= 4096:
+            work = 0
+            _check_deadline(deadline, what)
+    return tuple(masks)
+
+
 def _anchor_order(g: Graph, deadline: Optional[float] = None) -> Tuple[list, Tuple[int, ...]]:
     """g's vertices in ascending (degree, id) order, and g's adjacency masks
-    relabelled so that vertex order[i] becomes i.
+    relabelled so that vertex order[i] becomes i (:func:`_relabelled_masks`,
+    which reads the optional ``deadline``).
 
     The cycle kernels anchor each cycle at its smallest vertex, so under
     these labels low-degree vertices are anchors first (the module docstring
     says why).  On a regular graph the order is the identity and the masks
-    equal g's own.  Each mask is n bits wide, so the optional monotonic
-    ``deadline`` is checked after every 4096 vertices, as the kernels check
-    theirs after every 4096 nodes, and BudgetExceeded is raised past it.
+    equal g's own.
     """
     order = sorted(range(g.order), key=g.degree)  # stable: ties by id
-    label = [0] * g.order
-    for i, u in enumerate(order):
-        label[u] = i
-    masks = []
-    for i, u in enumerate(order):
-        if i and not i & 4095:
-            _check_deadline(deadline, "longest-cycle search")
-        masks.append(sum(1 << label[w] for w in g.neighbors(u)))
-    return order, tuple(masks)
+    return order, _relabelled_masks(g, order, deadline, "longest-cycle search")
 
 
 def longest_cycle(

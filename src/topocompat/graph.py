@@ -14,7 +14,8 @@ edges read whichever view is there.
 
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
-Its closed balls come by one of three routes:
+Its closed balls come in vertex order from :func:`_balls`, the one place
+that chooses among three routes:
 
 - arcs (order <= 4096, maximum degree <= 2): every component is a path or a
   cycle, and each ball is a window of a walk along it, clipped on a path and
@@ -23,8 +24,9 @@ Its closed balls come by one of three routes:
 - mask rounds (order <= 4096, some degree >= 3): all balls grow at once as
   bitmasks, one round per unit of reach (:func:`_round_balls`), O(reach * m)
   big-int operations, with an early stop once a round changes nothing;
-  round 1 comes straight from the rows, and the star pass keeps only each
-  last-round ball's popcount, so it holds one round of masks, not two;
+  round 1 comes straight from the rows, and the last round is made as it
+  is read, so the star pass, which maps each ball to its popcount as it
+  comes, holds one round of masks, not two;
 - BFS (order > 4096): one cutoff BFS per vertex, O(n * ball) steps, because
   all masks at once would take n^2/8 bytes (512 MB at order 65536), which
   loses to the BFS on sparse graphs.
@@ -34,9 +36,9 @@ mask as it is: writing the power (``edgelist.write_edge_list``) makes no
 tuple, and the search kernels get the masks with no re-encode.  On the BFS
 route each ball minus its vertex becomes its neighbor tuple
 (:func:`_ball_row`, one per ball from :func:`_bfs_balls`).  A power with
-more edges than H_20 is refused: up to order 4096 by popcount, on the BFS
-route first by a lower bound from the component orders and neighbour
-degrees, then as its rows are counted.
+more edges than H_20 is refused as its rows are counted (by popcount on a
+mask), and from order 4580 on, where even the complete graph is over that cap,
+first by a lower bound from the component orders and neighbour degrees.
 
 :func:`largest_ball` (the star potential) brackets first: no ball is larger
 than the Moore bound of the maximum degree, nor than the largest component.
@@ -57,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
 
@@ -245,40 +247,36 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     transform has no use downstream and would leak degenerate cases into the
     embedding engine.
 
-    Up to order 4096 every ball is a bitmask (:func:`_ball_masks`): a
-    window sliding along each path or cycle when no vertex has degree above
-    2 (the arc route, O(n) big-int operations), else grown in one mask round
-    per unit of reach.  Each ball with its centre bit cleared is the power's
-    adjacency mask for that vertex: the result holds those masks and makes
-    no neighbor tuple until one is read.  Above order 4096 each row comes
-    from one BFS per vertex, because all the masks would take n^2/8 bytes.
-    The result is the same on every route.  A power with more than
-    ``_POWER_MAX_EDGES`` edges raises InvalidParameter: up to order 4096 it
-    is counted by popcount before any mask is handed on; the BFS route first
-    checks :func:`_power_entries_floor`, before any BFS, then counts as each
-    row is made.  The optional monotonic ``deadline`` is checked once on the
-    arc route and once per mask round or BFS on the others, and
+    Each vertex's row is its closed ball from :func:`_balls` minus the
+    vertex itself, made as the ball is read.  A mask ball (order <= 4096)
+    with its centre bit cleared is the power's adjacency mask for that
+    vertex: the result holds those masks and makes no neighbor tuple until
+    one is read.  A BFS ball (above order 4096, where all the masks would
+    take n^2/8 bytes) becomes its neighbor tuple.  The result is the same on
+    every route.  A power with more than ``_POWER_MAX_EDGES`` edges raises
+    InvalidParameter as its rows are counted, before any is handed on; when
+    even the complete graph on g's vertices is over the cap,
+    :func:`_power_entries_floor` is checked first, before any ball is made.
+    The optional monotonic ``deadline`` is read as :func:`_balls` says, and
     BudgetExceeded is raised past it.
     """
     _check_reach(reach)
     if reach == 1:
         return g
-    if g.order <= _BALL_MASK_MAX_ORDER:
-        balls = _ball_masks(g, reach, deadline, "reachability transform")
-        # below the cap at the default orders (K_4096 has 8,386,560 edges),
-        # but it keeps the cap true whichever constant moves
-        _check_power_entries(sum(b.bit_count() for b in balls) - g.order, reach)
-        for v in range(g.order):  # in place, so old and new masks are not all alive at once
-            balls[v] ^= 1 << v
-        return Graph._from_masks(tuple(balls))
-    _check_power_entries(_power_entries_floor(g, reach), reach)
+    if g.order * (g.order - 1) > 2 * _POWER_MAX_EDGES:  # else no power can pass the cap
+        _check_power_entries(_power_entries_floor(g, reach), reach)
     rows, entries = [], 0
-    for v, ball in enumerate(_bfs_balls(g, reach, deadline, "reachability transform")):
-        row = _ball_row(ball, v)
-        entries += len(row)
+    for v, ball in enumerate(_balls(g, reach, deadline, "reachability transform")):
+        if type(ball) is dict:
+            row = _ball_row(ball, v)
+            entries += len(row)
+        else:  # a mask: the row is the ball without bit v
+            row = ball ^ 1 << v
+            entries += row.bit_count()
         _check_power_entries(entries, reach)
         rows.append(row)
-    return Graph._from_neighbors(tuple(rows))
+    rows = tuple(rows)
+    return Graph._from_neighbors(rows) if type(row) is tuple else Graph._from_masks(rows)
 
 
 def _check_reach(reach: int) -> None:
@@ -353,29 +351,31 @@ def _check_deadline(deadline: Optional[float], what: str) -> None:
         raise BudgetExceeded(f"{what} ran out of time budget")
 
 
-def _ball_masks(
-    g: Graph, reach: int, deadline: Optional[float], what: str, keep: Optional[Callable] = None
-) -> list:
-    """Every vertex's closed reach-ball as a bitmask (bit u set iff dist <= reach),
-    or ``keep(ball)`` of each, applied as the ball is made, when ``keep`` is given.
+def _balls(g: Graph, reach: int, deadline: Optional[float], what: str) -> Iterator:
+    """Every vertex's closed reach-ball in vertex order, each made or handed
+    on as it is read: the one place that chooses a ball route.
 
-    When no vertex has degree above 2 the balls are arcs (:func:`_arc_balls`:
-    one walk and O(n) big-int operations, the deadline checked once);
-    otherwise they grow in mask rounds (:func:`_round_balls`: one round per
-    unit of reach, O(reach * m) operations, the deadline checked each
-    round).  Past the optional monotonic ``deadline`` either raises
-    BudgetExceeded naming the pass ``what``.
+    Above order 4096 each ball is a cutoff BFS dict (:func:`_bfs_balls`,
+    the deadline read before each BFS).  Up to it each is a bitmask, bit u
+    set iff dist <= reach: when no vertex has degree above 2 the balls are
+    arcs (:func:`_arc_balls`: one walk and O(n) big-int operations, the
+    deadline read once), otherwise they grow in mask rounds
+    (:func:`_round_balls`: one round per unit of reach, O(reach * m)
+    operations, the deadline read before each round).  Past the optional
+    monotonic ``deadline`` any route raises BudgetExceeded naming the pass
+    ``what``.
     """
+    if g.order > _BALL_MASK_MAX_ORDER:
+        return _bfs_balls(g, reach, deadline, what)
+    _check_deadline(deadline, what)
     if g.max_degree() <= 2:
-        _check_deadline(deadline, what)
-        return _arc_balls(g._neighbors, reach, keep)
-    return _round_balls(g._neighbors, reach, deadline, what, keep)
+        return _arc_balls(g._neighbors, reach)
+    return _round_balls(g._neighbors, reach, deadline, what)
 
 
-def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int, keep: Optional[Callable] = None
-               ) -> list:
-    """The closed reach-balls of a graph of maximum degree <= 2 (or ``keep``
-    of each), from a window that slides along one walk of each component.
+def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int) -> Iterator[int]:
+    """The closed reach-balls of a graph of maximum degree <= 2, in vertex
+    order, from a window that slides along one walk of each component.
 
     Every component is then a path or a cycle.  A path is walked from one
     end (an isolated vertex is a path of one), then each vertex left over
@@ -392,7 +392,10 @@ def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int, keep: Optional[Calla
     gives 2 * reach + 1 < L, so the window's positions are distinct mod L:
     the cleared one is in the window and the set one is not, and one XOR of
     both bits does the move.  That is O(n) big-int operations at any reach,
-    and only the current window is held beside the balls.
+    and only the current window is held beside the balls.  The walks visit
+    the vertices out of order, so every ball is made before the first is
+    handed on, and each is dropped as it is: a reader that turns each ball
+    into something of its own holds one set of masks, not two.
     """
     n = len(nbrs)
     seen = bytearray(n)
@@ -415,26 +418,27 @@ def _arc_balls(nbrs: Sequence[Tuple[int, ...]], reach: int, keep: Optional[Calla
         if reach >= (size // 2 if cycle else size - 1):
             whole = sum(map((1).__lshift__, run))
             for v in run:
-                balls[v] = whole if keep is None else keep(whole)
+                balls[v] = whole
             continue
         # the window of position 0: 0..reach, and L - reach..L - 1 on a cycle
         window = sum(map((1).__lshift__, run[:reach + 1] + (run[size - reach:] if cycle else [])))
         for i, v in enumerate(run):
-            balls[v] = window if keep is None else keep(window)
+            balls[v] = window
             lo, hi = i - reach, i + reach + 1
             if cycle:  # run[j] with -L <= j < L is position j mod L
                 window ^= (1 << run[lo]) | (1 << run[hi - size])
             else:
                 window ^= (1 << run[lo] if lo >= 0 else 0) | (1 << run[hi] if hi < size else 0)
-    return balls
+    for v in range(n):
+        yield balls[v]
+        balls[v] = 0
 
 
 def _round_balls(
-    nbrs: Sequence[Tuple[int, ...]], reach: int, deadline: Optional[float], what: str,
-    keep: Optional[Callable] = None,
-) -> list:
-    """Every vertex's closed reach-ball as a bitmask (or ``keep`` of each),
-    one round per unit of reach.
+    nbrs: Sequence[Tuple[int, ...]], reach: int, deadline: Optional[float], what: str
+) -> Iterable[int]:
+    """Every vertex's closed reach-ball as a bitmask, one round per unit of
+    reach, in vertex order.
 
     Round 1 sets ball_1(v) = {v} | N(v), straight from the rows.  Round
     d >= 2 sets ball_d(v) to the OR of ball_{d-1}(u) over u ~ v, without
@@ -442,25 +446,25 @@ def _round_balls(
     each ball_{d-1}(u), as d - 1 >= 1; any other w in ball_{d-1}(v) has a
     shortest path from v whose second vertex u ~ v is at distance <= d - 2
     from w.  Isolated vertices keep their ball {v}.  Each round is made
-    lazily and listed only when the next round reads it, so at most two
-    rounds of masks are alive at once, and the last round goes through
-    ``keep`` as each ball is made, beside one listed round.  A round that
-    changes nothing leaves every ball a whole component, so later rounds
-    are skipped.  Each round first checks the optional monotonic
-    ``deadline`` and raises BudgetExceeded, naming the pass ``what``, past it.
+    lazily and listed only when the next round reads it, and the last one
+    is returned unlisted, each ball made as it is read: a reader that keeps
+    only each ball's size holds one listed round of masks, and one that
+    keeps rows at most two.  A round that changes nothing leaves every ball
+    a whole component, so later rounds are skipped and that round is
+    returned as listed.  Each round from round 2 on first checks the
+    optional monotonic ``deadline`` (:func:`_balls` checks it before round
+    1) and raises BudgetExceeded, naming the pass ``what``, past it.
     """
-    _check_deadline(deadline, what)
     balls = (reduce(or_, map((1).__lshift__, nb), 1 << v) for v, nb in enumerate(nbrs))  # round 1
     prev = None
     for _ in range(reach - 1):  # rounds 2..reach, each read off the listed round before it
         balls = list(balls)
         if balls == prev:
-            del prev
-            return balls if keep is None else list(map(keep, balls))
+            return balls
         _check_deadline(deadline, what)
         prev, get = balls, balls.__getitem__
         balls = (reduce(or_, map(get, nb)) if nb else ball for ball, nb in zip(prev, nbrs))
-    return list(balls if keep is None else map(keep, balls))
+    return balls
 
 
 def _rows_of(masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
@@ -526,12 +530,12 @@ def largest_ball(
     These are the first vertex of maximum degree in the reach-th power and
     its neighbours there.  :func:`_ball_by_bound` decides it when a probe BFS
     meets a bound on every ball, or g is a hypercube.
-    Otherwise the ball sizes come from the same route as :func:`graph_power`
-    (a popcount over the arc or round ball masks up to order 4096,
-    :func:`_bfs_balls` above), then one more BFS lists the ball.  That pass
-    checks the optional monotonic ``deadline`` as the transform does, and
-    raises BudgetExceeded past it.  A reach below 1 raises
-    InvalidReachability.
+    Otherwise the ball sizes come from the same stream as :func:`graph_power`
+    (:func:`_balls`: a popcount of each arc or round ball mask up to order
+    4096, the length of each BFS dict above), then one more BFS lists the
+    ball.  That pass checks the optional monotonic ``deadline`` as the
+    transform does, and raises BudgetExceeded past it.  A reach below 1
+    raises InvalidReachability.
     """
     _check_reach(reach)
     return _ball_by_bound(g, reach) or _largest_ball_pass(g, reach, deadline)
@@ -638,10 +642,9 @@ def _moore_bound(degree: int, reach: int, cap: int) -> int:
 def _largest_ball_pass(
     g: Graph, reach: int, deadline: Optional[float] = None
 ) -> Tuple[int, Tuple[int, ...]]:
-    """:func:`largest_ball` from every ball's size, with no bound."""
-    if g.order <= _BALL_MASK_MAX_ORDER:
-        sizes = _ball_masks(g, reach, deadline, "largest-ball pass", int.bit_count)
-    else:
-        sizes = list(map(len, _bfs_balls(g, reach, deadline, "largest-ball pass")))
+    """:func:`largest_ball` from every ball's size, with no bound: each
+    ball from :func:`_balls` is sized as it is read and dropped."""
+    sizes = [len(ball) if type(ball) is dict else ball.bit_count()
+             for ball in _balls(g, reach, deadline, "largest-ball pass")]
     center = sizes.index(max(sizes))
     return center, _ball_row(_bfs_levels(g, center, reach), center)

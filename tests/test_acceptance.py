@@ -20,13 +20,11 @@ from topocompat import (
     gray_code_cycle,
     hypercube,
     ring,
-    ring_potential,
     star,
-    star_potential,
     verify_embedding,
 )
 from topocompat.cli import run
-from topocompat.compat import potential
+from topocompat.compat import potential, ring_potential_certificate, star_potential_certificate
 from topocompat.edgelist import read_edge_list_path
 from topocompat.topologies import TopologySpec, parse_topology_spec
 from oracles import brute_force_embeds, diameter, generated_topologies, random_graph
@@ -100,7 +98,7 @@ def test_criterion_3_ring_compatibility():
         assert sorted(seq) == list(range(n))
         for i, v in enumerate(seq):
             assert bin(v ^ seq[(i + 1) % n]).count("1") == 1
-        assert ring_potential(hypercube(s), 1) == n
+        assert ring_potential_certificate(hypercube(s), 1)[0] == n
         assert compatibility_index(n, n) == 1
 
 
@@ -132,7 +130,7 @@ def test_criterion_5_power_transform_properties():
             if reach >= top:
                 assert power == complete(g.order), label
             if reach in (1, 2, 3, top):
-                assert star_potential(g, reach) == 1 + power.max_degree(), label
+                assert star_potential_certificate(g, reach)[0] == 1 + power.max_degree(), label
 
 
 @criterion(6, "potentials nondecreasing in reach; star index strictly decreasing in s")
@@ -142,12 +140,12 @@ def test_criterion_6_monotonicity_and_decay():
     star_systems += [star(p) for p in (2, 5, 8)]
     star_systems += [complete(n) for n in (1, 4, 6)]
     for g in star_systems:
-        values = [star_potential(g, reach) for reach in (1, 2, 3, 4)]
+        values = [star_potential_certificate(g, reach)[0] for reach in (1, 2, 3, 4)]
         assert values == sorted(values)
     ring_systems = [hypercube(s) for s in (2, 3, 4)]
     ring_systems += [ring(p) for p in (5, 8, 9)] + [star(5), complete(5)]
     for g in ring_systems:
-        values = [ring_potential(g, reach) for reach in (1, 2, 3)]
+        values = [ring_potential_certificate(g, reach)[0] for reach in (1, 2, 3)]
         assert values == sorted(values)
     for reach in (1, 2, 3):
         reports = compatibility_table(range(2, 9), [reach], "star")

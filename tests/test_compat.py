@@ -18,9 +18,7 @@ from topocompat import (
     graph_power,
     hypercube,
     ring,
-    ring_potential,
     star,
-    star_potential,
 )
 from topocompat.compat import (
     CompatibilityReport,
@@ -144,46 +142,47 @@ class TestPotentialCell:
             for reach in range(1, s + 2):
                 star_report, (center, leaves) = potential(
                     TopologySpec("hypercube", s), "star", reach, witness=True)
-                assert star_report.potential_p == star_potential(g, reach) == 1 + len(leaves)
+                p = star_potential_certificate(g, reach)[0]
+                assert star_report.potential_p == p == 1 + len(leaves)
                 assert (center, leaves) == star_potential_certificate(g, reach)[1]
                 ring_report, cycle = potential(TopologySpec("hypercube", s), "ring", reach,
                                                witness=True)
-                assert ring_report.potential_p == ring_potential(g, reach)
+                assert ring_report.potential_p == ring_potential_certificate(g, reach)[0]
                 assert ring_report.order_n == star_report.order_n == 2**s
                 assert cycle == (gray_code_cycle(s) if s >= 2 else None)
 
 
 class TestStarPotential:
     def test_hypercube_four_reach_one(self):
-        assert star_potential(hypercube(4), 1) == 5
+        assert star_potential_certificate(hypercube(4), 1)[0] == 5
 
     def test_hypercube_six_reach_three(self):
-        assert star_potential(hypercube(6), 3) == 42
+        assert star_potential_certificate(hypercube(6), 3)[0] == 42
 
     def test_ring_nine_reach_two(self):
-        assert star_potential(ring(9), 2) == 5
+        assert star_potential_certificate(ring(9), 2)[0] == 5
 
     @pytest.mark.parametrize("s", range(1, 6))
     @pytest.mark.parametrize("reach", (1, 2, 3))
     def test_generic_equals_closed_form_on_hypercubes(self, s, reach):
-        assert star_potential(hypercube(s), reach) == hypercube_star(s, reach)
+        assert star_potential_certificate(hypercube(s), reach)[0] == hypercube_star(s, reach)
 
     def test_reach_zero_rejected(self):
         with pytest.raises(InvalidReachability):
-            star_potential(ring(5), 0)
+            star_potential_certificate(ring(5), 0)[0]
 
     def test_disconnected_takes_best_component(self):
         from topocompat import from_edge_list
 
         g = from_edge_list(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 4)])
-        assert star_potential(g, 1) == 4
+        assert star_potential_certificate(g, 1)[0] == 4
 
     @pytest.mark.parametrize("system", [hypercube(4), ring(9), star(6), complete(5), ring(3)])
     @pytest.mark.parametrize("reach", (1, 2, 3))
     def test_certificate_is_a_maximum_star(self, system, reach):
         p, (center, leaves) = star_potential_certificate(system, reach)
         power = graph_power(system, reach)
-        assert p == star_potential(system, reach) == 1 + len(leaves)
+        assert p == star_potential_certificate(system, reach)[0] == 1 + len(leaves)
         assert leaves == power.neighbors(center)
         assert center == min(v for v in range(power.order) if power.degree(v) == p - 1)
 
@@ -195,9 +194,9 @@ class TestStarPotentialBudget:
     def test_pass_raises_past_the_deadline_on_both_paths(self, mask_order, monkeypatch):
         monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", mask_order)
         g = chord_ring(64)
-        assert star_potential(g, 2) == 8
+        assert star_potential_certificate(g, 2)[0] == 8
         with pytest.raises(BudgetExceeded, match="^largest-ball pass ran out of time budget$"):
-            star_potential(g, 2, self.TINY)
+            star_potential_certificate(g, 2, self.TINY)[0]
         with pytest.raises(BudgetExceeded):
             star_potential_certificate(g, 2, self.TINY)
 
@@ -210,7 +209,7 @@ class TestStarPotentialBudget:
             potential(TopologySpec("file", str(path)), "star", 2, self.TINY)
 
     def test_bound_decided_needs_no_time(self):
-        assert star_potential(ring(64), 2, self.TINY) == 5
+        assert star_potential_certificate(ring(64), 2, self.TINY)[0] == 5
         assert star_potential_certificate(ring(64), 2, self.TINY) == (5, (0, (1, 2, 62, 63)))
 
 
@@ -221,7 +220,7 @@ class TestRingPotentialBudget:
     def test_transform_raises_past_the_deadline_on_both_paths(self, mask_order, monkeypatch):
         monkeypatch.setattr(graph, "_BALL_MASK_MAX_ORDER", mask_order)
         g = chord_ring(64)
-        assert ring_potential(g, 2) == 64
+        assert ring_potential_certificate(g, 2)[0] == 64
         with pytest.raises(BudgetExceeded, match="^reachability transform ran out of time budget$"):
             ring_potential_certificate(g, 2, self.TINY)
 
@@ -274,14 +273,14 @@ class TestRingPotentialBudget:
 
 class TestRingPotential:
     def test_hypercube_three_reach_one(self):
-        assert ring_potential(hypercube(3), 1) == 8
+        assert ring_potential_certificate(hypercube(3), 1)[0] == 8
 
     def test_hypercube_eight_is_fully_usable(self):
-        assert ring_potential(hypercube(8), 1) == 256
+        assert ring_potential_certificate(hypercube(8), 1)[0] == 256
         assert compatibility_index(256, 256) == 1
 
     def test_acyclic_host_reports_zero(self):
-        assert ring_potential(star(6), 1) == 0
+        assert ring_potential_certificate(star(6), 1)[0] == 0
 
     @pytest.mark.parametrize("system", [star(2), complete(2), complete(1), hypercube(1)])
     def test_small_system_has_ring_potential_zero(self, system):
@@ -293,11 +292,11 @@ class TestRingPotential:
 
     def test_reach_zero_rejected(self):
         with pytest.raises(InvalidReachability, match="^reachability must be >= 1, got 0$"):
-            ring_potential(ring(5), 0)
+            ring_potential_certificate(ring(5), 0)[0]
 
     def test_ring_system_with_reach_two(self):
         # C_9 squared is 4-regular and Hamiltonian
-        assert ring_potential(ring(9), 2) == 9
+        assert ring_potential_certificate(ring(9), 2)[0] == 9
 
     def test_relabelled_hypercube_matches_the_closed_form(self):
         # the same hypercube, relabelled: it is recognized, not searched
@@ -306,7 +305,7 @@ class TestRingPotential:
         from topocompat import from_edge_list
 
         g = from_edge_list(8, [(relabel[u], relabel[v]) for u, v in h.edges])
-        assert ring_potential(g, 1) == 8
+        assert ring_potential_certificate(g, 1)[0] == 8
 
     @pytest.mark.parametrize("s", range(2, 9))
     def test_recognized_hypercube_gets_its_gray_cycle(self, s, monkeypatch):
@@ -474,12 +473,12 @@ class TestMonotonicityAndDecay:
     def test_star_potential_nondecreasing_in_reach(self):
         systems = [hypercube(3), hypercube(4), ring(7), ring(12), star(6), complete(5)]
         for g in systems:
-            values = [star_potential(g, reach) for reach in range(1, 5)]
+            values = [star_potential_certificate(g, reach)[0] for reach in range(1, 5)]
             assert values == sorted(values)
 
     def test_ring_potential_nondecreasing_in_reach(self):
         for g in [ring(7), ring(10), complete(5), star(5)]:
-            values = [ring_potential(g, reach) for reach in range(1, 4)]
+            values = [ring_potential_certificate(g, reach)[0] for reach in range(1, 4)]
             assert values == sorted(values)
 
     def test_index_strictly_decreasing_in_dimension(self):

@@ -241,12 +241,20 @@ def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, cap
                 assert potential_p(out) == oracle_potential(g, args.task, args.reach), argv
 
 
-@pytest.mark.parametrize("system,reach", [("hypercube:20", "1"), ("ring:1048576", "3")])
+@pytest.mark.parametrize("system,reach", [("hypercube:20", "1"), ("ring:1048576", "3"),
+                                          ("complete:4579", "1")])
 def test_a_host_too_large_for_its_masks_ends_in_time_with_a_raised_cap(system, reach, capsys):
-    # lines the seeds draw only now and then: each is refused before any n-bit mask
+    # lines the seeds draw only now and then: the first two are refused before any
+    # n-bit mask; K_4579's dense masks are built against the deadline, and run out
     assert run_in_contract(["embed", "--task", "star:5", "--system", system, "--reach", reach,
                             "--max-host-order", "1000000000000", "--time-limit", "0.05"],
                            capsys) == (1, "")
+
+
+def test_a_dense_ring_potential_reads_its_deadline_while_relabelling(capsys):
+    # K_4579's relabelled masks cost O(n) per entry, about 2.5 s in all without the deadline
+    assert run_in_contract(["potential", "--task", "ring", "--system", "complete:4579",
+                            "--reach", "1", "--time-limit", "0.05"], capsys) == (1, "")
 
 
 @pytest.mark.parametrize("task", ["star", "ring"])

@@ -17,9 +17,9 @@ from topocompat import (
     hypercube,
     ring,
     star,
-    star_potential,
 )
 from topocompat import graph
+from topocompat.compat import star_potential_certificate
 from topocompat.edgelist import dumps
 from topocompat.graph import component_color_classes, hypercube_labels, largest_ball
 from oracles import (
@@ -252,7 +252,7 @@ class TestGraphPowerAgainstReference:
         for reach in range(1, g.order + 1):
             expected = 1 + graph_power(g, reach).max_degree()
             assert 1 + len(largest_ball(g, reach)[1]) == expected
-            assert star_potential(g, reach) == expected
+            assert star_potential_certificate(g, reach)[0] == expected
 
     @pytest.mark.parametrize("g", POWER_SAMPLES)
     def test_largest_ball_is_the_first_max_degree_row(self, g):
@@ -310,7 +310,7 @@ class TestBallMasks:
     ])
     def test_balls_match_bfs(self, g):
         for reach in range(1, 5):
-            balls = graph._ball_masks(g, reach, None, "test")
+            balls = list(graph._balls(g, reach, None, "test"))
             expected = [sum(1 << u for u in graph._bfs_levels(g, v, cutoff=reach))
                         for v in range(g.order)]
             assert balls == expected, reach
@@ -320,19 +320,19 @@ class TestPowerPathSelection:
     @pytest.mark.parametrize("order,masks", [(4096, True), (4097, False)])
     def test_cap_selects_the_path(self, order, masks, monkeypatch):
         calls = []
-        ball_masks = graph._ball_masks
+        bfs_balls = graph._bfs_balls
 
         def counting(g, reach, *deadline):
             calls.append(g.order)
-            return ball_masks(g, reach, *deadline)
+            return bfs_balls(g, reach, *deadline)
 
-        monkeypatch.setattr(graph, "_ball_masks", counting)
+        monkeypatch.setattr(graph, "_bfs_balls", counting)
         g = chord_ring(order)  # the bound does not decide it, so the pass runs
         power = graph_power(g, 2)
         half = order // 2
         assert power.neighbors(0) == (1, 2, half - 1, half, half + 1, order - 2, order - 1)
-        assert star_potential(g, 2) == 8
-        assert calls == ([order, order] if masks else [])
+        assert star_potential_certificate(g, 2)[0] == 8
+        assert calls == ([] if masks else [order, order])
 
 
 def _bracket_samples():
@@ -786,7 +786,7 @@ class TestBallSize:
     def test_hypercube_five_radius_two(self):
         g = hypercube(5)
         assert all(_ball_order(g, v, 2) == 16 for v in range(g.order))
-        assert star_potential(g, 2) == 16
+        assert star_potential_certificate(g, 2)[0] == 16
 
     def test_radius_zero(self):
         assert _ball_order(ring(6), 3, 0) == 1
@@ -795,7 +795,7 @@ class TestBallSize:
 
     def test_long_ring(self):
         assert _ball_order(ring(8), 5, 2) == 5
-        assert star_potential(ring(8), 2) == 5
+        assert star_potential_certificate(ring(8), 2)[0] == 5
 
     @pytest.mark.parametrize("label,g", generated_topologies(32))
     def test_ball_is_one_plus_power_degree(self, label, g):

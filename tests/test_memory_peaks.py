@@ -2,7 +2,8 @@
 
 The ball-mask routes hold nothing beside their result that their next step
 does not read: the arc route keeps one sliding window, not a prefix mask per
-walk position, and the star pass maps each last-round ball to its popcount
+walk position, and hands each ball on and drops it, so the transform holds
+one set of masks; the star pass maps each last-round ball to its popcount
 as it is made, with no list of singleton masks before round 1.  The bounds
 are ratios to the masks returned, so they hold whatever an int costs on the
 interpreter at hand.  The reader hands its rows one shared int per vertex id,
@@ -41,6 +42,11 @@ def rows_and_ints(g):
     return nbytes(g._neighbors) + sum(map(sys.getsizeof, range(g.order)))
 
 
+def balls_of(g, reach):
+    """Every closed reach-ball of g, listed from the stream the transform reads."""
+    return list(graph._balls(g, reach, None, "test"))
+
+
 def peak_bytes(fn, *args):
     """(fn(*args), the most it allocated at once beyond what was live before).
 
@@ -59,13 +65,21 @@ def peak_bytes(fn, *args):
 def test_arc_route_holds_one_window_beside_the_balls():
     g = relabelled(ring(4096))
     g._neighbors  # decoded before measuring
-    balls, peak = peak_bytes(graph._ball_masks, g, 64, None, "test")
+    balls, peak = peak_bytes(balls_of, g, 64)
     assert peak <= PEAK_RATIO * nbytes(balls)
+
+
+def test_arc_power_holds_one_set_of_masks():
+    # the arcs hand each ball on and drop it, so the rows replace the balls
+    g = relabelled(ring(4096))
+    g._neighbors
+    power, peak = peak_bytes(graph.graph_power, g, 64)
+    assert peak <= PEAK_RATIO * nbytes(power._masks)
 
 
 def test_star_pass_holds_one_round_of_masks():
     g = relabelled(hypercube(12))
-    one_round = nbytes(graph._ball_masks(g, 2, None, "test"))
+    one_round = nbytes(balls_of(g, 2))
     found, peak = peak_bytes(graph._largest_ball_pass, g, 2)
     assert len(found[1]) == 12 + 66
     assert peak <= PEAK_RATIO * one_round

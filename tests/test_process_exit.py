@@ -124,6 +124,17 @@ def test_a_raised_host_cap_refuses_a_host_whose_masks_do_not_fit(system, reach):
     assert proc.stderr == "error: host order 1048576 exceeds budget cap 36635\n"
 
 
+def test_a_raised_host_cap_lets_a_dense_host_run_out_while_its_masks_are_built():
+    # K_4579's masks fit the cap, and the search builds them against its deadline
+    proc = subprocess.run(CLI + ["embed", "--task", "star:5", "--system", "complete:4579",
+                                 "--reach", "1", "--max-host-order", "1000000000000",
+                                 "--time-limit", "0.05"],
+                          env=env(), stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=20, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: embedding search ran out of time budget\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("argv,unbuffered,code,tail", [
     (["gen", "hypercube:12"], "", 2, "error: [Errno 28] No space left on device\n"),

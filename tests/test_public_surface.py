@@ -37,7 +37,8 @@ MODULES = [
 REMOVED = {
     "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
     "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up",
-                           "hypercube_star_potential", "make_report"),
+                           "hypercube_star_potential", "make_report", "star_potential",
+                           "ring_potential"),
     "topocompat.graph": ("ball_size", "diameter", "is_bipartite"),
     "topocompat.topologies": ("canonical_hypercube_dim",),
     "topocompat._kernels": ("have_compiled",),
