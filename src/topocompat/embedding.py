@@ -54,7 +54,8 @@ from typing import Optional, Sequence, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
-from .graph import _POWER_MAX_EDGES, Graph, _check_deadline, component_color_classes
+from .graph import (_POWER_MAX_EDGES, Graph, _check_deadline, _colored_components,
+                    component_color_classes)
 
 __all__ = [
     "Embedding",
@@ -173,8 +174,12 @@ def _degrees_exclude(task: Graph, host: Graph) -> bool:
     return len(task_deg) > len(host_deg) or any(t > h for t, h in zip(task_deg, host_deg))
 
 
-def _components_exclude(task: Graph, host: Graph) -> bool:
+def _components_exclude(task: Graph, host: Graph, deadline: Optional[float] = None) -> bool:
     """Some task component fits in no host component.
+
+    The host's component sweep reads the optional monotonic ``deadline``
+    every 4096 units of work (:func:`graph._colored_components`) and raises
+    BudgetExceeded past it; the task's, which is no larger, reads none.
 
     A host component holds a task component only if it has at least as many
     vertices and, when the host component is bipartite, the task component
@@ -190,7 +195,7 @@ def _components_exclude(task: Graph, host: Graph) -> bool:
     classes: {a, b} <= {A, B} in some order, which for sorted pairs is
     a <= A and b <= B.
     """
-    host_comps = set(component_color_classes(host))
+    host_comps = set(_colored_components(host, deadline, "embedding search")[1])
     return any(
         not any(_component_holds(h, t) for h in host_comps)
         for t in set(component_color_classes(task))
@@ -206,7 +211,8 @@ def _component_holds(host_comp, task_comp) -> bool:
 
 
 # O(n + m) necessary conditions (degree dominance sorts, O(n log n)), cheapest
-# first; any that returns True proves the task does not embed in the host
+# first, as find_embedding runs them; any that returns True proves the task
+# does not embed in the host
 ABSENCE_CHECKS = (_degrees_exclude, _components_exclude)
 
 
@@ -220,17 +226,19 @@ def find_embedding(
     BudgetExceeded when the search could not finish within budget.  The
     search stops at the monotonic ``deadline`` when one is given, else at
     ``budget.deadline()``, as :func:`longest_cycle` does.  It runs only when
-    none of the ABSENCE_CHECKS proves absence first, so a proof that comes
-    after the deadline is still a proof, and places the task's vertices in
-    :func:`_search_order`, each one next to as many placed neighbours as
-    possible (see the module docstring).  A host that holds no masks gets
-    them from :func:`_relabelled_masks` under its own labels, which reads
-    the deadline as it builds them.
+    none of the ABSENCE_CHECKS proves absence first.  The degree check reads
+    no deadline, so its proof is a proof even when it comes after the
+    deadline; the host's component sweep reads it every 4096 units of work
+    and raises BudgetExceeded past it.  The search places the task's
+    vertices in :func:`_search_order`, each one next to as many placed
+    neighbours as possible (see the module docstring).  A host that holds
+    no masks gets them from :func:`_relabelled_masks` under its own labels,
+    which reads the deadline as it builds them.
     """
     if deadline is None:
         deadline = budget.deadline()
     budget.check_host_order(host.order)
-    if any(check(task, host) for check in ABSENCE_CHECKS):
+    if _degrees_exclude(task, host) or _components_exclude(task, host, deadline):
         return None
     # a power on the mask route holds its masks already
     host_masks = host._masks or _relabelled_masks(host, range(host.order), deadline,

@@ -58,7 +58,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
-from operator import or_
+from itertools import islice
+from operator import lt, or_
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
@@ -81,6 +82,15 @@ _BALL_MASK_MAX_ORDER = 4096
 _POWER_MAX_EDGES = 20 << 19
 
 
+def _refuse_edge(u: int, v: int, n: int) -> None:
+    """Raise the error ``Graph`` gives the edge (u, v) on n vertices, one it refuses."""
+    if not (0 <= u < n):
+        raise InvalidVertex(f"vertex {u} out of range 0..{n - 1}")
+    if not (0 <= v < n):
+        raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
+    raise InvalidEdge(f"self-loop at vertex {u}")
+
+
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
@@ -97,16 +107,14 @@ class Graph:
         adj = [[] for _ in range(n)]
         ids = list(range(n))  # each row entry is the one shared int of its vertex id
         for u, v in edges:
-            if not (0 <= u < n):
-                raise InvalidVertex(f"vertex {u} out of range 0..{n - 1}")
-            if not (0 <= v < n):
-                raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
-            if u == v:
-                raise InvalidEdge(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n and u != v):
+                _refuse_edge(u, v, n)
             adj[u].append(ids[v])
             adj[v].append(ids[u])
-        for v in range(n):  # in place, so no list outlives its tuple
-            adj[v] = tuple(sorted(set(adj[v])))
+        for v, row in enumerate(adj):  # in place, so no list outlives its tuple
+            # a row that came strictly ascending (a written file's) needs no set or sort
+            ascending = all(map(lt, row, islice(row, 1, None)))
+            adj[v] = tuple(row) if ascending else tuple(sorted(set(row)))
         self._n = n
         self._rows = tuple(adj)
         self._masks: Optional[Tuple[int, ...]] = None
@@ -490,16 +498,22 @@ def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int
     return _colored_components(g)[1]
 
 
-def _colored_components(g: Graph) -> Tuple[List[int], list]:
+def _colored_components(
+    g: Graph, deadline: Optional[float] = None, what: str = "component sweep"
+) -> Tuple[List[int], list]:
     """Each vertex's colour, and ``component_color_classes(g)``.
 
     In the k-th component (in the order of their smallest vertices) the
     colours are 2k and 2k + 1, by the parity of the BFS depth, so
-    ``colour >> 1`` is the component.
+    ``colour >> 1`` is the component.  The optional monotonic ``deadline``
+    is read each time 4096 units of work have built up, a unit being a
+    dequeued vertex or one of its row's entries, and BudgetExceeded naming
+    the pass ``what`` is raised past it.
     """
     nbrs = g._neighbors
     color = [-1] * g.order
     counts, out = [], []
+    work = 0
     for root in range(g.order):
         if color[root] != -1:
             continue
@@ -509,6 +523,11 @@ def _colored_components(g: Graph) -> Tuple[List[int], list]:
         queue = deque([root])
         while queue:
             u = queue.popleft()
+            if deadline is not None:
+                work += 1 + len(nbrs[u])
+                if work >= 4096:
+                    work = 0
+                    _check_deadline(deadline, what)
             for w in nbrs[u]:
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
@@ -567,22 +586,21 @@ def hypercube_labels(g: Graph) -> Optional[List[int]]:
     s = n.bit_length() - 1
     if n != 1 << s or any(len(nb) != s for nb in nbrs):
         return None
-    label = [-1] * n  # -1 until reached
-    label[0] = 0
-    level = nbrs[0]
-    for i, w in enumerate(level):
-        label[w] = 1 << i
-    while level:
-        deeper = {}  # each vertex one step deeper, to the OR of its neighbours' labels in level
-        for u in level:
-            lu = label[u]
-            for w in nbrs[u]:
-                if label[w] < 0:
-                    deeper[w] = deeper.get(w, 0) | lu
-        for w, lw in deeper.items():
-            label[w] = lw
-        level = deeper
-    if -1 in label or len(set(label)) != n:
+    label, depth = [0] * n, [-1] * n  # depth -1 until reached
+    depth[0] = 0
+    for i, w in enumerate(nbrs[0]):
+        label[w], depth[w] = 1 << i, 1
+    reached = [0, *nbrs[0]]
+    # in BFS order, so each label is whole before its vertex is read
+    for u in reached:
+        lu, deeper = label[u], depth[u] + 1
+        for w in nbrs[u]:
+            if depth[w] < 0:
+                label[w], depth[w] = lu, deeper
+                reached.append(w)
+            elif depth[w] == deeper:
+                label[w] |= lu
+    if len(reached) != n or len(set(label)) != n:
         return None
     return label if all((lv ^ label[w]).bit_count() == 1 for v, lv in enumerate(label)
                         if not lv.bit_count() & 1 for w in nbrs[v]) else None

@@ -127,6 +127,14 @@ class TestFindEmbedding:
         # the bipartite-host pre-check is a proof, so the deadline never matters
         assert find_embedding(ring(11), hypercube(5), SearchBudget(time_limit=1e-9)) is None
 
+    def test_a_host_component_sweep_reads_the_deadline(self):
+        # the same proof on H10 sweeps 11,264 units of work, and the sweep reads the
+        # deadline once 4096 have built up
+        assert find_embedding(ring(11), hypercube(10), SearchBudget(max_host_order=1024)) is None
+        with pytest.raises(BudgetExceeded, match="^embedding search ran out of time budget$"):
+            find_embedding(ring(11), hypercube(10),
+                           SearchBudget(time_limit=1e-9, max_host_order=1024))
+
     @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 0.0, -1.0])
     def test_time_limit_must_be_finite_and_positive(self, limit):
         # a nan or infinite deadline never fires, so the budget would be ignored

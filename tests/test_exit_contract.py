@@ -7,7 +7,10 @@ change: a flag cut to a prefix, a value joined by ``=`` or attached to
 ``-o``, ``--``, ``-h``, a dropped or a stray token, an unknown command.
 Each runs in-process through ``cli.run()`` with a small time budget: the
 default of ``--time-limit`` is lowered for the run, and a drawn
-``--time-limit`` still overrides it.
+``--time-limit`` still overrides it.  The ``embed`` lines with a raised
+host cap, which the seeds draw only now and then, also run each as a
+process of its own under a 1 GiB address-space cap, so a host that reaches
+its n-bit masks fails its test rather than the suite.
 
 Every case must return 0, 1 or 2 and raise nothing.  Exit 0 writes nothing
 to standard error; exits 1 and 2 end standard error with its one line that
@@ -20,6 +23,7 @@ is 0 at reach 1 and is decided with no search.
 """
 
 import random
+import subprocess
 import time
 
 import pytest
@@ -30,6 +34,7 @@ from topocompat.errors import InvalidParameter
 from topocompat.topologies import _GENERATORS, TopologySpec
 from oracles import (largest_ball_reference, longest_cycle_reference, power_reference,
                      random_graph, relabelled)
+from test_process_exit import CLI, _limit_address_space, env
 
 SEEDS = range(8)
 CASES = 150
@@ -211,6 +216,22 @@ def run_in_contract(argv, capsys):
         pytest.fail(f"{argv} raised {exc!r}")
     elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
+    return in_contract(argv, code, out, err, elapsed)
+
+
+def run_in_child_in_contract(argv):
+    """``run_in_contract`` of argv run as a process of its own, under the
+    address-space cap of ``test_process_exit``, so that a run which grows
+    without bound fails its test instead of ending the suite."""
+    start = time.perf_counter()
+    proc = subprocess.run(CLI + argv, env=env(), stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=20, preexec_fn=_limit_address_space)
+    elapsed = time.perf_counter() - start
+    return in_contract(argv, proc.returncode, proc.stdout, proc.stderr, elapsed)
+
+
+def in_contract(argv, code, out, err, elapsed):
+    """(code, out) once they keep the exit contract: see ``run_in_contract``."""
     assert elapsed < SLOWEST_CASE_S, argv
     assert code in (0, 1, 2), argv
     if code == 0:
@@ -243,12 +264,12 @@ def test_every_command_line_ends_in_zero_one_or_two(seed, systems, tmp_path, cap
 
 @pytest.mark.parametrize("system,reach", [("hypercube:20", "1"), ("ring:1048576", "3"),
                                           ("complete:4579", "1")])
-def test_a_host_too_large_for_its_masks_ends_in_time_with_a_raised_cap(system, reach, capsys):
+def test_a_host_too_large_for_its_masks_ends_in_time_with_a_raised_cap(system, reach):
     # lines the seeds draw only now and then: the first two are refused before any
-    # n-bit mask; K_4579's dense masks are built against the deadline, and run out
-    assert run_in_contract(["embed", "--task", "star:5", "--system", system, "--reach", reach,
-                            "--max-host-order", "1000000000000", "--time-limit", "0.05"],
-                           capsys) == (1, "")
+    # n-bit mask; K_4579's component sweep reads the deadline, and runs out
+    assert run_in_child_in_contract(["embed", "--task", "star:5", "--system", system,
+                                     "--reach", reach, "--max-host-order", "1000000000000",
+                                     "--time-limit", "0.05"]) == (1, "")
 
 
 def test_a_dense_ring_potential_reads_its_deadline_while_relabelling(capsys):
