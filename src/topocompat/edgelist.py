@@ -5,7 +5,7 @@ Line 1 holds ``n m`` (order and edge count), followed by m lines ``u v`` with
 comment and may appear anywhere; blank lines are ignored.  A ``#`` after
 data on a line is no comment, so ``0 1 # an edge`` is refused.  A line
 holds at most 4096 characters besides its newline: every read is one
-``readline(4097)``, so a longer comment is read past in pieces of 4097,
+``readline(4097)``, a longer comment is read past in pieces of that size,
 and any other longer line is refused at its line number, so no read holds
 more than 4097 characters (an endless line, such as ``/dev/zero`` gives, is
 refused at line 1).  Duplicate and reversed edges collapse on read.
@@ -57,8 +57,9 @@ PathLike = Union[str, os.PathLike]
 _LINE_CAP = 4096
 # the most lines read and parsed at once
 _BATCH = 16
-# a batch of whole edge lines: two runs of ASCII digits and a newline each
-_PAIRS = re.compile(r"(?:[0-9]+ [0-9]+\n)*").fullmatch
+# a batch of whole edge lines: two runs of ASCII digits and a newline each, the
+# runs short enough for int() under any limit on digits (sys.set_int_max_str_digits)
+_PAIRS = re.compile(r"(?:[0-9]{1,20} [0-9]{1,20}\n)*").fullmatch
 
 
 def _data_lines(raws, lineno: int = 0):

@@ -15,6 +15,7 @@ out-of-range vertices and self-loops after a clean batch.
 
 import io
 import random
+import sys
 
 import pytest
 
@@ -151,3 +152,17 @@ def test_decided_cases(text, expected):
         assert got.num_edges == expected
     else:
         assert got[1] == expected
+
+
+def test_a_long_run_of_digits_is_read_a_line_at_a_time():
+    # int() refuses a run past the interpreter's digit limit, so a batch takes
+    # only short runs, and a long one is the line-at-a-time reader's
+    text = "2 2\n0 1\n" + "1" * 700 + " 1\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit there is
+    try:
+        got = outcome(read_edge_list, text)
+        assert got == outcome(reference.read_edge_list, text)
+        assert got[1].startswith("line 3: non-integer edge '111")
+    finally:
+        sys.set_int_max_str_digits(limit)
