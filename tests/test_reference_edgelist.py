@@ -68,9 +68,9 @@ def clean_line(rng, n, edges):
     if edges and rng.random() < 0.1:
         u, v = rng.choice(edges)
         return f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
-    u = rng.randrange(n)
-    v = rng.randrange(n - 1) if n > 1 else 0
-    v += v >= u and n > 1
+    if n == 1:
+        return "0 0"  # the one vertex has no edge: a self-loop
+    u, v = rng.sample(range(n), 2)
     edges.append((u, v))
     return f"{u} {v}"
 
@@ -86,6 +86,8 @@ def header(rng, n, count):
 
 
 def text(rng):
+    """A header and edge lines, mostly clean, now and then a fault, a comment
+    or another spelling, and most often about a batch's ends."""
     n = rng.choice((1, 2, 3, 5, 12, 40, 300, 5000))
     count = rng.choice((0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, rng.randint(2, 4 * B)))
     odd = rng.choice((0, 0, 0.01, 0.05, 0.3))
@@ -112,8 +114,9 @@ def test_the_reader_matches_the_line_at_a_time_reader(seed):
         assert outcome(read_edge_list, t) == outcome(reference.read_edge_list, t), t[:300]
 
 
-def clean(count, start=0):
-    return [f"{v % 7} {v % 7 + 1}" for v in range(start, start + count)]
+def clean(count):
+    """count edge lines on vertices 0..7: the path 0-1-...-7 again and again."""
+    return [f"{v % 7} {v % 7 + 1}" for v in range(count)]
 
 
 # per text, a graph or the fault both readers must give, so the cases stay decided
