@@ -20,7 +20,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from topocompat import from_edge_list, graph_power, hypercube, ring
+from topocompat import Graph, graph_power, hypercube, ring
 from topocompat._kernels import COMPILED_MAX_ORDER, active_backend, pykernels
 from topocompat.embedding import _anchor_order, _search_order
 
@@ -59,18 +59,17 @@ def ring_order_sweep_case(g, up_to):
 
 def hypercube_minus_vertex(s):
     h = hypercube(s)
-    return from_edge_list(h.order - 1, [(u - 1, v - 1) for u, v in h.edges if 0 not in (u, v)])
+    return Graph(h.order - 1, [(u - 1, v - 1) for u, v in h.edges if 0 not in (u, v)])
 
 
 def heap_tree(n):
     """The binary tree with vertex i's parent at (i - 1) // 2."""
-    return from_edge_list(n, [(i, (i - 1) // 2) for i in range(1, n)])
+    return Graph(n, [(i, (i - 1) // 2) for i in range(1, n)])
 
 
 def sparse_random(n, p, seed):
     rng = random.Random(seed)
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                              if rng.random() < p])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def build_workloads():

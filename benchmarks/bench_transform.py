@@ -18,9 +18,9 @@ The ``star`` column times ``star_potential_certificate``, and its answer
 must equal that of ``graph._largest_ball_pass``, the all-balls pass with no
 bound or recognition, run on the mask side (O(n) by arcs on a ring or a
 path at any order).  The ``decided`` column names the step of
-``graph.largest_ball`` that decides it, and each case lists the step it
-must take, in ``graph._ball_by_bound``'s order: a probe BFS against the
-degree bound (``degree``), the ball of vertex 0 once
+``star_potential_certificate`` that decides it, and each case lists the
+step it must take, in ``graph._ball_by_bound``'s order: a probe BFS
+against the degree bound (``degree``), the ball of vertex 0 once
 ``graph.hypercube_labels`` recognizes the system as H_s (``hypercube``),
 one after a component sweep against the component bound (``component``),
 or the pass itself (``pass``), so that every step stays timed at full size,
@@ -47,7 +47,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from topocompat import (  # noqa: E402
-    from_edge_list,
+    Graph,
     graph,
     graph_power,
     parse_topology_spec,
@@ -62,14 +62,14 @@ READS = 5  # timed reads of the file, of which the median is printed
 
 def chord_ring(n: int):
     """The n-ring plus the chord (0, n // 2), whose star potential no bound decides."""
-    return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)] + [(0, n // 2)])
 
 
 def relabelled(n: int, edges):
     """The graph on 0..n-1 with its vertex ids shuffled by a fixed seed."""
     perm = list(range(n))
     random.Random(n).shuffle(perm)
-    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 # (system, reach, whether to build the power, whether to run the other side too,
@@ -104,7 +104,7 @@ def build(spec: str):
     if kind in ("path", "relabelled-path"):
         n = int(arg)
         edges = [(v, v + 1) for v in range(n - 1)]
-        return from_edge_list(n, edges) if kind == "path" else relabelled(n, edges)
+        return Graph(n, edges) if kind == "path" else relabelled(n, edges)
     if kind == "relabelled-hypercube":
         g = parse_topology_spec(f"hypercube:{arg}").build()
         return relabelled(g.order, g.sorted_edges())
@@ -123,8 +123,8 @@ def route(g) -> str:
 
 
 def deciding_step(g, reach) -> str:
-    """The step of ``graph.largest_ball`` that decides g at reach: the last
-    of the recognizer and the component sweep that ran, if either did."""
+    """The step of ``star_potential_certificate`` that decides g at reach:
+    the last of the recognizer and the component sweep that ran, if either did."""
     steps = []
     sweep, recognize = graph._colored_components, graph.hypercube_labels
     graph._colored_components = lambda h: steps.append("component") or sweep(h)

@@ -1,4 +1,5 @@
-"""Code lines of each Python module under a directory, and their total.
+"""Code lines and public names of each Python module under a directory,
+and the code lines in all.
 
     python benchmarks/code_lines.py [PATH]
 
@@ -6,7 +7,12 @@ PATH defaults to the repository's ``src``.  A code line holds a token other
 than a comment or whitespace, and lies outside every module, class and
 function docstring; a string or bracket that spans lines makes each of its
 lines a code line.  Blank lines, comment lines and docstrings are not code.
-This is the count the design notes quote when code is added or removed.
+A module's public names are the entries of its ``__all__`` list or tuple
+("-" where it has none), read from the source with ``ast`` and no import;
+a package's ``__init__.py`` row is the package's own surface, and the last
+lines repeat it for each top-level package (``topocompat.__all__`` under
+``src``).  These are the counts the design notes quote when code or names
+are added or removed.
 """
 
 import ast
@@ -32,26 +38,42 @@ def docstring_lines(tree: ast.Module) -> set:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    """The number of code lines in one Python source file."""
+def public_names(tree: ast.Module):
+    """The number of entries in the module's top-level ``__all__`` list or
+    tuple, or None when it assigns none."""
+    count = None
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            count = len(node.value.elts)
+    return count
+
+
+def code_lines(path: Path):
+    """The number of code lines in one Python source file, and of its public names."""
     with tokenize.open(path) as f:
         text = f.read()
     lines = set()
     for tok in tokenize.generate_tokens(iter(text.splitlines(keepends=True)).__next__):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(text, str(path))))
+    tree = ast.parse(text, str(path))
+    return len(lines - docstring_lines(tree)), public_names(tree)
 
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    total = 0
+    total, surfaces = 0, []
+    print(f"{'code':>6} {'names':>6}  module")
     for path in files:
-        count = code_lines(path)
+        count, names = code_lines(path)
         total += count
-        print(f"{count:>6}  {path.relative_to(root) if path != root else path}")
-    print(f"{total:>6}  total")
+        print(f"{count:>6} {'-' if names is None else names:>6}  "
+              f"{path.relative_to(root) if path != root else path}")
+        if path.name == "__init__.py" and path.parent.parent == root:  # a top-level package
+            surfaces.append(f"{'':>6} {names or 0:>6}  {path.parent.name}.__all__")
+    print(f"{total:>6} {'':>6}  total", *surfaces, sep="\n")
     return 0
 
 

@@ -41,7 +41,6 @@ from .embedding import (
 )
 from .compat import (
     CompatibilityReport,
-    compatibility_index,
     compatibility_table,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "verify_embedding",
     "longest_cycle",
     "CompatibilityReport",
-    "compatibility_index",
     "compatibility_table",
     "TopoCompatError",
     "InvalidVertex",

@@ -9,7 +9,7 @@ hypercubes are certified by the reflected Gray cycle, so building the full
 star/ring-versus-hypercube table never touches the exponential search engine.
 Star potentials on other systems are one largest reach-ball, often decided
 by a single BFS against a degree or component bound, or by recognizing the
-system as a hypercube (see :func:`topocompat.graph.largest_ball`); the full
+system as a hypercube (see :func:`star_potential_certificate`); the full
 pass otherwise honours the time budget, as does building the power graph
 for a ring potential.
 
@@ -37,9 +37,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
+from . import graph
 from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
 from .errors import InvalidParameter, InvalidPotential, _FrozenRecord
-from .graph import Graph, _check_reach, graph_power, hypercube_labels, largest_ball
+from .graph import Graph, _check_reach, graph_power, hypercube_labels
 from .topologies import MAX_HYPERCUBE_DIM, TopologySpec, check_hypercube_dim, gray_code_cycle
 
 if TYPE_CHECKING:  # imported only where a Fraction is made
@@ -50,7 +51,6 @@ __all__ = [
     "star_potential_certificate",
     "ring_potential_certificate",
     "potential",
-    "compatibility_index",
     "compatibility_table",
     "render_csv",
     "render_markdown",
@@ -65,18 +65,25 @@ def star_potential_certificate(
     system: Graph, reach: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
     """Star potential plus a witness: the first vertex of maximum degree in
-    the power graph, and its neighbours there as the leaves.
+    the power graph, and its neighbours there, ascending, as the leaves.
 
     A star K_{1,k} embeds iff some vertex of the power graph has degree >= k,
     so no search is needed, and that degree plus one is the size of the
-    vertex's reach-ball: the center is the first largest ball and the leaves
-    are the rest of it, found without building the power graph.  Disconnected
-    systems get the best component for free: a ball never crosses into
-    another component.  Only the budget's time limit applies, and only when
-    no single ball meets the degree or component bound: then every ball is
-    sized, and running out raises BudgetExceeded.
+    vertex's reach-ball: the center is the first center of a largest ball
+    and the leaves are the rest of it, found without building the power
+    graph.  Disconnected systems get the best component for free: a ball
+    never crosses into another component.  :func:`graph._ball_by_bound`
+    decides it when a probe BFS meets a bound on every ball, or the system
+    is a hypercube under some labelling.  Otherwise
+    :func:`graph._largest_ball_pass` sizes every ball, from the stream the
+    transform reads, against the deadline of the budget's time limit from
+    the call, and running out raises BudgetExceeded; only the time limit
+    applies.  A reach below 1 raises InvalidReachability.
     """
-    center, leaves = largest_ball(system, reach, budget.deadline())
+    _check_reach(reach)
+    deadline = budget.deadline()
+    center, leaves = (graph._ball_by_bound(system, reach)
+                      or graph._largest_ball_pass(system, reach, deadline))
     return 1 + len(leaves), (center, leaves)
 
 
@@ -145,14 +152,6 @@ def potential(
     return CompatibilityReport(system, task_kind, reach, n, p), cert if witness else None
 
 
-def compatibility_index(p: int, n: int) -> Fraction:
-    """Exact index p/n; p = 0 (no task of the family fits) gives index 0."""
-    _check_potential(p, n)
-    from fractions import Fraction
-
-    return Fraction(p, n)
-
-
 def _check_potential(p: int, n: int) -> None:
     if n < 1:
         raise InvalidPotential(f"system order must be positive, got {n}")
@@ -185,8 +184,10 @@ class CompatibilityReport(_FrozenRecord):
 
     @property
     def index_exact(self) -> Fraction:
-        """The exact index p/n."""
-        return compatibility_index(self.potential_p, self.order_n)
+        """The exact index p/n; p = 0 (no task of the family fits) gives 0."""
+        from fractions import Fraction
+
+        return Fraction(self.potential_p, self.order_n)
 
     @property
     def index_text(self) -> str:

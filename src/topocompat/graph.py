@@ -40,15 +40,16 @@ more edges than H_20 is refused as its rows are counted (by popcount on a
 mask), and from order 4580 on, where even the complete graph is over that cap,
 first by a lower bound from the component orders and neighbour degrees.
 
-:func:`largest_ball` (the star potential) brackets first: no ball is larger
-than the Moore bound of the maximum degree, nor than the largest component.
-A BFS from the first vertex of maximum degree that meets the Moore bound is
-the answer; failing that, one component sweep gives the largest component,
-and a BFS from its first vertex that meets its order is.  Failing both, a
-graph that :func:`hypercube_labels` recognizes as H_s under some labelling
-has every ball of one size, and the ball of vertex 0 is the answer.  Only
-otherwise does it size every ball, by the same three routes, against a
-deadline.
+The largest ball (``compat.star_potential_certificate``, the star potential)
+is bracketed first (:func:`_ball_by_bound`): no ball is larger than the
+Moore bound of the maximum degree, nor than the largest component.  A BFS
+from the first vertex of maximum degree that meets the Moore bound is the
+answer; failing that, a graph that :func:`hypercube_labels` recognizes as
+H_s under some labelling has every ball of one size, and the ball of vertex
+0 is the answer; failing both, one component sweep gives the largest
+component, and a BFS from its first vertex that meets its order is.  Only
+otherwise does :func:`_largest_ball_pass` size every ball, by the same three
+routes, against a deadline.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "from_edge_list",
     "graph_power",
     "component_color_classes",
-    "largest_ball",
     "hypercube_labels",
 ]
 
@@ -288,8 +288,7 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
 
 
 def _check_reach(reach: int) -> None:
-    """Refuse a reachability below 1, for the transform, the largest ball and
-    every potential."""
+    """Refuse a reachability below 1, for the transform and every potential."""
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 
@@ -540,26 +539,6 @@ def _colored_components(
     return color, out
 
 
-def largest_ball(
-    g: Graph, reach: int, deadline: Optional[float] = None
-) -> Tuple[int, Tuple[int, ...]]:
-    """The first center of a largest reach-ball, and the ball's other
-    vertices in ascending order, without building the power graph.
-
-    These are the first vertex of maximum degree in the reach-th power and
-    its neighbours there.  :func:`_ball_by_bound` decides it when a probe BFS
-    meets a bound on every ball, or g is a hypercube.
-    Otherwise the ball sizes come from the same stream as :func:`graph_power`
-    (:func:`_balls`: a popcount of each arc or round ball mask up to order
-    4096, the length of each BFS dict above), then one more BFS lists the
-    ball.  That pass checks the optional monotonic ``deadline`` as the
-    transform does, and raises BudgetExceeded past it.  A reach below 1
-    raises InvalidReachability.
-    """
-    _check_reach(reach)
-    return _ball_by_bound(g, reach) or _largest_ball_pass(g, reach, deadline)
-
-
 def hypercube_labels(g: Graph) -> Optional[List[int]]:
     """Each vertex's label in H_s when g is the hypercube H_s under some
     labelling of its vertices, else None, in O(n * s) (Bhat, "On the
@@ -607,8 +586,9 @@ def hypercube_labels(g: Graph) -> Optional[List[int]]:
 
 
 def _ball_by_bound(g: Graph, reach: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """:func:`largest_ball`'s answer when a probe BFS meets an upper bound on
-    every ball, or g is a hypercube, else None.
+    """The first center of a largest reach-ball and the ball's other vertices
+    in ascending order, when a probe BFS meets an upper bound on every ball
+    or g is a hypercube, else None.
 
     Two probes are tried, with the hypercube test between them.  M is the
     Moore bound 1 + D * sum((D - 1)^i, i < reach) for maximum degree D
@@ -660,8 +640,12 @@ def _moore_bound(degree: int, reach: int, cap: int) -> int:
 def _largest_ball_pass(
     g: Graph, reach: int, deadline: Optional[float] = None
 ) -> Tuple[int, Tuple[int, ...]]:
-    """:func:`largest_ball` from every ball's size, with no bound: each
-    ball from :func:`_balls` is sized as it is read and dropped."""
+    """The first center of a largest reach-ball and the ball's other
+    vertices, from every ball's size with no bound: each ball from
+    :func:`_balls` is sized as it is read and dropped (a popcount of each
+    mask up to order 4096, the length of each BFS dict above), then one
+    more BFS lists the ball.  Past the optional monotonic ``deadline`` it
+    raises BudgetExceeded, as the transform does."""
     sizes = [len(ball) if type(ball) is dict else ball.bit_count()
              for ball in _balls(g, reach, deadline, "largest-ball pass")]
     center = sizes.index(max(sizes))

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from topocompat import (
-    compatibility_index,
+    CompatibilityReport,
     compatibility_table,
     complete,
     find_embedding,
@@ -98,8 +98,9 @@ def test_criterion_3_ring_compatibility():
         assert sorted(seq) == list(range(n))
         for i, v in enumerate(seq):
             assert bin(v ^ seq[(i + 1) % n]).count("1") == 1
-        assert ring_potential_certificate(hypercube(s), 1)[0] == n
-        assert compatibility_index(n, n) == 1
+        p = ring_potential_certificate(hypercube(s), 1)[0]
+        assert p == n
+        assert CompatibilityReport(TopologySpec("hypercube", s), "ring", 1, n, p).index_exact == 1
 
 
 @criterion(4, "odd rings provably absent from hypercubes at reach 1; H_3 holds {4,6,8}")

@@ -11,7 +11,6 @@ from topocompat import BudgetExceeded, from_edge_list, graph_power, parse_topolo
 from topocompat.compat import star_potential_certificate
 from topocompat import graph
 from topocompat.edgelist import dumps
-from topocompat.graph import largest_ball
 from oracles import chord_ring, largest_ball_reference, path_cycle_union, power_reference
 
 
@@ -141,7 +140,7 @@ class TestRouteSelection:
         g = chord_ring(64)
         for reach in (2, 5, 32):
             assert graph_power(g, reach).edges == power_reference(g, reach)
-        assert largest_ball(g, 2) == (0, (1, 2, 31, 32, 33, 62, 63))
+        assert star_potential_certificate(g, 2)[1] == (0, (1, 2, 31, 32, 33, 62, 63))
 
 
 class TestArcDeadline:
@@ -201,6 +200,6 @@ class TestStarOnPathsAndCycles:
     def test_largest_ball_is_the_brute_force(self, g):
         for reach in range(1, g.order + 2):
             expected = largest_ball_reference(g, reach)
-            assert largest_ball(g, reach) == expected, reach
+            p, ball = star_potential_certificate(g, reach)
+            assert ball == expected and p == 1 + len(expected[1]), reach
             assert graph._largest_ball_pass(g, reach) == expected, reach
-            assert star_potential_certificate(g, reach)[0] == 1 + len(expected[1])

@@ -11,7 +11,6 @@ from topocompat import (
     SearchBudget,
     InvalidPotential,
     InvalidReachability,
-    compatibility_index,
     compatibility_table,
     complete,
     gray_code_cycle,
@@ -277,7 +276,7 @@ class TestRingPotential:
 
     def test_hypercube_eight_is_fully_usable(self):
         assert ring_potential_certificate(hypercube(8), 1)[0] == 256
-        assert compatibility_index(256, 256) == 1
+        assert _index(256, 256) == 1
 
     def test_acyclic_host_reports_zero(self):
         assert ring_potential_certificate(star(6), 1)[0] == 0
@@ -348,27 +347,33 @@ class TestRingPotential:
         assert p == 54 and len(cycle) == p and is_valid_cycle(g, cycle)
 
 
+def _index(p, n):
+    """The exact index of a report of potential p on order n, which refuses
+    a p outside 0..n when it is built."""
+    return CompatibilityReport(TopologySpec("ring", 1), "star", 1, n, p).index_exact
+
+
 class TestCompatibilityIndex:
     def test_three_quarters(self):
-        assert compatibility_index(3, 4) == Fraction(3, 4)
+        assert _index(3, 4) == Fraction(3, 4)
 
     def test_rounding_of_exact_half_digit(self):
         report = CompatibilityReport(TopologySpec("hypercube", 6), "star", 2, 64, 22)
         assert report.index_text == "0.3438"
 
     def test_full_compatibility(self):
-        assert compatibility_index(7, 7) == 1
+        assert _index(7, 7) == 1
 
     def test_zero_potential(self):
-        assert compatibility_index(0, 6) == 0
+        assert _index(0, 6) == 0
 
     def test_potential_above_order_rejected(self):
         with pytest.raises(InvalidPotential):
-            compatibility_index(5, 4)
+            _index(5, 4)
 
     def test_negative_potential_rejected(self):
         with pytest.raises(InvalidPotential):
-            compatibility_index(-1, 4)
+            _index(-1, 4)
 
     @pytest.mark.parametrize(
         "fraction,expected",

@@ -21,7 +21,7 @@ from topocompat import (
 from topocompat import graph
 from topocompat.compat import star_potential_certificate
 from topocompat.edgelist import dumps
-from topocompat.graph import component_color_classes, hypercube_labels, largest_ball
+from topocompat.graph import component_color_classes, hypercube_labels
 from oracles import (
     all_pairs_distances,
     chord_ring,
@@ -32,6 +32,14 @@ from oracles import (
     random_graph,
     relabelled,
 )
+
+
+def star_witness(g, reach):
+    """The star certificate's (first centre, leaves), once its potential is
+    one plus the leaves."""
+    p, ball = star_potential_certificate(g, reach)
+    assert p == 1 + len(ball[1])
+    return ball
 
 
 def _power_samples():
@@ -251,15 +259,14 @@ class TestGraphPowerAgainstReference:
     def test_largest_ball_is_one_plus_power_degree(self, g):
         for reach in range(1, g.order + 1):
             expected = 1 + graph_power(g, reach).max_degree()
-            assert 1 + len(largest_ball(g, reach)[1]) == expected
-            assert star_potential_certificate(g, reach)[0] == expected
+            assert 1 + len(star_witness(g, reach)[1]) == expected
 
     @pytest.mark.parametrize("g", POWER_SAMPLES)
     def test_largest_ball_is_the_first_max_degree_row(self, g):
         for reach in range(1, g.order + 1):
             power = graph_power(g, reach)
             center = max(range(power.order), key=power.degree)
-            assert largest_ball(g, reach) == (center, power.neighbors(center))
+            assert star_witness(g, reach) == (center, power.neighbors(center))
 
 
 class TestMaskHeldPowerIsNotDecoded:
@@ -374,7 +381,7 @@ class TestBallBound:
     @pytest.mark.parametrize("g", BRACKET_SAMPLES)
     def test_same_answer_as_the_pass_at_every_reach(self, g):
         for reach in range(1, g.order + 1):
-            assert largest_ball(g, reach) == graph._largest_ball_pass(g, reach)
+            assert star_witness(g, reach) == graph._largest_ball_pass(g, reach)
 
     @pytest.mark.parametrize("degree,reach,cap,expected", [
         (0, 5, 9, 1), (1, 5, 9, 2), (2, 3, 100, 7), (3, 2, 100, 10), (3, 3, 100, 22),
@@ -424,21 +431,21 @@ class TestBallBoundRoutes:
         g = from_edge_list(n, [(perm[v], perm[(v + 1) % n]) for v in range(n)])
         at = perm.index(0)
         expected = tuple(sorted(perm[(at + k) % n] for k in range(-32, 33) if k))
-        assert largest_ball(g, 32) == (0, expected)
+        assert star_witness(g, 32) == (0, expected)
 
     def test_long_ring_at_half_reach(self, no_pass):
-        assert largest_ball(ring(16384), 8192) == (0, tuple(range(1, 16384)))
+        assert star_witness(ring(16384), 8192) == (0, tuple(range(1, 16384)))
 
     def test_disconnected_is_decided_by_component(self, no_pass):
         # an edge, a 5-ring on 2..6, a star K_{1,3} centered at 7: M = 10 > C = 5
         g = from_edge_list(11, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2),
                                 (7, 8), (7, 9), (7, 10)])
         assert graph._moore_bound(3, 2, 11) == 10
-        assert largest_ball(g, 2) == (2, (3, 4, 5, 6))
+        assert star_witness(g, 2) == (2, (3, 4, 5, 6))
 
     def test_chord_ring_is_not_decided(self):
         assert graph._ball_by_bound(chord_ring(64), 2) is None
-        assert largest_ball(chord_ring(64), 2) == (0, (1, 2, 31, 32, 33, 62, 63))
+        assert star_witness(chord_ring(64), 2) == (0, (1, 2, 31, 32, 33, 62, 63))
 
     def test_relabelled_ring_is_decided_before_any_sweep(self, monkeypatch, no_pass):
         def refuse(g):
@@ -450,7 +457,7 @@ class TestBallBoundRoutes:
         random.Random(4096).shuffle(perm)
         g = Graph(n, [(perm[v], perm[(v + 1) % n]) for v in range(n)])
         probes = _counting_bfs(monkeypatch)
-        center, leaves = largest_ball(g, 32)
+        center, leaves = star_witness(g, 32)
         assert center == 0 and len(leaves) == 64 and probes == [0]
 
     def test_component_decides_after_the_degree_probe_misses(self, monkeypatch, sweeps, no_pass):
@@ -459,12 +466,12 @@ class TestBallBoundRoutes:
         g = Graph(14, [(0, 1), (0, 2), (0, 3)] + _petersen_edges(4))
         assert graph._moore_bound(3, 2, g.order) == 10
         probes = _counting_bfs(monkeypatch)
-        assert largest_ball(g, 2) == (4, tuple(range(5, 14)))
+        assert star_witness(g, 2) == (4, tuple(range(5, 14)))
         assert probes == [0, 4] and sweeps == [14]
 
     def test_recognized_hypercube_makes_no_sweep(self, sweeps):
         g = relabelled(hypercube(12), 12)
-        center, leaves = largest_ball(g, 2)
+        center, leaves = star_witness(g, 2)
         assert sweeps == []
         assert (center, leaves) == graph._largest_ball_pass(g, 2)
         assert center == 0 and len(leaves) == 12 + 66
@@ -478,7 +485,7 @@ class TestBallBoundRoutes:
         # the path 0-1-2 at reach 2: M = 3 is the order, so the degree-2
         # vertex 1 is not probed, and the first centre is 0
         probes = _counting_bfs(monkeypatch)
-        assert largest_ball(Graph(3, [(0, 1), (1, 2)]), 2) == (0, (1, 2))
+        assert star_witness(Graph(3, [(0, 1), (1, 2)]), 2) == (0, (1, 2))
         assert probes == [0] and sweeps == [3]
 
 
@@ -621,7 +628,7 @@ class TestRecognizedStar:
     @pytest.mark.parametrize("s", range(2, 8))
     def test_reach_one_is_decided_by_the_degree_probe(self, s, recognitions):
         g = relabelled(hypercube(s), s)
-        assert largest_ball(g, 1) == graph._largest_ball_pass(g, 1)
+        assert star_witness(g, 1) == graph._largest_ball_pass(g, 1)
         assert recognitions == []
 
     @pytest.mark.parametrize("s", range(3, 8))
@@ -634,12 +641,12 @@ class TestRecognizedStar:
 
         monkeypatch.setattr(graph, "_largest_ball_pass", refuse)
         for reach in range(2, s):
-            assert largest_ball(g, reach) == expected[reach] == largest_ball_reference(g, reach)
+            assert star_witness(g, reach) == expected[reach] == largest_ball_reference(g, reach)
         assert recognitions == [g.order] * (s - 2)
 
     def test_a_near_miss_goes_to_the_pass(self, recognitions):
         g = _switched(5)
-        assert largest_ball(g, 2) == graph._largest_ball_pass(g, 2) == largest_ball_reference(g, 2)
+        assert star_witness(g, 2) == graph._largest_ball_pass(g, 2) == largest_ball_reference(g, 2)
         assert recognitions == [32]
 
 
@@ -791,7 +798,7 @@ class TestBallSize:
     def test_radius_zero(self):
         assert _ball_order(ring(6), 3, 0) == 1
         with pytest.raises(InvalidReachability, match="^reachability must be >= 1, got 0$"):
-            largest_ball(ring(6), 0)
+            star_witness(ring(6), 0)
 
     def test_long_ring(self):
         assert _ball_order(ring(8), 5, 2) == 5

@@ -33,13 +33,14 @@ MODULES = [
     "topocompat.topologies",
 ]
 
-# helpers that repeated an answer the potential cells, ``embed`` or ``hypercube_labels`` give
+# helpers that repeated an answer the potential cells, their reports, ``embed`` or
+# ``hypercube_labels`` give
 REMOVED = {
     "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
     "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up",
                            "hypercube_star_potential", "make_report", "star_potential",
-                           "ring_potential"),
-    "topocompat.graph": ("ball_size", "diameter", "is_bipartite"),
+                           "ring_potential", "compatibility_index"),
+    "topocompat.graph": ("ball_size", "diameter", "is_bipartite", "largest_ball"),
     "topocompat.topologies": ("canonical_hypercube_dim",),
     "topocompat._kernels": ("have_compiled",),
 }
