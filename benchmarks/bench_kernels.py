@@ -37,7 +37,7 @@ def subgraph_case(task, host):
 
 
 def longest_cycle_case(g):
-    """The search ``embedding.longest_cycle`` runs: on the low-degree-first labels."""
+    """The search the ring certificate runs: on the low-degree-first labels."""
     args = (g.order, _anchor_order(g)[1], NODE_CAP, NO_DEADLINE)
     return g.order, lambda kern: kern.longest_cycle(*args)
 

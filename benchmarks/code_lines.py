@@ -11,8 +11,10 @@ A module's public names are the entries of its ``__all__`` list or tuple
 ("-" where it has none), read from the source with ``ast`` and no import;
 a package's ``__init__.py`` row is the package's own surface, and the last
 lines repeat it for each top-level package (``topocompat.__all__`` under
-``src``).  These are the counts the design notes quote when code or names
-are added or removed.
+``src``).  A module that defines a top-level class ``Graph`` adds one more
+line, the number of that class's public methods and properties (those whose
+names do not start with ``_``), read the same way.  These are the counts the
+design notes quote when code or names are added or removed.
 """
 
 import ast
@@ -24,6 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENCODING, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+CLASS = "Graph"  # the class whose public methods and properties are counted
 
 
 def docstring_lines(tree: ast.Module) -> set:
@@ -49,8 +52,19 @@ def public_names(tree: ast.Module):
     return count
 
 
+def public_members(tree: ast.Module):
+    """The number of public methods and properties of the module's top-level
+    class ``CLASS``, or None when it defines none."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == CLASS:
+            return sum(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not item.name.startswith("_") for item in node.body)
+    return None
+
+
 def code_lines(path: Path):
-    """The number of code lines in one Python source file, and of its public names."""
+    """The number of code lines in one Python source file, of its public
+    names, and of its class ``CLASS``'s public members (None without one)."""
     with tokenize.open(path) as f:
         text = f.read()
     lines = set()
@@ -58,7 +72,7 @@ def code_lines(path: Path):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     tree = ast.parse(text, str(path))
-    return len(lines - docstring_lines(tree)), public_names(tree)
+    return len(lines - docstring_lines(tree)), public_names(tree), public_members(tree)
 
 
 def main() -> int:
@@ -67,12 +81,14 @@ def main() -> int:
     total, surfaces = 0, []
     print(f"{'code':>6} {'names':>6}  module")
     for path in files:
-        count, names = code_lines(path)
+        count, names, members = code_lines(path)
         total += count
         print(f"{count:>6} {'-' if names is None else names:>6}  "
               f"{path.relative_to(root) if path != root else path}")
         if path.name == "__init__.py" and path.parent.parent == root:  # a top-level package
             surfaces.append(f"{'':>6} {names or 0:>6}  {path.parent.name}.__all__")
+        if members is not None:
+            surfaces.append(f"{'':>6} {members:>6}  {CLASS} public methods and properties")
     print(f"{total:>6} {'':>6}  total", *surfaces, sep="\n")
     return 0
 

@@ -36,8 +36,6 @@ from .embedding import (
     Embedding,
     SearchBudget,
     find_embedding,
-    longest_cycle,
-    verify_embedding,
 )
 from .compat import (
     CompatibilityReport,
@@ -60,8 +58,6 @@ __all__ = [
     "Embedding",
     "SearchBudget",
     "find_embedding",
-    "verify_embedding",
-    "longest_cycle",
     "CompatibilityReport",
     "compatibility_table",
     "TopoCompatError",

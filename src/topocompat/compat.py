@@ -37,9 +37,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from . import graph
-from .embedding import DEFAULT_BUDGET, SearchBudget, longest_cycle
-from .errors import InvalidParameter, InvalidPotential, _FrozenRecord
+from . import _kernels, embedding, graph
+from .embedding import DEFAULT_BUDGET, SearchBudget
+from .errors import BudgetExceeded, InvalidParameter, InvalidPotential, _FrozenRecord
 from .graph import Graph, _check_reach, graph_power, hypercube_labels
 from .topologies import MAX_HYPERCUBE_DIM, TopologySpec, check_hypercube_dim, gray_code_cycle
 
@@ -100,7 +100,11 @@ def ring_potential_certificate(
     potential is the full order 2^s, and the witness is the Gray cycle
     mapped back through the labelling (itself, on the canonical labels).
     Otherwise building the power and the search share one deadline, the
-    budget's time limit from the call.
+    budget's time limit from the call.  A forest power (n - m components;
+    m >= n needs a cycle, so only m < n is swept) answers 0 before any mask
+    is made.  Else the kernels search the power under the low-degree-first
+    labels of :func:`embedding._anchor_order`, within ``budget.max_nodes``,
+    and the witness is mapped back to the system's labels.
     """
     _check_reach(reach)
     n, labels = system.order, hypercube_labels(system)
@@ -110,7 +114,17 @@ def ring_potential_certificate(
             vertex[label] = v
         return n, tuple(map(vertex.__getitem__, gray_code_cycle(n.bit_length() - 1)))
     deadline = budget.deadline()
-    return longest_cycle(graph_power(system, reach, deadline), budget, deadline)
+    power = graph_power(system, reach, deadline)
+    m = power.num_edges
+    if m < n and m + len(graph._colored_components(power)[1]) == n:
+        return 0, None
+    order, masks = embedding._anchor_order(power, deadline)
+    status, length, witness, _ = _kernels.kernels_for(n).longest_cycle(
+        n, masks, budget.max_nodes, deadline
+    )
+    if status == _kernels.BUDGET_EXCEEDED:
+        raise BudgetExceeded("longest-cycle search ran out of node or time budget")
+    return length, tuple(order[v] for v in witness) if witness is not None else None
 
 
 def potential(

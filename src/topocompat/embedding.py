@@ -33,9 +33,10 @@ host at several depths: the 31-vertex tree into H6 ran past 20M nodes that
 way, and is found in 38 nodes now.  The order changes only which branch is
 tried first, never what is explored, so answers stay exact.
 
-The cycle search, :func:`longest_cycle`, relabels the host low degree first,
-ties to the smaller id, and maps the witness back (:func:`_anchor_order`).
-The kernels search each cycle from its smallest vertex, its anchor, so the
+The ring certificate (:func:`topocompat.compat.ring_potential_certificate`)
+searches for a longest cycle under the labels of :func:`_anchor_order`, low
+degree first, ties to the smaller id, and maps the witness back.  The
+kernels search each cycle from its smallest vertex, its anchor, so the
 low-degree vertices become anchors first.  A vertex of degree two fixes both
 of its cycle neighbours at once, and once its cycles have been searched it
 leaves the free set, which starves its neighbours and lets the kernels peel
@@ -54,15 +55,12 @@ from typing import Optional, Sequence, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
-from .graph import (_POWER_MAX_EDGES, Graph, _check_deadline, _colored_components,
-                    component_color_classes)
+from .graph import _POWER_MAX_EDGES, Graph, _check_deadline, _colored_components
 
 __all__ = [
     "Embedding",
     "SearchBudget",
     "find_embedding",
-    "verify_embedding",
-    "longest_cycle",
 ]
 
 
@@ -198,7 +196,7 @@ def _components_exclude(task: Graph, host: Graph, deadline: Optional[float] = No
     host_comps = set(_colored_components(host, deadline, "embedding search")[1])
     return any(
         not any(_component_holds(h, t) for h in host_comps)
-        for t in set(component_color_classes(task))
+        for t in set(_colored_components(task)[1])
     )
 
 
@@ -225,15 +223,15 @@ def find_embedding(
     Raises HostTooLarge when the host exceeds budget.max_host_order and
     BudgetExceeded when the search could not finish within budget.  The
     search stops at the monotonic ``deadline`` when one is given, else at
-    ``budget.deadline()``, as :func:`longest_cycle` does.  It runs only when
-    none of the ABSENCE_CHECKS proves absence first.  The degree check reads
-    no deadline, so its proof is a proof even when it comes after the
-    deadline; the host's component sweep reads it every 4096 units of work
-    and raises BudgetExceeded past it.  The search places the task's
-    vertices in :func:`_search_order`, each one next to as many placed
-    neighbours as possible (see the module docstring).  A host that holds
-    no masks gets them from :func:`_relabelled_masks` under its own labels,
-    which reads the deadline as it builds them.
+    ``budget.deadline()``.  It runs only when none of the ABSENCE_CHECKS
+    proves absence first.  The degree check reads no deadline, so its proof
+    is a proof even when it comes after the deadline; the host's component
+    sweep reads it every 4096 units of work and raises BudgetExceeded past
+    it.  The search places the task's vertices in :func:`_search_order`,
+    each one next to as many placed neighbours as possible (see the module
+    docstring).  A host that holds no masks gets them from
+    :func:`_relabelled_masks` under its own labels, which reads the deadline
+    as it builds them.
     """
     if deadline is None:
         deadline = budget.deadline()
@@ -258,18 +256,6 @@ def find_embedding(
     if status == _kernels.FOUND:
         return Embedding(tuple(mapping))
     return None
-
-
-def verify_embedding(task: Graph, host: Graph, e: Embedding) -> bool:
-    """Check injectivity, range, and that every task edge maps to a host edge."""
-    m = e.mapping
-    if len(m) != task.order:
-        return False
-    if any(not (0 <= v < host.order) for v in m):
-        return False
-    if len(set(m)) != len(m):
-        return False
-    return all(host.has_edge(m[u], m[v]) for u, v in task.edges)
 
 
 def _relabelled_masks(
@@ -311,27 +297,3 @@ def _anchor_order(g: Graph, deadline: Optional[float] = None) -> Tuple[list, Tup
     """
     order = sorted(range(g.order), key=g.degree)  # stable: ties by id
     return order, _relabelled_masks(g, order, deadline, "longest-cycle search")
-
-
-def longest_cycle(
-    g: Graph, budget: SearchBudget = DEFAULT_BUDGET, deadline: Optional[float] = None
-) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """Length of the longest simple cycle plus a witness (0, None if acyclic).
-
-    The search stops at the monotonic ``deadline`` when one is given, else
-    at ``budget.deadline()``.  It runs on the low-degree-first labels of
-    :func:`_anchor_order` and the witness is mapped back to g's.  A forest
-    (n - m components; m >= n needs a cycle, so only m < n is swept) answers
-    0 before any mask is made."""
-    m = g.num_edges
-    if m < g.order and m + len(component_color_classes(g)) == g.order:
-        return 0, None
-    if deadline is None:
-        deadline = budget.deadline()
-    order, masks = _anchor_order(g, deadline)
-    status, length, witness, _ = _kernels.kernels_for(g.order).longest_cycle(
-        g.order, masks, budget.max_nodes, deadline
-    )
-    if status == _kernels.BUDGET_EXCEEDED:
-        raise BudgetExceeded("longest-cycle search ran out of node or time budget")
-    return length, tuple(order[v] for v in witness) if witness is not None else None

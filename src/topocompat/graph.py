@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import re
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from functools import reduce
 from itertools import islice
@@ -69,7 +69,6 @@ __all__ = [
     "Graph",
     "from_edge_list",
     "graph_power",
-    "component_color_classes",
     "hypercube_labels",
 ]
 
@@ -169,13 +168,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(map(len, self._neighbors))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        nbrs = self._neighbors[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def adjacency_masks(self) -> Tuple[int, ...]:
         """Per-vertex neighbor bitmasks (bit v of mask u set iff u ~ v).
@@ -486,23 +478,17 @@ def _rows_of(masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple([tuple([ids[m.start()] for m in ones(bin(mask)[:1:-1])]) for mask in masks])
 
 
-def component_color_classes(g: Graph) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
-    """Per connected component: its order, and its 2-coloring class sizes.
-
-    Each entry is ``(size, (a, b))`` with ``a >= b`` and ``a + b == size``
-    when the component is bipartite, or ``(size, None)`` when it has an odd
-    cycle.  A connected component's 2-coloring is unique up to swapping the
-    two classes, so the sorted pair is well defined.
-    """
-    return _colored_components(g)[1]
-
-
 def _colored_components(
     g: Graph, deadline: Optional[float] = None, what: str = "component sweep"
-) -> Tuple[List[int], list]:
-    """Each vertex's colour, and ``component_color_classes(g)``.
+) -> Tuple[List[int], List[Tuple[int, Optional[Tuple[int, int]]]]]:
+    """Each vertex's colour, and per connected component its order and its
+    2-coloring class sizes.
 
-    In the k-th component (in the order of their smallest vertices) the
+    Each component's entry is ``(size, (a, b))`` with ``a >= b`` and
+    ``a + b == size`` when the component is bipartite, or ``(size, None)``
+    when it has an odd cycle.  A connected component's 2-coloring is unique
+    up to swapping the two classes, so the sorted pair is well defined.  In
+    the k-th component (in the order of their smallest vertices) the
     colours are 2k and 2k + 1, by the parity of the BFS depth, so
     ``colour >> 1`` is the component.  The optional monotonic ``deadline``
     is read each time 4096 units of work have built up, a unit being a

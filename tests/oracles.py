@@ -94,12 +94,12 @@ def relabelled(g: Graph, seed: int) -> Graph:
     return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _adjacency(g: Graph) -> List[List[int]]:
-    """Each vertex's neighbours, listed from g.edges."""
-    adj: List[List[int]] = [[] for _ in range(g.order)]
+def _adjacency(g: Graph) -> List[Set[int]]:
+    """Each vertex's neighbours, as a set made from g.edges."""
+    adj: List[Set[int]] = [set() for _ in range(g.order)]
     for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -216,9 +216,21 @@ def path_cycle_union(parts: Sequence[Tuple[int, bool]], rng: random.Random) -> G
 def is_valid_cycle(g: Graph, seq: Sequence[int]) -> bool:
     """True iff seq is a simple cycle of g (distinct vertices, closed walk)."""
     k = len(seq)
-    if k < 3 or len(set(seq)) != k:
+    if k < 3 or len(set(seq)) != k or not all(0 <= v < g.order for v in seq):
         return False
-    return all(g.has_edge(seq[i], seq[(i + 1) % k]) for i in range(k))
+    adj = _adjacency(g)
+    return all(seq[(i + 1) % k] in adj[seq[i]] for i in range(k))
+
+
+def is_embedding(task: Graph, host: Graph, mapping: Sequence[int]) -> bool:
+    """True iff mapping sends task vertex i to host vertex mapping[i]
+    injectively, into host's range, and every task edge to a host edge."""
+    if len(mapping) != task.order or len(set(mapping)) != task.order:
+        return False
+    if not all(0 <= v < host.order for v in mapping):
+        return False
+    adj = _adjacency(host)
+    return all(mapping[v] in adj[mapping[u]] for u, v in task.edges)
 
 
 def chord_ring(n: int) -> Graph:

@@ -1,12 +1,13 @@
 """Longest cycles and ring orders against brute force, on both kernel backends.
 
-``embedding.longest_cycle`` relabels the host low degree first and runs the
-peeling cycle search; the kernel entry ``cycle_with_length`` is run on the
-same labels for every ring order.  The brute-force oracle tries every vertex
-sequence; the depth-first reference, which the exit-contract fuzz uses above
-order 8, is checked against it too.  They are compared on every labelled graph of
-order <= 5 and on seeded random graphs of orders 6-10, disconnected ones
-included.
+The ring certificate at reach 1 (``compat.ring_potential_certificate``)
+relabels the host low degree first and runs the peeling cycle search (a
+4-cycle, which is H_2 under some labels, takes the Gray cycle instead); the
+kernel entry ``cycle_with_length`` is run on the same labels for every ring
+order.  The brute-force oracle tries every vertex sequence; the depth-first
+reference, which the exit-contract fuzz uses above order 8, is checked
+against it too.  They are compared on every labelled graph of order <= 5
+and on seeded random graphs of orders 6-10, disconnected ones included.
 """
 
 import random
@@ -15,8 +16,9 @@ from itertools import combinations
 
 import pytest
 
-from topocompat import _kernels, from_edge_list, longest_cycle
+from topocompat import _kernels, from_edge_list
 from topocompat._kernels import FOUND, pykernels
+from topocompat.compat import ring_potential_certificate
 from topocompat.embedding import _anchor_order
 from oracles import (brute_force_cycle_orders, is_valid_cycle, longest_cycle_reference,
                      random_graph)
@@ -74,8 +76,8 @@ def test_depth_first_reference_matches_brute_force():
 
 def test_longest_cycle_matches_brute_force(backend):
     for g, orders in _cases():
-        length, witness = longest_cycle(g)
-        assert length == max(orders, default=0), g.sorted_edges()
+        length, witness = ring_potential_certificate(g, 1)
+        assert length == longest_cycle_reference(g) == max(orders, default=0), g.sorted_edges()
         if length:
             assert len(witness) == length and is_valid_cycle(g, witness), g.sorted_edges()
         else:

@@ -6,7 +6,6 @@ import pytest
 
 from topocompat import (
     BudgetExceeded,
-    Embedding,
     HostTooLarge,
     InvalidParameter,
     SearchBudget,
@@ -15,17 +14,15 @@ from topocompat import (
     from_edge_list,
     graph_power,
     hypercube,
-    longest_cycle,
     ring,
     star,
-    verify_embedding,
 )
 from topocompat import graph
 from topocompat._kernels import BUDGET_EXCEEDED, EXHAUSTED, FOUND, pykernels
-from topocompat.compat import star_potential_certificate
+from topocompat.compat import ring_potential_certificate, star_potential_certificate
 from topocompat.embedding import ABSENCE_CHECKS, _anchor_order
-from oracles import (brute_force_cycle_orders, brute_force_embeds, is_bipartite, is_valid_cycle,
-                     random_graph)
+from oracles import (brute_force_cycle_orders, brute_force_embeds, is_bipartite, is_embedding,
+                     is_valid_cycle, random_graph)
 
 
 def _disjoint_union(a, b):
@@ -69,7 +66,7 @@ class TestFindEmbedding:
         task, host = ring(4), hypercube(2)
         emb = find_embedding(task, host)
         assert emb is not None
-        assert verify_embedding(task, host, emb)
+        assert is_embedding(task, host, emb.mapping)
 
     def test_odd_ring_into_hypercube_absent(self):
         assert find_embedding(ring(3), hypercube(3)) is None
@@ -107,7 +104,7 @@ class TestFindEmbedding:
         # recursion limit of 1000
         task = host = ring(1200)
         emb = find_embedding(task, host, SearchBudget(max_host_order=1200))
-        assert emb is not None and verify_embedding(task, host, emb)
+        assert emb is not None and is_embedding(task, host, emb.mapping)
 
     def test_node_budget_exhaustion(self):
         # the squared H4 has odd cycles, so only a search can place the ring
@@ -168,27 +165,32 @@ class TestAbsenceChecks:
         assert find_embedding(task, host, SearchBudget(max_nodes=1)) is None
 
 
-class TestVerifyEmbedding:
+class TestIsEmbedding:
+    """The oracle that checks every witness refuses each way a map can fail."""
+
     def test_identity_map(self):
         g = hypercube(3)
-        assert verify_embedding(g, g, Embedding(tuple(range(8))))
+        assert is_embedding(g, g, tuple(range(8)))
 
     def test_repeated_host_vertex(self):
-        assert not verify_embedding(ring(3), complete(4), Embedding((0, 1, 1)))
+        assert not is_embedding(ring(3), complete(4), (0, 1, 1))
 
     def test_wrong_length(self):
-        assert not verify_embedding(ring(3), complete(4), Embedding((0, 1)))
+        assert not is_embedding(ring(3), complete(4), (0, 1))
 
     def test_out_of_range_image(self):
-        assert not verify_embedding(ring(3), complete(4), Embedding((0, 1, 7)))
+        assert not is_embedding(ring(3), complete(4), (0, 1, 7))
+        assert not is_embedding(ring(3), complete(4), (0, 1, -1))
 
     def test_edge_not_preserved(self):
-        assert not verify_embedding(ring(4), star(4), Embedding((0, 1, 2, 3)))
+        assert not is_embedding(ring(4), star(4), (0, 1, 2, 3))
 
 
 class TestLongestCycle:
+    """The ring certificate at reach 1, where the power is the system itself."""
+
     def test_tree_has_no_cycle(self):
-        assert longest_cycle(star(5)) == (0, None)
+        assert ring_potential_certificate(star(5), 1) == (0, None)
 
     def test_a_forest_answers_zero_before_any_mask(self, monkeypatch):
         from topocompat import embedding
@@ -198,25 +200,26 @@ class TestLongestCycle:
 
         monkeypatch.setattr(embedding, "_anchor_order", no_masks)
         matching = from_edge_list(40_000, [(v, v + 1) for v in range(0, 40_000, 2)])
-        assert longest_cycle(matching) == (0, None)
+        assert ring_potential_certificate(matching, 1) == (0, None)
         with pytest.raises(AssertionError, match="no relabelled masks"):
-            longest_cycle(from_edge_list(4, [(0, 1), (1, 2), (0, 2)]))  # a triangle and a vertex
+            # a triangle and a vertex
+            ring_potential_certificate(from_edge_list(4, [(0, 1), (1, 2), (0, 2)]), 1)
 
     def test_hypercube_three_is_hamiltonian(self):
         g = hypercube(3)
-        length, witness = longest_cycle(g)
+        length, witness = ring_potential_certificate(g, 1)
         assert length == 8
         assert is_valid_cycle(g, witness)
 
     def test_complete_four(self):
         g = graph_power(hypercube(2), 2)
-        length, witness = longest_cycle(g)
+        length, witness = ring_potential_certificate(g, 1)
         assert length == 4
         assert is_valid_cycle(g, witness)
 
     def test_two_triangles_disconnected(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        length, witness = longest_cycle(g)
+        length, witness = ring_potential_certificate(g, 1)
         assert length == 3
         assert is_valid_cycle(g, witness)
 
@@ -228,7 +231,7 @@ class TestLongestCycle:
         assert pykernels.longest_cycle(n, masks, 10**8, 1e-9) == (BUDGET_EXCEEDED, 0, None, 0)
         assert pykernels.longest_cycle(64, masks[:64], 10**8, 1e-9) == (EXHAUSTED, 0, None, 0)
 
-    def test_deadline_given_or_from_the_budget(self, monkeypatch):
+    def test_search_deadline_is_the_budgets_from_the_call(self, monkeypatch):
         import time
         from types import SimpleNamespace
 
@@ -245,11 +248,11 @@ class TestLongestCycle:
             return SimpleNamespace(longest_cycle=longest_cycle)
 
         monkeypatch.setattr(_kernels, "kernels_for", spy_kernels)
-        budget = SearchBudget(time_limit=100.0)
-        assert longest_cycle(hypercube(3), budget, deadline=12.5)[0] == 8
         before = time.monotonic()
-        assert longest_cycle(hypercube(3), budget)[0] == 8
-        assert seen[0] == 12.5 and before + 100 <= seen[1] <= time.monotonic() + 100
+        # the squared H3 is 6-regular, not H3 under any labels, so it is searched
+        host = graph_power(hypercube(3), 2)
+        assert ring_potential_certificate(host, 1, SearchBudget(time_limit=100.0))[0] == 8
+        assert len(seen) == 1 and before + 100 <= seen[0] <= time.monotonic() + 100
 
     def test_bipartite_hosts_have_even_longest_cycle(self):
         from oracles import generated_topologies
@@ -258,7 +261,7 @@ class TestLongestCycle:
         for label, g in generated_topologies(16):
             if not is_bipartite(g):
                 continue
-            length, _ = longest_cycle(g)
+            length, _ = ring_potential_certificate(g, 1)
             assert length % 2 == 0, label
             checked += 1
         assert checked >= 10  # hypercubes, even rings, stars, K_1, K_2
@@ -266,19 +269,19 @@ class TestLongestCycle:
     def test_deep_search_has_no_recursion_limit(self):
         # the search path is 1500 vertices deep
         g = ring(1500)
-        length, witness = longest_cycle(g)
+        length, witness = ring_potential_certificate(g, 1)
         assert length == 1500
         assert is_valid_cycle(g, witness)
         status, cycle, _ = pykernels.cycle_with_length(1500, g.adjacency_masks(), 1500, 10**6, 0.0)
         assert status == FOUND and is_valid_cycle(g, cycle)
 
     def test_trivial_orders(self):
-        assert longest_cycle(complete(1)) == (0, None)
-        assert longest_cycle(complete(2)) == (0, None)
+        assert ring_potential_certificate(complete(1), 1) == (0, None)
+        assert ring_potential_certificate(complete(2), 1) == (0, None)
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
-            longest_cycle(graph_power(hypercube(4), 2), SearchBudget(max_nodes=10))
+            ring_potential_certificate(graph_power(hypercube(4), 2), 1, SearchBudget(max_nodes=10))
 
     def test_anchor_order_is_low_degree_first(self):
         # a triangle 0-1-2 with the path 1-3-4 hanging from it: degrees 2, 3, 2, 2, 1
@@ -338,7 +341,7 @@ class TestAgainstBruteForce:
             emb = find_embedding(task, host)
             if emb is not None:
                 positives += 1
-                assert verify_embedding(task, host, emb)
+                assert is_embedding(task, host, emb.mapping)
             else:
                 negatives += 1
             assert (emb is not None) == brute_force_embeds(task, host)
@@ -396,12 +399,12 @@ class TestOnPowers:
                 host = graph_power(system, reach)
                 for task, emb in zip(tasks, found):
                     assert (emb is not None) == brute_force_embeds(task, host)
-                    assert emb is None or verify_embedding(task, host, emb)
+                    assert emb is None or is_embedding(task, host, emb.mapping)
 
     def test_longest_cycle_matches_brute_force(self):
         for system in self._systems():
             for reach in range(1, 5):
-                length, witness = longest_cycle(graph_power(system, reach))
+                length, witness = ring_potential_certificate(system, reach)
                 host = graph_power(system, reach)
                 assert length == max(brute_force_cycle_orders(host, host.order), default=0)
                 if length:
@@ -435,7 +438,7 @@ class TestLongChains:
     def test_ring_2000_into_ring_2000(self):
         task = host = ring(2000)
         emb = find_embedding(task, host, SearchBudget(max_host_order=2000))
-        assert emb is not None and verify_embedding(task, host, emb)
+        assert emb is not None and is_embedding(task, host, emb.mapping)
 
 
 def test_concurrent_searches_on_shared_graphs():

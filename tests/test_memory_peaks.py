@@ -3,10 +3,11 @@
 The ball-mask routes hold nothing beside their result that their next step
 does not read: the arc route keeps one sliding window, not a prefix mask per
 walk position, and hands each ball on and drops it, so the transform holds
-one set of masks; the star pass maps each last-round ball to its popcount
-as it is made, with no list of singleton masks before round 1.  The bounds
-are ratios to the masks returned, so they hold whatever an int costs on the
-interpreter at hand.  The reader hands its rows one shared int per vertex id,
+one set of masks; the mask rounds hold the listed round before the last
+beside the rows made from the last, so the transform holds two; the star
+pass maps each last-round ball to its popcount as it is made, with no list
+of singleton masks before round 1.  The bounds are ratios to the masks
+returned, so they hold whatever an int costs on the interpreter at hand.  The reader hands its rows one shared int per vertex id,
 and turns each adjacency list into its row in place, so no list outlives its
 row: its peak is bounded against the rows and ints it returns.  So is the
 hypercube generator's, which makes each row once from the shared ints.
@@ -75,6 +76,14 @@ def test_arc_power_holds_one_set_of_masks():
     g._neighbors
     power, peak = peak_bytes(graph.graph_power, g, 64)
     assert peak <= PEAK_RATIO * nbytes(power._masks)
+
+
+def test_round_power_holds_two_rounds_of_masks():
+    # a relabelled host and one with its own labels
+    for g in (relabelled(hypercube(12)), hypercube(10)):
+        g._neighbors
+        power, peak = peak_bytes(graph.graph_power, g, 3)
+        assert peak <= PEAK_RATIO * 2 * nbytes(power._masks), g.order
 
 
 def test_star_pass_holds_one_round_of_masks():

@@ -34,13 +34,16 @@ MODULES = [
 ]
 
 # helpers that repeated an answer the potential cells, their reports, ``embed`` or
-# ``hypercube_labels`` give
+# ``hypercube_labels`` give, and the package's check of its own witnesses, which
+# the tests make with ``oracles.is_embedding`` instead
 REMOVED = {
-    "topocompat.embedding": ("max_star_order", "embeddable_ring_orders"),
+    "topocompat.embedding": ("max_star_order", "embeddable_ring_orders", "longest_cycle",
+                             "verify_embedding"),
     "topocompat.compat": ("hypercube_star_witness", "hypercube_ring_potential", "round_half_up",
                            "hypercube_star_potential", "make_report", "star_potential",
                            "ring_potential", "compatibility_index"),
-    "topocompat.graph": ("ball_size", "diameter", "is_bipartite", "largest_ball"),
+    "topocompat.graph": ("ball_size", "diameter", "is_bipartite", "largest_ball",
+                         "component_color_classes"),
     "topocompat.topologies": ("canonical_hypercube_dim",),
     "topocompat._kernels": ("have_compiled",),
 }
@@ -59,6 +62,10 @@ def test_removed_helpers_are_gone(name, attrs):
         assert not hasattr(module, attr), f"{name}.{attr}"
         assert not hasattr(topocompat, attr), attr
         assert attr not in topocompat.__all__
+
+
+def test_graph_has_no_edge_lookup():
+    assert not hasattr(topocompat.Graph, "has_edge")
 
 
 @pytest.fixture(scope="module")
