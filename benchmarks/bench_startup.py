@@ -16,7 +16,8 @@ may import modules the program would otherwise be charged for.  The rows
 take turns within every round, so a slow stretch of a shared host falls on
 all of them alike.  The tree's ``src`` is copied and byte-compiled first,
 as an install would be, so no row pays for compiling; each process gets
-the copy on ``PYTHONPATH`` and the pure kernels (``TOPO_COMPAT_PURE=1``).
+the copy on ``PYTHONPATH``, which holds no built extension and so runs the
+pure kernels.
 The table gives each row's median wall time and quartiles in milliseconds.
 
 Then, for each command, a probe process imports the CLI, runs the same query
@@ -77,7 +78,7 @@ def main() -> int:
         src = Path(out, "src")
         shutil.copytree(args.src, src, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
         compileall.compile_dir(str(src), quiet=1)
-        env = dict(os.environ, PYTHONPATH=str(src), TOPO_COMPAT_PURE="1")
+        env = dict(os.environ, PYTHONPATH=str(src))
         for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX"):
             env.pop(name, None)
         queries = {name: [a.format(out=out) for a in argv] for name, argv in QUERIES.items()}

@@ -13,7 +13,10 @@ a package's ``__init__.py`` row is the package's own surface, and the last
 lines repeat it for each top-level package (``topocompat.__all__`` under
 ``src``).  A module that defines a top-level class ``Graph`` adds one more
 line, the number of that class's public methods and properties (those whose
-names do not start with ``_``), read the same way.  These are the counts the
+names do not start with ``_``), read the same way.  The last line is the
+number of environment variables the modules read by name: the distinct
+string literals given to ``os.environ.get``, ``os.getenv`` or a read of
+``os.environ[...]``, found with ``ast`` too.  These are the counts the
 design notes quote when code or names are added or removed.
 """
 
@@ -62,9 +65,27 @@ def public_members(tree: ast.Module):
     return None
 
 
+def environment_variables(tree: ast.Module) -> set:
+    """The string literals the module gives ``os.environ.get`` or
+    ``os.getenv``, or reads ``os.environ`` at."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.environ.get", "os.getenv"):
+            key = node.args[0] if node.args else None
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+              and ast.unparse(node.value) == "os.environ"):
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            names.add(key.value)
+    return names
+
+
 def code_lines(path: Path):
     """The number of code lines in one Python source file, of its public
-    names, and of its class ``CLASS``'s public members (None without one)."""
+    names, and of its class ``CLASS``'s public members (None without one),
+    and the environment variables it reads by name."""
     with tokenize.open(path) as f:
         text = f.read()
     lines = set()
@@ -72,24 +93,27 @@ def code_lines(path: Path):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     tree = ast.parse(text, str(path))
-    return len(lines - docstring_lines(tree)), public_names(tree), public_members(tree)
+    return (len(lines - docstring_lines(tree)), public_names(tree), public_members(tree),
+            environment_variables(tree))
 
 
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    total, surfaces = 0, []
+    total, surfaces, variables = 0, [], set()
     print(f"{'code':>6} {'names':>6}  module")
     for path in files:
-        count, names, members = code_lines(path)
+        count, names, members, read = code_lines(path)
         total += count
+        variables |= read
         print(f"{count:>6} {'-' if names is None else names:>6}  "
               f"{path.relative_to(root) if path != root else path}")
         if path.name == "__init__.py" and path.parent.parent == root:  # a top-level package
             surfaces.append(f"{'':>6} {names or 0:>6}  {path.parent.name}.__all__")
         if members is not None:
             surfaces.append(f"{'':>6} {members:>6}  {CLASS} public methods and properties")
-    print(f"{total:>6} {'':>6}  total", *surfaces, sep="\n")
+    print(f"{total:>6} {'':>6}  total", *surfaces,
+          f"{'':>6} {len(variables):>6}  environment variables read", sep="\n")
     return 0
 
 

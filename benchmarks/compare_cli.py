@@ -8,7 +8,9 @@ queries and their input files come from ``perfbench/workloads.py``, which is
 imported and left as it is.  Each tree gets its own copy of the inputs in a
 temporary directory, so the ``-o`` files of the two trees never meet.  Every
 query runs there as ``python -m topocompat.cli`` once per tree, in the
-environment ``perfbench/run.py`` gives the pure backend (``child_env``).
+environment ``perfbench/run.py`` gives its queries (``child_env``).  Each
+tree runs whichever kernel backend its ``src`` can load: the pure one for
+a ``git archive``, which holds no built extension.
 
 Exit code, standard output, standard error (with the tree's ``src`` path
 written as ``<src>``) and the file named after ``-o`` must be byte-identical.
@@ -36,7 +38,7 @@ def outcome(src: Path, argv: list, cwd: str) -> dict:
     """What one query leaves behind on one tree, keyed by what is compared."""
     try:
         proc = subprocess.run([sys.executable, "-m", "topocompat.cli", *argv], cwd=cwd,
-                              env=child_env(src, pure=True), stdin=subprocess.DEVNULL,
+                              env=child_env(src, pure=False), stdin=subprocess.DEVNULL,
                               capture_output=True, timeout=TIMEOUT_S, check=False)
     except subprocess.TimeoutExpired:
         return {"exit code": f"timed out after {TIMEOUT_S} s"}

@@ -2,16 +2,14 @@
 
 The compiled extension (``_ckernels``, built from the hand-written
 ``_ckernels.c``) covers graphs of order <= 64, where adjacency bitmasks fit
-machine words.  Larger graphs, or
-environments without the extension, use the pure-Python twin.  Set
-``TOPO_COMPAT_PURE=1`` to force the pure backend (useful for benchmarking
-and debugging); both backends return identical results, and
-:func:`active_backend` names the one in use.
+machine words.  Larger graphs, or a process that cannot load the extension
+(a tree without an in-place build, say), use the pure-Python twin.  The
+choice reads nothing but those two facts: to run the pure kernels in a tree
+built in place, delete the extension's ``.so``.  Both backends return
+identical results, and :func:`active_backend` names the one in use.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import pykernels
 from .pykernels import BUDGET_EXCEEDED, EXHAUSTED, FOUND
@@ -28,12 +26,9 @@ __all__ = [
 
 COMPILED_MAX_ORDER = 64
 
-if os.environ.get("TOPO_COMPAT_PURE", "") in ("", "0"):
-    try:
-        from . import _ckernels
-    except ImportError:
-        _ckernels = None
-else:
+try:
+    from . import _ckernels
+except ImportError:
     _ckernels = None
 
 

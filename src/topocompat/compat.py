@@ -41,7 +41,7 @@ from . import _kernels, embedding, graph
 from .embedding import DEFAULT_BUDGET, SearchBudget
 from .errors import BudgetExceeded, InvalidParameter, InvalidPotential, _FrozenRecord
 from .graph import Graph, _check_reach, graph_power, hypercube_labels
-from .topologies import MAX_HYPERCUBE_DIM, TopologySpec, check_hypercube_dim, gray_code_cycle
+from .topologies import TopologySpec, check_hypercube_dim, gray_code_cycle
 
 if TYPE_CHECKING:  # imported only where a Fraction is made
     from fractions import Fraction
@@ -224,19 +224,13 @@ def compatibility_table(
 
     Every cell is a :func:`potential` of a ``hypercube:s`` spec, so each
     comes from a closed form and no graph is built.  Dimensions and reaches
-    must lie in 1..MAX_HYPERCUBE_DIM: no two vertices of H_s lie more than
-    s <= 20 apart, so a larger reach only repeats the reach-20 row.  Each
-    value is checked as it is read, so a huge range is refused at its first
-    value out of bounds, before any cell is made.
+    must be integers in 1..MAX_HYPERCUBE_DIM: no two vertices of H_s lie
+    more than s <= 20 apart, so a larger reach only repeats the reach-20
+    row.  Each value is checked as it is read, so a huge range is refused at
+    its first value out of bounds, before any cell is made.
     """
-    dims, reaches = set(), set()
-    for s in s_values:
-        check_hypercube_dim(s)
-        dims.add(s)
-    for reach in reach_values:
-        if not (1 <= reach <= MAX_HYPERCUBE_DIM):
-            raise InvalidParameter(f"reachability must be in 1..{MAX_HYPERCUBE_DIM}, got {reach}")
-        reaches.add(reach)
+    dims = {check_hypercube_dim(s) for s in s_values}
+    reaches = {check_hypercube_dim(reach, "reachability") for reach in reach_values}
     if not dims or not reaches:
         raise InvalidParameter("empty dimension or reachability range")
     ss = sorted(dims)

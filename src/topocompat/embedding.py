@@ -55,7 +55,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import _kernels
 from .errors import BudgetExceeded, HostTooLarge, InvalidParameter, _FrozenRecord
-from .graph import _POWER_MAX_EDGES, Graph, _check_deadline, _colored_components
+from .graph import _POWER_MAX_EDGES, Graph, _check_deadline, _check_integer, _colored_components
 
 __all__ = [
     "Embedding",
@@ -91,13 +91,18 @@ class SearchBudget(_FrozenRecord):
     expansions; time_limit is finite wall-clock seconds.  Exceeding nodes or
     time raises BudgetExceeded.  Each field must be finite: a nan cap
     compares False against every order and count, so it would switch its
-    check off.
+    check off.  The two caps must be integers, as both kernels count in
+    them: ``operator.index`` must take each.
     """
 
     _fields = ("max_host_order", "max_nodes", "time_limit")
 
     def __init__(self, max_host_order: int = 64, max_nodes: int = 10**8, time_limit: float = 60.0):
         inf = float("inf")
+        for name, cap in zip(self._fields, (max_host_order, max_nodes)):
+            # a float cap that is nan, infinite or below 1 is left to the range test's message
+            if not isinstance(cap, float) or 1 <= cap < inf:
+                _check_integer(cap, InvalidParameter, f"search budget {name}")
         if not (1 <= max_host_order < inf and 1 <= max_nodes < inf and 0 < time_limit < inf):
             raise InvalidParameter("search budget fields must be strictly positive and finite")
         super().__init__(max_host_order, max_nodes, time_limit)

@@ -60,7 +60,7 @@ from bisect import bisect_right
 from collections import deque
 from functools import reduce
 from itertools import islice
-from operator import lt, or_
+from operator import index, lt, or_
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvalidEdge, InvalidParameter, InvalidReachability, InvalidVertex
@@ -81,12 +81,15 @@ _BALL_MASK_MAX_ORDER = 4096
 _POWER_MAX_EDGES = 20 << 19
 
 
-def _refuse_edge(u: int, v: int, n: int) -> None:
-    """Raise the error ``Graph`` gives the edge (u, v) on n vertices, one it refuses."""
-    if not (0 <= u < n):
-        raise InvalidVertex(f"vertex {u} out of range 0..{n - 1}")
+def _check_vertex(v: int, n: int) -> None:
     if not (0 <= v < n):
         raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
+
+
+def _refuse_edge(u: int, v: int, n: int) -> None:
+    """Raise the error ``Graph`` gives the edge (u, v) on n vertices, one it refuses."""
+    _check_vertex(u, n)
+    _check_vertex(v, n)
     raise InvalidEdge(f"self-loop at vertex {u}")
 
 
@@ -159,11 +162,11 @@ class Graph:
         return sum(map(len, self._rows)) // 2
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        self._check_vertex(v)
+        _check_vertex(v, self._n)
         return self._neighbors[v]
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        _check_vertex(v, self._n)
         return len(self._neighbors[v])
 
     def max_degree(self) -> int:
@@ -200,10 +203,6 @@ class Graph:
             for u, nbrs in enumerate(self._rows):
                 yield list(map(labels.__getitem__, nbrs[bisect_right(nbrs, u):]))
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._n):
-            raise InvalidVertex(f"vertex {v} out of range 0..{self._n - 1}")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -216,8 +215,8 @@ class Graph:
         return f"Graph(n={self._n}, m={self.num_edges})"
 
 
-# Graph(n, edges) under the name the benchmark's tracer (``perfbench/tracing.py``), the
-# scripts in ``benchmarks/`` and the tests import; the package itself calls ``Graph``
+# Graph(n, edges) under the name the benchmark's tracer (``perfbench/tracing.py``) and the
+# tests import; the package itself calls ``Graph``
 from_edge_list = Graph
 
 
@@ -279,8 +278,20 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     return Graph._from_neighbors(rows) if type(row) is tuple else Graph._from_masks(rows)
 
 
+def _check_integer(value, error: type, what: str) -> None:
+    """Raise ``error`` for a value that ``operator.index`` refuses, whatever
+    its value (a float, a str or a Fraction, say); an int, or a type that
+    acts as one, passes."""
+    try:
+        index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_reach(reach: int) -> None:
-    """Refuse a reachability below 1, for the transform and every potential."""
+    """Refuse a reachability that is not an integer, or is below 1, for the
+    transform and every potential."""
+    _check_integer(reach, InvalidReachability, "reachability")
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
 

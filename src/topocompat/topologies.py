@@ -33,10 +33,14 @@ __all__ = [
 MAX_HYPERCUBE_DIM = 20  # order cap 2^20
 
 
-def check_hypercube_dim(s: int) -> None:
-    """Refuse a hypercube dimension outside 1..MAX_HYPERCUBE_DIM."""
+def check_hypercube_dim(s: int, what: str = "hypercube dimension") -> int:
+    """s, once it is checked to be an integer in 1..MAX_HYPERCUBE_DIM;
+    InvalidParameter, naming it ``what``, otherwise.  The table's reaches
+    share the bound, under their own name."""
+    graph._check_integer(s, InvalidParameter, what)
     if not (1 <= s <= MAX_HYPERCUBE_DIM):
-        raise InvalidParameter(f"hypercube dimension must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
+        raise InvalidParameter(f"{what} must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
+    return s
 
 
 def hypercube(s: int) -> Graph:

@@ -1,5 +1,8 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from topocompat.edgelist import loads, read_edge_list_path, write_edge_list_path
 from oracles import chord_ring, is_valid_cycle, relabelled
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_table_star.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseRange:
@@ -461,6 +465,17 @@ class TestEmbedCommand:
         monkeypatch.setenv("TOPO_COMPAT_TIME_LIMIT", "abc")
         assert [(run(argv), capsys.readouterr()) for argv in queries] == expected
         assert expected[0][0] == expected[1][0] == 0
+
+    def test_the_environment_picks_no_kernel_backend(self):
+        # whether the extension loads is all that picks the backend, in a fresh process
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                "from topocompat._kernels import active_backend; print(active_backend())")
+        env = {k: v for k, v in os.environ.items() if k != "TOPO_COMPAT_PURE"}
+        printed = [subprocess.run([sys.executable, "-I", "-S", "-c", code], env=child_env,
+                                  stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                                  check=True).stdout
+                   for child_env in (env, dict(env, TOPO_COMPAT_PURE="1"))]
+        assert printed[0] == printed[1] and printed[0] in ("pure\n", "compiled\n")
 
     @pytest.mark.parametrize("limit", ["nan", "inf"])
     def test_non_finite_time_limit_flag_exits_two(self, limit, capsys):

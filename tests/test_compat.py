@@ -1,5 +1,6 @@
 """Potentials, indexes, and the compatibility table."""
 
+import re
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -118,11 +119,12 @@ class TestHypercubeClosedForms:
 
 
 class TestPotentialCell:
+    @pytest.mark.parametrize("reach", [0, 2.0, 2.5, "2"])
     @pytest.mark.parametrize("spec", [TopologySpec("hypercube", 3), TopologySpec("ring", 5)])
     @pytest.mark.parametrize("task_kind", ["star", "ring"])
-    def test_reach_zero_rejected_on_every_path(self, spec, task_kind):
+    def test_reach_zero_rejected_on_every_path(self, spec, task_kind, reach):
         with pytest.raises(InvalidReachability):
-            potential(spec, task_kind, 0)
+            potential(spec, task_kind, reach)
 
     def test_bad_task_kind_rejected(self):
         with pytest.raises(InvalidParameter, match="^task kind must be 'star' or 'ring', got 'mesh'$"):
@@ -166,9 +168,10 @@ class TestStarPotential:
     def test_generic_equals_closed_form_on_hypercubes(self, s, reach):
         assert star_potential_certificate(hypercube(s), reach)[0] == hypercube_star(s, reach)
 
-    def test_reach_zero_rejected(self):
+    @pytest.mark.parametrize("reach", [0, 2.0, 2.5, "2"])
+    def test_reach_zero_rejected(self, reach):
         with pytest.raises(InvalidReachability):
-            star_potential_certificate(ring(5), 0)[0]
+            star_potential_certificate(ring(5), reach)[0]
 
     def test_disconnected_takes_best_component(self):
         from topocompat import from_edge_list
@@ -289,9 +292,11 @@ class TestRingPotential:
         for reach in (1, 2):
             assert ring_potential_certificate(system, reach) == (0, None)
 
-    def test_reach_zero_rejected(self):
-        with pytest.raises(InvalidReachability, match="^reachability must be >= 1, got 0$"):
-            ring_potential_certificate(ring(5), 0)[0]
+    @pytest.mark.parametrize("reach", [0, 2.0, 2.5, "2"])
+    def test_reach_zero_rejected(self, reach):
+        message = "must be >= 1, got 0" if reach == 0 else f"must be an integer, got {reach!r}"
+        with pytest.raises(InvalidReachability, match=f"^reachability {re.escape(message)}$"):
+            ring_potential_certificate(ring(5), reach)[0]
 
     def test_ring_system_with_reach_two(self):
         # C_9 squared is 4-regular and Hamiltonian
@@ -468,6 +473,12 @@ class TestCompatibilityTable:
         # each value is checked as it is read, so a huge range stops at 21
         (range(1, 10**30), [1], "^hypercube dimension must be in 1..20, got 21$"),
         ([3], range(1, 10**30), "^reachability must be in 1..20, got 21$"),
+        # a value that is not an integer fails before any range test
+        (["3"], [2], "^hypercube dimension must be an integer, got '3'$"),
+        ([2.0], [1], "^hypercube dimension must be an integer, got 2.0$"),
+        ([3], ["2"], "^reachability must be an integer, got '2'$"),
+        ([3], [2.0], "^reachability must be an integer, got 2.0$"),
+        ([3], [2.5], "^reachability must be an integer, got 2.5$"),
     ])
     def test_values_outside_one_to_twenty_rejected(self, s_values, reaches, message):
         with pytest.raises(InvalidParameter, match=message):

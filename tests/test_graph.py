@@ -182,9 +182,10 @@ class TestGraphPower:
     def test_square_of_path_is_triangle(self):
         assert graph_power(from_edge_list(3, [(0, 1), (1, 2)]), 2) == complete(3)
 
-    def test_reach_zero_rejected(self):
+    @pytest.mark.parametrize("reach", [0, 2.0, 2.5, "2"])
+    def test_reach_zero_rejected(self, reach):
         with pytest.raises(InvalidReachability):
-            graph_power(ring(5), 0)
+            graph_power(ring(5), reach)
 
     @pytest.mark.parametrize("label,g", generated_topologies(32))
     def test_edge_monotonicity(self, label, g):

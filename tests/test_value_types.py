@@ -9,6 +9,7 @@ form, so a change of representation cannot alter them unnoticed.
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,11 +172,19 @@ def test_spec_str_is_the_cli_syntax():
     assert str(TopologySpec("file", "a.edges")) == "file:a.edges"
 
 
+# caps that operator.index refuses: both kernels count nodes in integers
+NON_INTEGER_CAPS = [("max_host_order", 8.5), ("max_nodes", 2.0), ("max_nodes", "2")]
+
+
 @pytest.mark.parametrize("field,bad", [
     (field, bad) for field in ("max_host_order", "max_nodes", "time_limit") for bad in (0, -1)
-] + [("time_limit", math.nan), ("time_limit", math.inf), ("time_limit", -math.inf)])
+] + [("time_limit", math.nan), ("time_limit", math.inf), ("time_limit", -math.inf)]
+  + NON_INTEGER_CAPS)
 def test_budget_rejects_non_positive_or_non_finite(field, bad):
-    with pytest.raises(InvalidParameter, match="^search budget fields must be strictly positive and finite$"):
+    message = (f"search budget {field} must be an integer, got {bad!r}"
+               if (field, bad) in NON_INTEGER_CAPS
+               else "search budget fields must be strictly positive and finite")
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         SearchBudget(**{field: bad})
 
 
