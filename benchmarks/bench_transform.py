@@ -107,7 +107,7 @@ def build(spec: str):
         return Graph(n, edges) if kind == "path" else relabelled(n, edges)
     if kind == "relabelled-hypercube":
         g = parse_topology_spec(f"hypercube:{arg}").build()
-        return relabelled(g.order, g.sorted_edges())
+        return relabelled(g.order, sorted(g.edges))
     if kind == "cycles":  # "kxL": k disjoint cycles of order L
         k, order = map(int, arg.split("x"))
         return relabelled(k * order, [(c * order + v, c * order + (v + 1) % order)

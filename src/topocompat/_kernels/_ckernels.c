@@ -1,15 +1,15 @@
 /* Compiled twin of ``pykernels``: the same search kernels over machine words.
  *
  * Graphs have order <= 64, so each adjacency mask fits one uint64_t.  The
- * algorithms, candidate order and node accounting are those of pykernels.py
- * (its module docstring has the reachability invariant, the peel of the
- * reachable set and their proofs), so both backends return identical tuples,
- * witnesses and node counts included.
- * The dispatcher in topocompat._kernels routes larger graphs to the pure
- * backend.  Backtracking keeps explicit stacks, and the deadline is read from
- * time.monotonic every 4096 nodes.
- * The library calls only longest_cycle; cycle_with_length is kept for the
- * benchmark tracer's kernel section and the parity tests until a
+ * algorithms, candidate order, node accounting and results, (status, witness
+ * or None, nodes) with FOUND exactly when a witness comes back, are those of
+ * pykernels.py, whose module docstring proves the reachability invariant and
+ * the peel, so both backends return identical tuples.  The dispatcher in
+ * topocompat._kernels routes larger graphs to the pure backend.  Backtracking
+ * keeps explicit stacks, and the deadline is read from time.monotonic every
+ * 4096 nodes.  Both cycle entries parse their own arguments and share
+ * cycle_result.  The library calls only longest_cycle; cycle_with_length is
+ * kept for the tracer's kernel section and the parity tests until a
  * cycle_search entry replaces both.
  */
 #define PY_SSIZE_T_CLEAN
@@ -236,15 +236,15 @@ static uint64_t peel(const uint64_t *adj, uint64_t r, uint64_t keep, uint64_t to
 }
 
 /* The longest simple cycle longer than *best_len with at most limit vertices,
- * as pykernels._cycle_search: raises *best_len and fills best when it finds
- * one.  Returns EXHAUSTED, BUDGET_EXCEEDED, or -1 with an exception set. */
+ * as pykernels._cycle_search: FOUND once it has raised *best_len and filled
+ * best, else EXHAUSTED or BUDGET_EXCEEDED, or -1 with an exception set. */
 static int cycle_search(int n, const uint64_t *adj, int *best_len, int limit, Budget *b,
                         int *best)
 {
     /* explicit stack: path[0..d] is the path, with head path[d]; for i < d,
      * exts[i] holds the untried extensions of path[i], reach[i] the free
      * vertices reachable from path[i], and one[i] whether they are connected */
-    int path[MAXN], one[MAXN], hit;
+    int path[MAXN], one[MAXN], hit, status = EXHAUSTED;
     uint64_t exts[MAXN], reach[MAXN];
     for (int a = 0; a < n && n - a > *best_len; a++) {
         uint64_t a_bit = BIT(a), adj_a = adj[a], allowed = all_mask(n) & ~((a_bit << 1) - 1);
@@ -259,8 +259,9 @@ static int cycle_search(int n, const uint64_t *adj, int *best_len, int limit, Bu
             if (plen >= 3 && ((adj[head] >> a) & 1) && plen > *best_len) {
                 *best_len = plen;
                 memcpy(best, path, plen * sizeof(int));
+                status = FOUND;
                 if (plen == limit)
-                    return EXHAUSTED;
+                    return FOUND;
             }
             uint64_t ext = 0;
             if (plen < limit) {
@@ -285,49 +286,49 @@ static int cycle_search(int n, const uint64_t *adj, int *best_len, int limit, Bu
             path[++d] = CTZ(ext);
         }
     }
-    return EXHAUSTED;
+    return status;
+}
+
+/* Both cycle entries once their arguments are parsed: cycle_search's tuple. */
+static PyObject *cycle_result(int n, PyObject *adj_seq, int best_len, int limit,
+                              PyObject *max_nodes, double deadline)
+{
+    int best[MAXN], status;
+    uint64_t adj[MAXN];
+    Budget b;
+    if (budget_init(&b, max_nodes, deadline) < 0 || read_seq(adj_seq, n, adj, 0) < 0
+        || (status = cycle_search(n, adj, &best_len, limit, &b, best)) < 0)
+        return NULL;
+    PyObject *witness = status == FOUND ? list_of(best, best_len) : Py_NewRef(Py_None);
+    return Py_BuildValue("iNL", status, witness, b.nodes);
 }
 
 static PyObject *longest_cycle(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "adj", "max_nodes", "deadline", NULL};
-    int n, best_len = 0, best[MAXN], status;
+    int n;
     PyObject *adj_seq, *max_nodes;
     double deadline;
-    uint64_t adj[MAXN];
-    Budget b;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOd", kwlist, &n, &adj_seq, &max_nodes,
                                      &deadline)
-        || check_order(n) < 0 || budget_init(&b, max_nodes, deadline) < 0
-        || read_seq(adj_seq, n, adj, 0) < 0
-        || (status = cycle_search(n, adj, &best_len, n, &b, best)) < 0)
+        || check_order(n) < 0)
         return NULL;
-    if (status == BUDGET_EXCEEDED || best_len == 0)
-        return Py_BuildValue("iiOL", status, 0, Py_None, b.nodes);
-    return Py_BuildValue("iiNL", status, best_len, list_of(best, best_len), b.nodes);
+    return cycle_result(n, adj_seq, 0, n, max_nodes, deadline);
 }
 
 static PyObject *cycle_with_length(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "adj", "k", "max_nodes", "deadline", NULL};
-    int n, k, best_len, best[MAXN], status;
+    int n, k;
     PyObject *adj_seq, *max_nodes;
     double deadline;
-    uint64_t adj[MAXN];
-    Budget b;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOiOd", kwlist, &n, &adj_seq, &k, &max_nodes,
                                      &deadline)
         || check_order(n) < 0)
         return NULL;
     if (k < 3 || k > n)
         return Py_BuildValue("iOi", EXHAUSTED, Py_None, 0);
-    best_len = k - 1;
-    if (budget_init(&b, max_nodes, deadline) < 0 || read_seq(adj_seq, n, adj, 0) < 0
-        || (status = cycle_search(n, adj, &best_len, k, &b, best)) < 0)
-        return NULL;
-    if (best_len == k)
-        return Py_BuildValue("iNL", FOUND, list_of(best, k), b.nodes);
-    return Py_BuildValue("iOL", status, Py_None, b.nodes);
+    return cycle_result(n, adj_seq, k - 1, k, max_nodes, deadline);
 }
 
 /* -- module --------------------------------------------------------------- */
@@ -336,11 +337,9 @@ static PyMethodDef methods[] = {
     {"subgraph_search", (PyCFunction)(void (*)(void))subgraph_search,
      METH_VARARGS | METH_KEYWORDS, "Find one injective edge-preserving map of task into host."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_VARARGS | METH_KEYWORDS,
-     "Length and witness of the longest simple cycle (0, None if acyclic)."},
+     "The longest simple cycle, or EXHAUSTED with None if there is none."},
     {"cycle_with_length", (PyCFunction)(void (*)(void))cycle_with_length,
-     METH_VARARGS | METH_KEYWORDS,
-     "Find one simple cycle of length exactly k, or prove none (kept for the tracer and parity "
-     "tests)."},
+     METH_VARARGS | METH_KEYWORDS, "Find one simple cycle of length exactly k, or prove none."},
     {NULL, NULL, 0, NULL},
 };
 

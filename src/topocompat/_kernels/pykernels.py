@@ -9,15 +9,18 @@ the identical candidate order and node accounting, so the two backends
 return identical results, witnesses included.  Backtracking keeps its own
 stack, so search depth is not bounded by the interpreter's recursion limit.
 
+Every entry returns ``(status, witness or None, nodes)``, and the status is
+FOUND exactly when a witness comes back: EXHAUSTED means the search space
+was fully explored with nothing found, and BUDGET_EXCEEDED that the node or
+time cap was hit, so the result is unknown.
+
 There is one cycle search, :func:`_cycle_search`: the longest cycle longer
 than a given length with at most a given number of vertices.
-:func:`longest_cycle` asks it for (0, n) and :func:`cycle_with_length` for
-(k - 1, k).  The library calls only :func:`longest_cycle`;
-:func:`cycle_with_length` is kept for the benchmark tracer's kernel section
-and the parity tests until a ``cycle_search`` entry replaces both.
-
-Status codes: FOUND (witness returned), EXHAUSTED (search space fully
-explored), BUDGET_EXCEEDED (node or time cap hit; result unknown).
+:func:`longest_cycle` is the call with (0, n), and :func:`cycle_with_length`
+the call with (k - 1, k) once k is in 3..n.  The library calls only
+:func:`longest_cycle`; :func:`cycle_with_length` is kept for the benchmark
+tracer's kernel section and the parity tests until a ``cycle_search`` entry
+replaces both.
 
 Node accounting: subgraph search counts one node per attempted candidate
 assignment; the cycle search counts one node per vertex pushed on the path.
@@ -246,7 +249,8 @@ def _cycle_search(
     deadline: float,
 ) -> Tuple[int, Optional[List[int]], int]:
     """The longest simple cycle longer than ``best_len`` with at most
-    ``limit`` vertices: (status, witness or None, nodes).
+    ``limit`` vertices: (FOUND, witness, nodes), or (EXHAUSTED or
+    BUDGET_EXCEEDED, None, nodes) when none comes back.
 
     Each candidate cycle is searched from its smallest vertex (the anchor):
     paths start at the anchor and run through larger ids only.  Extension is
@@ -292,7 +296,7 @@ def _cycle_search(
                 best_len = plen
                 best = path[:plen]
                 if best_len == limit:
-                    return EXHAUSTED, best, nodes
+                    return FOUND, best, nodes
             ext = 0
             if plen < limit:
                 if d:
@@ -317,7 +321,7 @@ def _cycle_search(
             exts[d] = ext & (ext - 1)
             d += 1
             path[d] = w
-    return EXHAUSTED, best, nodes
+    return (EXHAUSTED if best is None else FOUND), best, nodes
 
 
 def longest_cycle(
@@ -325,12 +329,9 @@ def longest_cycle(
     adj: Sequence[int],
     max_nodes: int,
     deadline: float,
-) -> Tuple[int, int, Optional[List[int]], int]:
-    """Length and witness of the longest simple cycle (0, None if acyclic)."""
-    status, best, nodes = _cycle_search(n, adj, 0, n, max_nodes, deadline)
-    if best is None:
-        return status, 0, None, nodes
-    return status, len(best), best, nodes
+) -> Tuple[int, Optional[List[int]], int]:
+    """The longest simple cycle, or EXHAUSTED with None if there is none."""
+    return _cycle_search(n, adj, 0, n, max_nodes, deadline)
 
 
 def cycle_with_length(
@@ -346,5 +347,4 @@ def cycle_with_length(
     and the parity tests until ``cycle_search`` replaces it."""
     if k < 3 or k > n:
         return EXHAUSTED, None, 0
-    status, best, nodes = _cycle_search(n, adj, k - 1, k, max_nodes, deadline)
-    return (FOUND if best else status), best, nodes
+    return _cycle_search(n, adj, k - 1, k, max_nodes, deadline)

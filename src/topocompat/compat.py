@@ -119,12 +119,10 @@ def ring_potential_certificate(
     if m < n and m + len(graph._colored_components(power)[1]) == n:
         return 0, None
     order, masks = embedding._anchor_order(power, deadline)
-    status, length, witness, _ = _kernels.kernels_for(n).longest_cycle(
-        n, masks, budget.max_nodes, deadline
-    )
+    status, witness, _ = _kernels.kernels_for(n).longest_cycle(n, masks, budget.max_nodes, deadline)
     if status == _kernels.BUDGET_EXCEEDED:
         raise BudgetExceeded("longest-cycle search ran out of node or time budget")
-    return length, tuple(order[v] for v in witness) if witness is not None else None
+    return (len(witness), tuple(order[v] for v in witness)) if witness else (0, None)
 
 
 def potential(

@@ -160,7 +160,7 @@ def _replayed(batch, raws):
 def write_edge_list(g: Graph, stream: TextIO) -> None:
     """Write a graph in canonical form: header, then sorted ``u v`` lines."""
     stream.write(f"{g.order} {g.num_edges}\n")
-    # the lines of sorted_edges(), one string per vertex: its neighbors above it
+    # the edge lines in lexicographic order, one string per vertex: its neighbors above it
     names = [str(v) for v in range(g.order)]
     for u, upper in enumerate(g._upper_rows(names)):
         if upper:

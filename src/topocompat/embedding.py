@@ -92,7 +92,9 @@ class SearchBudget(_FrozenRecord):
     time raises BudgetExceeded.  Each field must be finite: a nan cap
     compares False against every order and count, so it would switch its
     check off.  The two caps must be integers, as both kernels count in
-    them: ``operator.index`` must take each.
+    them: ``operator.index`` must take each.  The time limit must be a
+    number that adds to a float, as the deadline is ``time.monotonic()``
+    plus it.
     """
 
     _fields = ("max_host_order", "max_nodes", "time_limit")
@@ -103,7 +105,12 @@ class SearchBudget(_FrozenRecord):
             # a float cap that is nan, infinite or below 1 is left to the range test's message
             if not isinstance(cap, float) or 1 <= cap < inf:
                 _check_integer(cap, InvalidParameter, f"search budget {name}")
-        if not (1 <= max_host_order < inf and 1 <= max_nodes < inf and 0 < time_limit < inf):
+        try:  # deadline() adds the limit to a float
+            limit_ok = 0 < 0.0 + time_limit < inf
+        except TypeError:
+            raise InvalidParameter(
+                f"search budget time_limit must be a number, got {time_limit!r}") from None
+        if not (1 <= max_host_order < inf and 1 <= max_nodes < inf and limit_ok):
             raise InvalidParameter("search budget fields must be strictly positive and finite")
         super().__init__(max_host_order, max_nodes, time_limit)
 

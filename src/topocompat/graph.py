@@ -9,8 +9,8 @@ neighbor tuple per vertex, and a bitmask per vertex (arbitrary-width ints)
 for the search kernels.  A graph built from edges holds the tuples and makes
 the masks on first use; a power on the mask path holds the masks and decodes
 the tuples (:func:`_rows_of`) only when something first reads a row.
-Lookups, equality and hashing read the tuples; the edge count and the sorted
-edges read whichever view is there.
+Lookups, equality and hashing read the tuples; the edge count and the edge
+set read whichever view is there.
 
 The central transform here is :func:`graph_power`: connecting every pair of
 vertices whose distance in the original graph is at most a given reachability.
@@ -33,12 +33,14 @@ that chooses among three routes:
 
 On the first two, each ball minus its centre becomes the vertex's adjacency
 mask as it is: writing the power (``edgelist.write_edge_list``) makes no
-tuple, and the search kernels get the masks with no re-encode.  On the BFS
-route each ball minus its vertex becomes its neighbor tuple
-(:func:`_ball_row`, one per ball from :func:`_bfs_balls`).  A power with
-more edges than H_20 is refused as its rows are counted (by popcount on a
-mask), and from order 4580 on, where even the complete graph is over that cap,
-first by a lower bound from the component orders and neighbour degrees.
+tuple, and ``embed``'s subgraph search gets the masks with no re-encode.  A
+ring potential decodes the rows (``embedding._anchor_order``) and relabels
+the masks from them.  On the BFS route each ball minus its vertex becomes
+its neighbor tuple (:func:`_ball_row`, one per ball from :func:`_bfs_balls`).
+A power with more edges than H_20 is refused as its rows are counted (by
+popcount on a mask), and from order 4580 on, where even the complete graph
+is over that cap, first by a lower bound from the component orders and
+neighbour degrees.
 
 The largest ball (``compat.star_potential_certificate``, the star potential)
 is bracketed first (:func:`_ball_by_bound`): no ball is larger than the
@@ -153,7 +155,8 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         """Edge set as frozenset of (u, v) pairs with u < v."""
-        return frozenset(self.sorted_edges())
+        return frozenset((u, v) for u, upper in enumerate(self._upper_rows(range(self._n)))
+                         for v in upper)
 
     @property
     def num_edges(self) -> int:
@@ -183,10 +186,6 @@ class Graph:
         if self._masks is None:
             self._masks = tuple(sum(1 << v for v in nbrs) for nbrs in self._rows)
         return self._masks
-
-    def sorted_edges(self) -> list:
-        """Edges as (u, v) pairs with u < v, in lexicographic order."""
-        return [(u, v) for u, upper in enumerate(self._upper_rows(range(self._n))) for v in upper]
 
     def _upper_rows(self, labels: Sequence) -> Iterator[list]:
         """Per vertex u in turn, ``labels[v]`` for each neighbor v > u, ascending.

@@ -107,6 +107,7 @@ def gray_code_cycle(s: int) -> Tuple[int, ...]:
     Returns all 2^s vertex ids in an order whose consecutive labels, cyclically
     including last back to first, differ in exactly one bit.
     """
+    graph._check_integer(s, InvalidParameter, "hypercube parameter")  # as hypercube(s) words it
     if s < 2:
         raise InvalidParameter(f"hypercube has a Hamiltonian cycle only for s >= 2, got {s}")
     check_hypercube_dim(s)

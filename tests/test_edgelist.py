@@ -41,7 +41,7 @@ def _edge_list_samples():
 
 @pytest.mark.parametrize("g", _edge_list_samples())
 def test_writer_emits_sorted_edges(g):
-    lines = [f"{g.order} {g.num_edges}\n"] + [f"{u} {v}\n" for u, v in g.sorted_edges()]
+    lines = [f"{g.order} {g.num_edges}\n"] + [f"{u} {v}\n" for u, v in sorted(g.edges)]
     assert dumps(g) == "".join(lines)
 
 

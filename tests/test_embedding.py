@@ -227,9 +227,9 @@ class TestLongestCycle:
         # a perfect matching: no anchor has two higher neighbours, so no node is expanded
         n = 8192
         masks = [1 << (v ^ 1) for v in range(n)]
-        assert pykernels.longest_cycle(n, masks, 10**8, 0.0) == (EXHAUSTED, 0, None, 0)
-        assert pykernels.longest_cycle(n, masks, 10**8, 1e-9) == (BUDGET_EXCEEDED, 0, None, 0)
-        assert pykernels.longest_cycle(64, masks[:64], 10**8, 1e-9) == (EXHAUSTED, 0, None, 0)
+        assert pykernels.longest_cycle(n, masks, 10**8, 0.0) == (EXHAUSTED, None, 0)
+        assert pykernels.longest_cycle(n, masks, 10**8, 1e-9) == (BUDGET_EXCEEDED, None, 0)
+        assert pykernels.longest_cycle(64, masks[:64], 10**8, 1e-9) == (EXHAUSTED, None, 0)
 
     def test_search_deadline_is_the_budgets_from_the_call(self, monkeypatch):
         import time
@@ -357,7 +357,7 @@ class TestAgainstBruteForce:
             embeds = brute_force_embeds(task, host)
             assert (find_embedding(task, host) is not None) == embeds
             if any(verdicts):
-                assert not embeds, (verdicts, task.sorted_edges(), host.sorted_edges())
+                assert not embeds, (verdicts, sorted(task.edges), sorted(host.edges))
                 decisive[ABSENCE_CHECKS[verdicts.index(True)].__name__] += 1
         # each check is the first to fire on some pair, so none is vacuous
         assert all(decisive.values()), decisive
@@ -421,9 +421,8 @@ class TestLongChains:
 
     def test_longest_cycle_of_ring_3000(self):
         g = ring(3000)
-        status, length, witness, nodes = pykernels.longest_cycle(3000, g.adjacency_masks(),
-                                                                 10**8, 0.0)
-        assert (status, length, nodes) == (EXHAUSTED, 3000, 3000)
+        status, witness, nodes = pykernels.longest_cycle(3000, g.adjacency_masks(), 10**8, 0.0)
+        assert (status, len(witness), nodes) == (FOUND, 3000, 3000)
         assert is_valid_cycle(g, witness)
 
     def test_cycle_with_length_on_ring_3000(self):

@@ -2,7 +2,9 @@
 
 Identical means the full tuple: status, witness (not just validity), and the
 node-expansion count, since the two backends implement the same algorithm
-with the same candidate order.
+with the same candidate order.  Every entry of both backends returns
+``(status, witness or None, nodes)``, with FOUND exactly when a witness
+comes back, on every call made here.
 
 The ``ckernels`` fixture lives in the root ``conftest.py``: when the
 extension is not importable but a C compiler is on PATH, it is built from
@@ -33,17 +35,21 @@ def _instances():
     return rng, graphs
 
 
-def test_subgraph_search_parity(ckernels):
+def _subgraph_calls():
     rng, graphs = _instances()
-    checked = 0
     for host in graphs:
         hmask = host.adjacency_masks()
         for _ in range(6):
             task = random_graph(rng, rng.randint(2, 6), rng.choice((0.3, 0.5, 0.8)))
-            args = (task.order, task.adjacency_masks(), host.order, hmask,
-                    _order(task), 10**7, 0.0)
-            assert ckernels.subgraph_search(*args) == pykernels.subgraph_search(*args)
-            checked += 1
+            yield (task.order, task.adjacency_masks(), host.order, hmask, _order(task), 10**7,
+                   0.0)
+
+
+def test_subgraph_search_parity(ckernels):
+    checked = 0
+    for args in _subgraph_calls():
+        assert ckernels.subgraph_search(*args) == pykernels.subgraph_search(*args)
+        checked += 1
     assert checked == 60
 
 
@@ -60,54 +66,59 @@ def _cycle_instances():
     return out
 
 
-def test_longest_cycle_parity(ckernels):
-    statuses = set()
+def _longest_cycle_calls():
     for n, masks in _cycle_instances():
         # cap keeps the pure side quick on the larger instances while
         # still exercising the budget-exceeded path identically
-        cap = 10**6 if n <= 16 else 20000
-        args = (n, masks, cap, 0.0)
+        yield (n, masks, 10**6 if n <= 16 else 20000, 0.0)
+
+
+def _cycle_with_length_calls():
+    for n, masks, cap, deadline in _longest_cycle_calls():
+        for k in (3, 4, 5, n // 2, n):
+            yield (n, masks, k, cap, deadline)
+
+
+def test_longest_cycle_parity(ckernels):
+    statuses = set()
+    for args in _longest_cycle_calls():
         result = ckernels.longest_cycle(*args)
         assert result == pykernels.longest_cycle(*args)
         statuses.add(result[0])
-    assert statuses == {pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED}
+    assert statuses == {pykernels.FOUND, pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED}
 
 
 def test_cycle_with_length_parity(ckernels):
     statuses = set()
-    for n, masks in _cycle_instances():
-        cap = 10**6 if n <= 16 else 20000
-        for k in (3, 4, 5, n // 2, n):
-            args = (n, masks, k, cap, 0.0)
-            result = ckernels.cycle_with_length(*args)
-            assert result == pykernels.cycle_with_length(*args)
-            statuses.add(result[0])
+    for args in _cycle_with_length_calls():
+        result = ckernels.cycle_with_length(*args)
+        assert result == pykernels.cycle_with_length(*args)
+        statuses.add(result[0])
     assert statuses == {pykernels.FOUND, pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED}
 
 
-def test_budget_cutoff_parity(ckernels):
-    h4 = hypercube(4)
-    r7 = ring(7)
+def _cutoff_calls():
+    """R7 into H4 and C15 in H4 under caps that cut them off, and H4's
+    longest cycle under caps at and past 2^62, where the compiled kernels
+    clamp and never cut off."""
+    h4, r7 = hypercube(4), ring(7)
     for cap in (1, 5, 100, 3000):
-        args = (7, r7.adjacency_masks(), 16, h4.adjacency_masks(), _order(r7), cap, 0.0)
-        a = ckernels.subgraph_search(*args)
-        b = pykernels.subgraph_search(*args)
-        assert a == b
-        assert a[0] == pykernels.BUDGET_EXCEEDED
-        assert a[2] == cap + 1
-
-    # caps at and past 2^62, where the compiled kernels clamp, never cut off
+        yield "subgraph_search", (7, r7.adjacency_masks(), 16, h4.adjacency_masks(), _order(r7),
+                                  cap, 0.0)
     for cap in (1, 10, 500, 2**62, 2**64, 10**30):
-        args = (16, h4.adjacency_masks(), cap, 0.0)
-        assert ckernels.longest_cycle(*args) == pykernels.longest_cycle(*args)
-
+        yield "longest_cycle", (16, h4.adjacency_masks(), cap, 0.0)
     # C15 is absent from the bipartite H4, so every cap below the 72,252
     # nodes of the full search cuts it off
     for cap in (1, 10, 500, 5000):
-        args = (16, h4.adjacency_masks(), 15, cap, 0.0)
-        a = ckernels.cycle_with_length(*args)
-        assert a == pykernels.cycle_with_length(*args)
-        assert a == (pykernels.BUDGET_EXCEEDED, None, cap + 1)
+        yield "cycle_with_length", (16, h4.adjacency_masks(), 15, cap, 0.0)
+
+
+def test_budget_cutoff_parity(ckernels):
+    for name, args in _cutoff_calls():
+        result = getattr(ckernels, name)(*args)
+        assert result == getattr(pykernels, name)(*args)
+        if name != "longest_cycle":
+            assert result == (pykernels.BUDGET_EXCEEDED, None, args[-2] + 1)
 
 
 def _past_deadline_calls():
@@ -175,8 +186,38 @@ def test_status_constants_match(ckernels):
     assert ckernels.BUDGET_EXCEEDED == pykernels.BUDGET_EXCEEDED
 
 
-def test_empty_task_embeds_everywhere(ckernels):
+def _empty_task_calls():
     for host_n, host_adj in ((0, []), (3, ring(3).adjacency_masks())):
-        args = (0, [], host_n, host_adj, [], 10, 0.0)
+        yield (0, [], host_n, host_adj, [], 10, 0.0)
+
+
+def test_empty_task_embeds_everywhere(ckernels):
+    for args in _empty_task_calls():
         assert ckernels.subgraph_search(*args) == (pykernels.FOUND, [], 0)
         assert pykernels.subgraph_search(*args) == (pykernels.FOUND, [], 0)
+
+
+def _every_call():
+    """(entry, arguments) for every call of the tests above."""
+    yield from (("subgraph_search", args) for args in _subgraph_calls())
+    yield from (("subgraph_search", args) for args in _empty_task_calls())
+    yield from (("longest_cycle", args) for args in _longest_cycle_calls())
+    yield from (("cycle_with_length", args) for args in _cycle_with_length_calls())
+    yield from _cutoff_calls()
+    yield from ((name, args + (1e-9,)) for name, args in _past_deadline_calls())
+
+
+@pytest.mark.parametrize("backend", ("compiled", "pure"))
+def test_every_entry_returns_status_witness_nodes(backend, request):
+    kern = request.getfixturevalue("ckernels") if backend == "compiled" else pykernels
+    seen = set()
+    for name, args in _every_call():
+        result = getattr(kern, name)(*args)
+        assert len(result) == 3, (name, result)
+        status, witness, nodes = result
+        assert (status == pykernels.FOUND) == (witness is not None), (name, result)
+        assert type(nodes) is int and nodes >= 0, (name, result)
+        seen.add((name, status))
+    statuses = (pykernels.FOUND, pykernels.EXHAUSTED, pykernels.BUDGET_EXCEEDED)
+    assert seen == {(name, status) for name in ("subgraph_search", "longest_cycle",
+                                                "cycle_with_length") for status in statuses}

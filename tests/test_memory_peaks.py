@@ -31,7 +31,7 @@ def relabelled(g):
     """g with its vertex ids shuffled by a fixed seed, so no ball is a run of bits."""
     perm = list(range(g.order))
     random.Random(g.order).shuffle(perm)
-    return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
+    return from_edge_list(g.order, [(perm[u], perm[v]) for u, v in sorted(g.edges)])
 
 
 def nbytes(masks):

@@ -68,6 +68,11 @@ def test_graph_has_no_edge_lookup():
     assert not hasattr(topocompat.Graph, "has_edge")
 
 
+def test_graph_has_no_second_edge_listing():
+    # ``sorted(g.edges)`` lists the edges in order
+    assert not hasattr(topocompat.Graph, "sorted_edges")
+
+
 @pytest.fixture(scope="module")
 def tracing():
     flag = sys.dont_write_bytecode

@@ -157,12 +157,14 @@ class TestGrayCodeCycle:
             w = seq[(i + 1) % len(seq)]
             assert bin(v ^ w).count("1") == 1
 
-    def test_no_cycle_below_dimension_two(self):
-        with pytest.raises(InvalidParameter):
-            gray_code_cycle(1)
+    @pytest.mark.parametrize("s", [1, 0, -1])
+    def test_no_cycle_below_dimension_two(self, s):
+        message = f"hypercube has a Hamiltonian cycle only for s >= 2, got {s}"
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            gray_code_cycle(s)
 
-    @pytest.mark.parametrize("s", [21, 10**14])
-    def test_dimension_above_the_cap_is_refused_as_hypercube_refuses_it(self, s):
+    @pytest.mark.parametrize("s", [21, 10**14, "2", None, 2.0])
+    def test_dimension_is_refused_as_hypercube_refuses_it(self, s):
         with pytest.raises(InvalidParameter) as built:
             hypercube(s)
         with pytest.raises(InvalidParameter, match=f"^{re.escape(str(built.value))}$"):

@@ -10,6 +10,7 @@ import copy
 import math
 import pickle
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -174,16 +175,20 @@ def test_spec_str_is_the_cli_syntax():
 
 # caps that operator.index refuses: both kernels count nodes in integers
 NON_INTEGER_CAPS = [("max_host_order", 8.5), ("max_nodes", 2.0), ("max_nodes", "2")]
+# time limits that no float adds to, as the deadline is time.monotonic() plus the limit
+NON_NUMBER_LIMITS = [("time_limit", "5"), ("time_limit", None), ("time_limit", Decimal(5))]
 
 
 @pytest.mark.parametrize("field,bad", [
     (field, bad) for field in ("max_host_order", "max_nodes", "time_limit") for bad in (0, -1)
 ] + [("time_limit", math.nan), ("time_limit", math.inf), ("time_limit", -math.inf)]
-  + NON_INTEGER_CAPS)
+  + NON_INTEGER_CAPS + NON_NUMBER_LIMITS)
 def test_budget_rejects_non_positive_or_non_finite(field, bad):
-    message = (f"search budget {field} must be an integer, got {bad!r}"
-               if (field, bad) in NON_INTEGER_CAPS
-               else "search budget fields must be strictly positive and finite")
+    message = "search budget fields must be strictly positive and finite"
+    if (field, bad) in NON_INTEGER_CAPS:
+        message = f"search budget {field} must be an integer, got {bad!r}"
+    elif (field, bad) in NON_NUMBER_LIMITS:
+        message = f"search budget {field} must be a number, got {bad!r}"
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         SearchBudget(**{field: bad})
 
