@@ -1,5 +1,5 @@
 """Code lines and public names of each Python module under a directory,
-and the code lines in all.
+and the code lines in all; then the code lines of each C source file.
 
     python benchmarks/code_lines.py [PATH]
 
@@ -16,11 +16,15 @@ line, the number of that class's public methods and properties (those whose
 names do not start with ``_``), read the same way.  The last line is the
 number of environment variables the modules read by name: the distinct
 string literals given to ``os.environ.get``, ``os.getenv`` or a read of
-``os.environ[...]``, found with ``ast`` too.  These are the counts the
+``os.environ[...]``, found with ``ast`` too.  After it comes one line per
+``.c`` file under PATH: its code lines, those that hold something other
+than whitespace and ``/* */`` or ``//`` comments (a comment marker inside
+a string or character literal starts none).  These are the counts the
 design notes quote when code or names are added or removed.
 """
 
 import ast
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -30,6 +34,9 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
             tokenize.ENCODING, tokenize.ENDMARKER}
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 CLASS = "Graph"  # the class whose public methods and properties are counted
+# a C comment, or a string or character literal, which may hold comment markers
+C_COMMENT_OR_LITERAL = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'',
+                                  re.S)
 
 
 def docstring_lines(tree: ast.Module) -> set:
@@ -97,9 +104,19 @@ def code_lines(path: Path):
             environment_variables(tree))
 
 
+def c_code_lines(path: Path) -> int:
+    """The number of lines of one C source file that hold something other
+    than whitespace and comments: each comment is replaced by its newlines,
+    each literal kept, and the non-blank lines are counted."""
+    text = C_COMMENT_OR_LITERAL.sub(
+        lambda m: m[0] if m[0][0] in "\"'" else "\n" * m[0].count("\n"), path.read_text())
+    return sum(1 for line in text.splitlines() if line.strip())
+
+
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     files = [root] if root.is_file() else sorted(root.rglob("*.py"))
+    c_files = [] if root.is_file() else sorted(root.rglob("*.c"))
     total, surfaces, variables = 0, [], set()
     print(f"{'code':>6} {'names':>6}  module")
     for path in files:
@@ -114,6 +131,8 @@ def main() -> int:
             surfaces.append(f"{'':>6} {members:>6}  {CLASS} public methods and properties")
     print(f"{total:>6} {'':>6}  total", *surfaces,
           f"{'':>6} {len(variables):>6}  environment variables read", sep="\n")
+    for path in c_files:
+        print(f"{c_code_lines(path):>6} {'':>6}  {path.relative_to(root)} (C)")
     return 0
 
 

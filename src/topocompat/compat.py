@@ -80,7 +80,7 @@ def star_potential_certificate(
     the call, and running out raises BudgetExceeded; only the time limit
     applies.  A reach below 1 raises InvalidReachability.
     """
-    _check_reach(reach)
+    reach = _check_reach(reach)
     deadline = budget.deadline()
     center, leaves = (graph._ball_by_bound(system, reach)
                       or graph._largest_ball_pass(system, reach, deadline))
@@ -106,7 +106,7 @@ def ring_potential_certificate(
     labels of :func:`embedding._anchor_order`, within ``budget.max_nodes``,
     and the witness is mapped back to the system's labels.
     """
-    _check_reach(reach)
+    reach = _check_reach(reach)
     n, labels = system.order, hypercube_labels(system)
     if labels is not None and n >= 4:
         vertex = [0] * n  # the inverse labelling
@@ -144,10 +144,11 @@ def potential(
     """
     if task_kind not in ("star", "ring"):
         raise InvalidParameter(f"task kind must be 'star' or 'ring', got {task_kind!r}")
-    _check_reach(reach)
+    reach = _check_reach(reach)
     cert = None
     if system.kind == "hypercube":
-        s, n = system.parameter, system.order()
+        n = system.order()  # the checked 2^s
+        s = n.bit_length() - 1
         if task_kind == "star":
             p = sum(math.comb(s, i) for i in range(min(reach, s) + 1))
             if witness:

@@ -92,27 +92,26 @@ class SearchBudget(_FrozenRecord):
     time raises BudgetExceeded.  Each field must be finite: a nan cap
     compares False against every order and count, so it would switch its
     check off.  The two caps must be integers, as both kernels count in
-    them: ``operator.index`` must take each.  The time limit must be a
-    number that adds to a float, as the deadline is ``time.monotonic()``
-    plus it.
+    them: ``operator.index`` must take each, and the budget holds the ints
+    it gives.  The time limit must be a number that adds to a float, as the
+    deadline is ``time.monotonic()`` plus it.
     """
 
     _fields = ("max_host_order", "max_nodes", "time_limit")
 
     def __init__(self, max_host_order: int = 64, max_nodes: int = 10**8, time_limit: float = 60.0):
-        inf = float("inf")
-        for name, cap in zip(self._fields, (max_host_order, max_nodes)):
-            # a float cap that is nan, infinite or below 1 is left to the range test's message
-            if not isinstance(cap, float) or 1 <= cap < inf:
-                _check_integer(cap, InvalidParameter, f"search budget {name}")
+        # a float cap that is nan, infinite or below 1 is left to the range test's message
+        caps = [cap if isinstance(cap, float) and not 1 <= cap < math.inf
+                else _check_integer(cap, InvalidParameter, f"search budget {name}")
+                for name, cap in zip(self._fields, (max_host_order, max_nodes))]
         try:  # deadline() adds the limit to a float
-            limit_ok = 0 < 0.0 + time_limit < inf
+            limit_ok = 0 < 0.0 + time_limit < math.inf
         except TypeError:
             raise InvalidParameter(
                 f"search budget time_limit must be a number, got {time_limit!r}") from None
-        if not (1 <= max_host_order < inf and 1 <= max_nodes < inf and limit_ok):
+        if not (all(1 <= cap < math.inf for cap in caps) and limit_ok):
             raise InvalidParameter("search budget fields must be strictly positive and finite")
-        super().__init__(max_host_order, max_nodes, time_limit)
+        super().__init__(*caps, time_limit)
 
     def deadline(self) -> float:
         return time.monotonic() + self.time_limit
@@ -146,7 +145,7 @@ def _search_order(task: Graph) -> list:
     """
     from heapq import heappop, heappush  # only searches need it, not the CLI import
 
-    nbrs = [task.neighbors(u) for u in range(task.order)]
+    nbrs = task._neighbors
     by_degree = sorted(range(task.order), key=lambda u: -len(nbrs[u]))  # stable: ties by id
     links = [0] * task.order  # placed neighbours of each vertex, -1 once it is placed
     heap, order, start = [], [], 0
@@ -179,8 +178,8 @@ def _degrees_exclude(task: Graph, host: Graph) -> bool:
     and its i-th largest degree h_i >= t_i.  Summing t_i <= h_i gives
     2 * m_task <= 2 * m_host, so no separate edge count is needed.
     """
-    task_deg = sorted(map(task.degree, range(task.order)), reverse=True)
-    host_deg = sorted(map(host.degree, range(host.order)), reverse=True)
+    task_deg = sorted(map(len, task._neighbors), reverse=True)
+    host_deg = sorted(map(len, host._neighbors), reverse=True)
     return len(task_deg) > len(host_deg) or any(t > h for t, h in zip(task_deg, host_deg))
 
 
@@ -307,5 +306,5 @@ def _anchor_order(g: Graph, deadline: Optional[float] = None) -> Tuple[list, Tup
     says why).  On a regular graph the order is the identity and the masks
     equal g's own.
     """
-    order = sorted(range(g.order), key=g.degree)  # stable: ties by id
+    order = sorted(range(g.order), key=list(map(len, g._neighbors)).__getitem__)  # stable
     return order, _relabelled_masks(g, order, deadline, "longest-cycle search")

@@ -83,16 +83,22 @@ _BALL_MASK_MAX_ORDER = 4096
 _POWER_MAX_EDGES = 20 << 19
 
 
-def _check_vertex(v: int, n: int) -> None:
+def _check_vertex(v: int, n: int) -> int:
+    """v as the int ``operator.index`` gives, once it is checked to be a
+    vertex id in 0..n-1; InvalidVertex otherwise."""
+    v = _check_integer(v, InvalidVertex, "vertex")
     if not (0 <= v < n):
         raise InvalidVertex(f"vertex {v} out of range 0..{n - 1}")
+    return v
 
 
-def _refuse_edge(u: int, v: int, n: int) -> None:
-    """Raise the error ``Graph`` gives the edge (u, v) on n vertices, one it refuses."""
-    _check_vertex(u, n)
-    _check_vertex(v, n)
-    raise InvalidEdge(f"self-loop at vertex {u}")
+def _check_edge(u: int, v: int, n: int) -> Tuple[int, int]:
+    """The edge (u, v) on n vertices as the two ints ``Graph`` adds, or the
+    error it gives an edge whose ids are not vertices, or a self-loop."""
+    u, v = _check_vertex(u, n), _check_vertex(v, n)
+    if u == v:
+        raise InvalidEdge(f"self-loop at vertex {u}")
+    return u, v
 
 
 class Graph:
@@ -100,21 +106,29 @@ class Graph:
 
     ``Graph(n, edges)`` builds one from an order and edge pairs: duplicate
     pairs and reversed duplicates collapse to one edge.  Raises InvalidVertex
-    for endpoints outside 0..n-1 and InvalidEdge for self-loops.
+    for endpoints outside 0..n-1 and InvalidEdge for self-loops.  The order
+    and the endpoints are used as the ints ``operator.index`` gives; any
+    other value raises InvalidParameter (the order) or InvalidVertex.
     """
 
     __slots__ = ("_n", "_rows", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
+        n = _check_integer(n, InvalidParameter, "graph order")
         if n < 1:
             raise InvalidParameter(f"graph order must be positive, got {n}")
         adj = [[] for _ in range(n)]
         ids = list(range(n))  # each row entry is the one shared int of its vertex id
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n and u != v):
-                _refuse_edge(u, v, n)
-            adj[u].append(ids[v])
-            adj[v].append(ids[u])
+            try:  # free from Python 3.11 on until it raises, so ints keep the fast path
+                if not (0 <= u < n and 0 <= v < n and u != v):
+                    _check_edge(u, v, n)  # raises: ints that fail the test are no edge
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
+            except TypeError:  # an id that neither compares nor indexes as an int does
+                u, v = _check_edge(u, v, n)
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
         for v, row in enumerate(adj):  # in place, so no list outlives its tuple
             # a row that came strictly ascending (a written file's) needs no set or sort
             ascending = all(map(lt, row, islice(row, 1, None)))
@@ -165,12 +179,10 @@ class Graph:
         return sum(map(len, self._rows)) // 2
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        _check_vertex(v, self._n)
-        return self._neighbors[v]
+        return self._neighbors[_check_vertex(v, self._n)]
 
     def degree(self, v: int) -> int:
-        _check_vertex(v, self._n)
-        return len(self._neighbors[v])
+        return len(self._neighbors[_check_vertex(v, self._n)])
 
     def max_degree(self) -> int:
         return max(map(len, self._neighbors))
@@ -258,7 +270,7 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     The optional monotonic ``deadline`` is read as :func:`_balls` says, and
     BudgetExceeded is raised past it.
     """
-    _check_reach(reach)
+    reach = _check_reach(reach)
     if reach == 1:
         return g
     if g.order * (g.order - 1) > 2 * _POWER_MAX_EDGES:  # else no power can pass the cap
@@ -277,22 +289,25 @@ def graph_power(g: Graph, reach: int, deadline: Optional[float] = None) -> Graph
     return Graph._from_neighbors(rows) if type(row) is tuple else Graph._from_masks(rows)
 
 
-def _check_integer(value, error: type, what: str) -> None:
-    """Raise ``error`` for a value that ``operator.index`` refuses, whatever
-    its value (a float, a str or a Fraction, say); an int, or a type that
-    acts as one, passes."""
+def _check_integer(value, error: type, what: str) -> int:
+    """The library's one integer test: ``operator.index(value)``, the int
+    its caller computes with from then on, for an int or a type that acts
+    as one (a numpy integer, say); ``error``, naming the value ``what``,
+    for a value that ``operator.index`` refuses, whatever its value (a
+    float, a str or a Fraction, say)."""
     try:
-        index(value)
+        return index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
-def _check_reach(reach: int) -> None:
-    """Refuse a reachability that is not an integer, or is below 1, for the
-    transform and every potential."""
-    _check_integer(reach, InvalidReachability, "reachability")
+def _check_reach(reach: int) -> int:
+    """reach as a checked int; InvalidReachability for one that is not an
+    integer, or is below 1, for the transform and every potential."""
+    reach = _check_integer(reach, InvalidReachability, "reachability")
     if reach < 1:
         raise InvalidReachability(f"reachability must be >= 1, got {reach}")
+    return reach
 
 
 def _ball_row(ball: dict, v: int) -> Tuple[int, ...]:

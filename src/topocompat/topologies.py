@@ -34,10 +34,10 @@ MAX_HYPERCUBE_DIM = 20  # order cap 2^20
 
 
 def check_hypercube_dim(s: int, what: str = "hypercube dimension") -> int:
-    """s, once it is checked to be an integer in 1..MAX_HYPERCUBE_DIM;
-    InvalidParameter, naming it ``what``, otherwise.  The table's reaches
-    share the bound, under their own name."""
-    graph._check_integer(s, InvalidParameter, what)
+    """s as the int ``operator.index`` gives, once it is checked to be an
+    integer in 1..MAX_HYPERCUBE_DIM; InvalidParameter, naming it ``what``,
+    otherwise.  The table's reaches share the bound, under their own name."""
+    s = graph._check_integer(s, InvalidParameter, what)
     if not (1 <= s <= MAX_HYPERCUBE_DIM):
         raise InvalidParameter(f"{what} must be in 1..{MAX_HYPERCUBE_DIM}, got {s}")
     return s
@@ -49,23 +49,21 @@ def hypercube(s: int) -> Graph:
     Vertex v's row is v with each of its s bits flipped, sorted; every entry
     is the one shared int of its vertex id.
     """
-    _generated_order("hypercube", s)
-    ids = tuple(range(1 << s))
-    bits = [1 << k for k in range(s)]
+    ids = tuple(range(_generated_order("hypercube", s)))
+    bits = [1 << k for k in range(len(ids).bit_length() - 1)]
     return Graph._from_neighbors(tuple([tuple(sorted([ids[v ^ b] for b in bits])) for v in ids]))
 
 
 def _generated_order(kind: str, k: int) -> int:
     """The order of the generated ``kind:k`` (a kind of ``_GENERATORS``), once
-    ``k`` is checked; InvalidParameter, before any edge is listed, for a ``k``
-    the generator refuses, a non-integer included.  The generators and
+    ``k`` is checked and taken as the int ``operator.index`` gives;
+    InvalidParameter, before any edge is listed, for a ``k`` the generator
+    refuses, a non-integer included.  The generators and
     ``TopologySpec.order`` both check here.  K_n's edges are capped with
     every power's, at ``graph._POWER_MAX_EDGES``."""
-    if not isinstance(k, int):
-        raise InvalidParameter(f"{kind} parameter must be an integer, got {k!r}")
+    k = graph._check_integer(k, InvalidParameter, f"{kind} parameter")
     if kind == "hypercube":
-        check_hypercube_dim(k)
-        return 1 << k
+        return 1 << check_hypercube_dim(k)
     name, least = {"ring": ("ring", 3), "star": ("star", 2),
                    "complete": ("complete-graph", 1)}[kind]
     if k < least:
@@ -82,7 +80,7 @@ def _generated_order(kind: str, k: int) -> int:
 
 def ring(p: int) -> Graph:
     """The cycle graph C_p: vertex i adjacent to (i +- 1) mod p; p <= 2^20."""
-    _generated_order("ring", p)
+    p = _generated_order("ring", p)
     ids = tuple(range(p))
     inner = [(ids[i - 1], ids[i + 1]) for i in range(1, p - 1)]
     return Graph._from_neighbors(((1, ids[-1]), *inner, (0, ids[-2])))
@@ -90,13 +88,13 @@ def ring(p: int) -> Graph:
 
 def star(p: int) -> Graph:
     """The star K_{1,p-1}: center vertex 0 adjacent to vertices 1..p-1; p <= 2^20."""
-    _generated_order("star", p)
+    p = _generated_order("star", p)
     return Graph._from_neighbors((tuple(range(1, p)),) + ((0,),) * (p - 1))
 
 
 def complete(n: int) -> Graph:
     """The complete graph K_n, with at most as many edges as H_20 (n <= 4579)."""
-    _generated_order("complete", n)
+    n = _generated_order("complete", n)
     ids = tuple(range(n))
     return Graph._from_neighbors(tuple([ids[:v] + ids[v + 1:] for v in range(n)]))
 
@@ -107,11 +105,10 @@ def gray_code_cycle(s: int) -> Tuple[int, ...]:
     Returns all 2^s vertex ids in an order whose consecutive labels, cyclically
     including last back to first, differ in exactly one bit.
     """
-    graph._check_integer(s, InvalidParameter, "hypercube parameter")  # as hypercube(s) words it
+    s = graph._check_integer(s, InvalidParameter, "hypercube parameter")  # as hypercube(s) words it
     if s < 2:
         raise InvalidParameter(f"hypercube has a Hamiltonian cycle only for s >= 2, got {s}")
-    check_hypercube_dim(s)
-    return tuple(i ^ (i >> 1) for i in range(1 << s))
+    return tuple(i ^ (i >> 1) for i in range(1 << check_hypercube_dim(s)))
 
 
 # kind -> generator of ``kind:k``, for every kind that a spec generates

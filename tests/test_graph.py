@@ -1,6 +1,7 @@
 """Graph construction, distances, and the reachability transform."""
 
 import math
+import re
 import random
 
 import pytest
@@ -74,11 +75,28 @@ class TestFromEdgeList:
         with pytest.raises(InvalidVertex):
             from_edge_list(2, [(0, 2)])
 
-    @pytest.mark.parametrize("u", [5, -1])
+    @pytest.mark.parametrize("u", [5, -1, 1.0, "1"])
     def test_first_endpoint_out_of_range(self, u):
-        # -1 would index vertex 2's list, and 5 past the end, without the check
-        with pytest.raises(InvalidVertex, match=f"vertex {u} out of range 0..2"):
+        # -1 would index vertex 2's list, and 5 past the end, without the check;
+        # 1.0 and "1" are no vertex ids at all
+        message = (f"vertex {u} out of range 0..2" if type(u) is int
+                   else f"vertex must be an integer, got {u!r}")
+        with pytest.raises(InvalidVertex, match=re.escape(message)):
             from_edge_list(3, [(u, 0)])
+
+    @pytest.mark.parametrize("v", [1.0, "1"])
+    def test_second_endpoint_must_be_an_integer(self, v):
+        with pytest.raises(InvalidVertex, match=re.escape(f"vertex must be an integer, got {v!r}")):
+            from_edge_list(3, [(0, v)])
+
+    @pytest.mark.parametrize("n", [2.0, "3", None])
+    def test_order_must_be_an_integer(self, n):
+        with pytest.raises(InvalidParameter,
+                           match=re.escape(f"graph order must be an integer, got {n!r}")):
+            from_edge_list(n, [])
+
+    def test_order_is_held_as_an_int(self):
+        assert repr(from_edge_list(True, [])) == "Graph(n=1, m=0)"
 
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidEdge):
@@ -89,12 +107,15 @@ class TestFromEdgeList:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3
 
-    @pytest.mark.parametrize("v", [-1, 5])
+    @pytest.mark.parametrize("v", [-1, 5, 1.0, "1"])
     def test_lookups_refuse_a_vertex_out_of_range(self, v):
-        # -1 would read the last row, and 5 past the end, without the check
+        # -1 would read the last row, and 5 past the end, without the check;
+        # 1.0 and "1" are no vertex ids at all
         g = ring(5)
+        message = (f"vertex {v} out of range 0..4" if type(v) is int
+                   else f"vertex must be an integer, got {v!r}")
         for lookup in (g.neighbors, g.degree):
-            with pytest.raises(InvalidVertex, match=f"vertex {v} out of range 0..4"):
+            with pytest.raises(InvalidVertex, match=re.escape(message)):
                 lookup(v)
 
     def test_a_graph_equals_no_other_type(self):
